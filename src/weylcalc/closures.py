@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -11,12 +10,11 @@ from .errors import PreconditionViolated
 from .multisegments import (
     Multisegment,
     connected,
+    crosses,
     in_plus_order,
     is_doubly_sorted,
     span,
     sort_plus,
-    swap,
-    tau,
 )
 from .segments import Segment, check_valid
 
@@ -55,44 +53,57 @@ def is_closed(ms: Multisegment, rank: int) -> bool:
 
 
 def closure(ms: Multisegment, rank: int) -> ClosureSet:
-    """Breadth-first saturation under all crossing moves and equal-j swaps.
+    """Saturation under all crossing moves and equal-j swaps.
 
-    Crossing only recombines endpoints already present, so every
-    generated segment stays inside the seed's bounding box; the box
-    check below guards that finiteness argument as an internal
-    invariant rather than a reachable error.
+    Both moves exchange the left endpoints of two parts and leave every
+    right endpoint in place: tau_{m,l} when the parts are connected, a
+    swap when j_m == j_l. So the search runs over tuples of left
+    endpoints set against the seed's fixed right endpoints; every state
+    is a permutation of the seed's left endpoints, which bounds the
+    search, and members sort exactly as their left tuples do.
     """
     seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
     for p in seed:
         check_valid(p, rank)
-    lo = min(p.i for p in seed)
-    hi = max(p.j for p in seed)
+    js = tuple(p.j for p in seed)
     r = len(seed)
-    seen = {seed}
-    queue = deque((seed,))
-    while queue:
-        cur = queue.popleft()
-        for m in range(1, r + 1):
-            for l in range(m + 1, r + 1):
-                nxt = tau(cur, m, l, rank)
-                if nxt is not None and nxt not in seen:
-                    for p in nxt:
-                        if p.i < lo or p.j > hi:
-                            raise RuntimeError(
-                                f"internal error: {p} escaped the seed box"
-                                f" [{lo},{hi}] during closure"
-                            )
-                    seen.add(nxt)
-                    queue.append(nxt)
-                if cur[m - 1].j == cur[l - 1].j:
-                    sw = swap(cur, m, l)
-                    if sw not in seen:
-                        seen.add(sw)
-                        queue.append(sw)
-    members = tuple(sorted(seen))
-    closed = tuple(t for t in members if is_closed(t, rank))
-    reps = tuple(sorted({sort_plus(t) for t in closed}))
-    return ClosureSet(rank, seed, members, closed, reps)
+    pairs = [
+        (m, l, js[m], js[l]) for m in range(r) for l in range(m + 1, r)
+    ]
+    start = tuple(p.i for p in seed)
+    seen = {start}
+    order = [start]
+    closed = set()
+    for cur in order:  # breadth first: order grows while it is walked
+        crossed = False
+        for m, l, jm, jl in pairs:
+            im, il = cur[m], cur[l]
+            if jm != jl:
+                if not crosses(im, jm, il, jl, rank):
+                    continue
+                crossed = True
+            elif im == il:
+                continue
+            nxt = list(cur)
+            nxt[m], nxt[l] = il, im
+            nxt = tuple(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+        if not crossed:
+            closed.add(cur)
+
+    # A move keeps every part valid (a connected pair's union spans at most
+    # rank + 1), so members skip Multisegment's part check and share one
+    # Segment per (i, j).
+    segs = {(i, j): Segment(i, j) for i in set(start) for j in set(js) if i <= j}
+    lefts = sorted(seen)
+    members = tuple(
+        tuple.__new__(Multisegment, [segs[p] for p in zip(a, js)]) for a in lefts
+    )
+    closed_members = tuple(t for t, a in zip(members, lefts) if a in closed)
+    reps = tuple(sorted({sort_plus(t) for t in closed_members}))
+    return ClosureSet(rank, seed, members, closed_members, reps)
 
 
 def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:

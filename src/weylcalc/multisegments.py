@@ -9,8 +9,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import IndexOutOfRange, PreconditionViolated
-from .lweights import LWeight, lweight_of_segment
-from .segments import Segment, check_valid
+from .lweights import LWeight
+from .segments import Segment, check_valid, is_degenerate
 
 
 class Multisegment(tuple):
@@ -34,25 +34,32 @@ class Multisegment(tuple):
 
 def weight_of(ms: Multisegment, rank: int) -> LWeight:
     """Product of the part generators, degenerate parts dropping out."""
-    w = LWeight.identity()
     for p in ms:
-        w = w * lweight_of_segment(p, rank)
-    return w
+        check_valid(p, rank)
+    return LWeight((p, 1) for p in ms if not is_degenerate(p, rank))
+
+
+def crosses(ai: int, aj: int, bi: int, bj: int, rank: int) -> bool:
+    """The connectedness test of [ai, aj] and [bi, bj] on bare endpoints.
+
+    True iff one pair of endpoints interleaves strictly on the left and
+    weakly in the middle (bi < ai <= bj < aj or the mirror image) and
+    the union spans at most rank + 1.
+    """
+    if bi < ai <= bj < aj:
+        return aj - bi <= rank + 1
+    if ai < bi <= aj < bj:
+        return bj - ai <= rank + 1
+    return False
 
 
 def connected(a: Segment, b: Segment, rank: int) -> bool:
     """Whether two segments cross properly within the rank's reach.
 
-    True iff one pair of endpoints interleaves strictly on the left and
-    weakly in the middle (b.i < a.i <= b.j < a.j or the mirror image)
-    and the union spans at most rank + 1. Symmetric and invariant under
+    See crosses for the condition. Symmetric and invariant under
     simultaneous translation.
     """
-    if b.i < a.i <= b.j < a.j and a.j - b.i <= rank + 1:
-        return True
-    if a.i < b.i <= a.j < b.j and b.j - a.i <= rank + 1:
-        return True
-    return False
+    return crosses(a.i, a.j, b.i, b.j, rank)
 
 
 def _check_index(r: int, p: int, name: str = "index") -> None:

@@ -2,35 +2,46 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidSegment
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
+class Segment(tuple):
     """The interval [i, j] of integers, i <= j.
 
-    Segments are ordered lexicographically by (i, j), which is also the
-    order used for canonical rendering.
+    Stored as the plain pair (i, j), so hashing and comparison run at C
+    speed. Segments are ordered lexicographically by (i, j), which is
+    also the order used for canonical rendering, and a segment compares
+    and hashes equal to the plain tuple (i, j).
     """
 
-    i: int
-    j: int
+    __slots__ = ()
+    __match_args__ = ("i", "j")
 
-    def __post_init__(self):
-        if self.j < self.i:
-            raise InvalidSegment(f"segment [{self.i},{self.j}] has j < i")
+    def __new__(cls, i: int, j: int):
+        if j < i:
+            raise InvalidSegment(f"segment [{i},{j}] has j < i")
+        return tuple.__new__(cls, (i, j))
+
+    i = property(itemgetter(0), doc="Left endpoint.")
+    j = property(itemgetter(1), doc="Right endpoint.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
 
     @property
     def length(self) -> int:
-        return self.j - self.i
+        return self[1] - self[0]
 
     def shift(self, d: int) -> "Segment":
-        return Segment(self.i + d, self.j + d)
+        return Segment(self[0] + d, self[1] + d)
 
     def __str__(self) -> str:
-        return f"[{self.i},{self.j}]"
+        return f"[{self[0]},{self[1]}]"
+
+    def __repr__(self) -> str:
+        return f"Segment(i={self[0]}, j={self[1]})"
 
 
 def check_valid(seg: Segment, rank: int) -> None:

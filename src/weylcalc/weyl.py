@@ -87,10 +87,11 @@ class ExtCertificate:
 
 def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertificate:
     """Disjoint dominant supports force Ext vanishing; overlap decides nothing."""
-    shared = sorted(
-        weyl_dominant_weights(ms1, rank) & weyl_dominant_weights(ms2, rank),
-        key=LWeight.sort_key,
-    )
+    w1 = weyl_dominant_weights(ms1, rank)
+    # the support depends on the plus-sorted tuple alone
+    same = sort_plus(ms1) == sort_plus(ms2)
+    w2 = w1 if same else weyl_dominant_weights(ms2, rank)
+    shared = sorted(w1 & w2, key=LWeight.sort_key)
     verdict = ExtVerdict.INCONCLUSIVE if shared else ExtVerdict.VANISHES
     return ExtCertificate(verdict, tuple(shared))
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from weylcalc import Multisegment, Segment, tau
+from weylcalc import Multisegment, Segment, swap, tau
 
 
 def random_segment(rng, rank, lo=-3, hi=6):
@@ -90,6 +90,32 @@ def tau_saturate(ms, rank):
                     if u is not None and u not in seen:
                         seen.add(u)
                         nxt.append(u)
+        frontier = nxt
+    return seen
+
+
+def move_saturate(ms, rank):
+    """Everything reachable from ms by crossing moves and equal-j swaps.
+
+    A closure oracle that applies the public tau and swap to whole
+    multisegments, with no assumption about which endpoints a move
+    touches.
+    """
+    seen = {ms}
+    frontier = [ms]
+    r = len(ms)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for m in range(1, r):
+                for l in range(m + 1, r + 1):
+                    moved = [tau(t, m, l, rank)]
+                    if t[m - 1].j == t[l - 1].j:
+                        moved.append(swap(t, m, l))
+                    for u in moved:
+                        if u is not None and u not in seen:
+                            seen.add(u)
+                            nxt.append(u)
         frontier = nxt
     return seen
 

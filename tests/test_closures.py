@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from helpers import (
     block_permutations,
+    move_saturate,
     random_doubly_sorted,
     random_multisegment,
+    random_segment,
     tau_saturate,
 )
 
@@ -16,6 +19,7 @@ from weylcalc import (
     canonical_closed,
     closed_elements,
     closure,
+    connected,
     dominant_ancestor,
     dual_left,
     is_closed,
@@ -135,6 +139,34 @@ def test_closure_agrees_with_word_oracle():
             v for u in tau_saturate(ms, rank) for v in block_permutations(u)
         }
         assert set(closure(ms, rank).members) == oracle
+
+
+def test_closure_agrees_with_move_oracle():
+    # 200 seeds at ranks 1-6, 1-5 parts packed into [-1, rank + 1]: narrow
+    # enough that many pairs connect, one wider than the rank's reach so
+    # that the span bound still decides some pairs; odd seeds plus-sorted
+    grown = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        rank = rng.randint(1, 6)
+        ms = Multisegment(
+            random_segment(rng, rank, lo=-1, hi=rank + 1)
+            for _ in range(rng.randint(1, 5))
+        )
+        if seed % 2:
+            ms = sort_plus(ms)
+        members = tuple(sorted(move_saturate(ms, rank)))
+        closed = tuple(
+            t for t in members
+            if not any(connected(a, b, rank) for a, b in combinations(t, 2))
+        )
+        reps = tuple(sorted({sort_plus(t) for t in closed}))
+        cs = closure(ms, rank)
+        assert cs.members == members, (seed, ms, rank)
+        assert cs.closed_members == closed, (seed, ms, rank)
+        assert cs.orbit_representatives == reps, (seed, ms, rank)
+        grown += len(members) > 2
+    assert grown >= 60
 
 
 class TestCanonicalClosed:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from weylcalc import (
@@ -76,3 +79,51 @@ def test_segments_are_hashable_and_frozen():
     assert len({s, Segment(0, 1), Segment(0, 2)}) == 2
     with pytest.raises(Exception):
         s.i = 5
+
+
+def test_keyword_construction_and_repr():
+    s = Segment(i=1, j=3)
+    assert s == Segment(1, 3)
+    assert (s.i, s.j) == (1, 3)
+    assert repr(s) == "Segment(i=1, j=3)"
+    with pytest.raises(InvalidSegment):
+        Segment(i=3, j=1)
+
+
+def test_segment_is_the_plain_pair():
+    s = Segment(1, 3)
+    assert s == (1, 3)
+    assert hash(s) == hash((1, 3))
+    assert {(1, 3): "x"}[s] == "x"
+    with pytest.raises(AttributeError):
+        s.i = 5
+    with pytest.raises(AttributeError):
+        s.extra = 0
+
+
+def test_match_by_position_and_keyword():
+    match Segment(2, 7):
+        case Segment(a, b):
+            assert (a, b) == (2, 7)
+    match Segment(2, 7):
+        case Segment(j=b, i=a):
+            assert (a, b) == (2, 7)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    from weylcalc import LWeight, Multisegment, closure
+
+    ms = Multisegment([Segment(0, 6), Segment(2, 7), Segment(1, 8)])
+    objects = [
+        Segment(-1, 4),
+        ms,
+        LWeight({Segment(0, 1): 2, Segment(1, 3): -1}),
+        closure(ms, 7),
+    ]
+    for obj in objects:
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(back) is type(obj)
+            assert back == obj
+            assert hash(back) == hash(obj)
+    back = pickle.loads(pickle.dumps(objects[1]))
+    assert all(type(p) is Segment for p in back)
