@@ -30,7 +30,7 @@ from .multisegments import (
     normal_form,
     weight_of,
 )
-from .qchars import weyl_qchar
+from .qchars import weyl_dominant_part, weyl_qchar
 from .segments import Segment
 from .weyl import (
     ext_vanishing,
@@ -208,7 +208,7 @@ def _cmd_qchar(args, stdin):
 
 def _cmd_dominant(args, stdin):
     ms = parse_multisegment(stdin.resolve(args.multisegment))
-    part = weyl_qchar(ms, args.rank).dominant_part()
+    part = weyl_dominant_part(ms, args.rank)
     return _qchar_lines(part), {"terms": json_qchar_terms(part)}
 
 
@@ -331,8 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        # built on first use, not at import, and reused: parse_args keeps
+        # no state between calls
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.rank < 1:
             raise PreconditionViolated(f"rank must be >= 1, got {args.rank}")

@@ -10,6 +10,7 @@ corner at position r contributes the segment
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Mapping, Union
 
@@ -124,14 +125,15 @@ def corners(g: Path) -> tuple[list[Segment], list[Segment]]:
 
 
 def path_weight(g: Path, rank: int) -> LWeight:
-    """Product of corner generators, minima direct and maxima inverted."""
+    """Product of corner generators, minima direct and maxima inverted.
+
+    The corner at position r has length r with 1 <= r <= rank, so the
+    corners are distinct and none of them is degenerate.
+    """
     plus, minus = corners(g)
-    w = LWeight.identity()
-    for s in plus:
-        w = w * lweight_of_segment(s, rank)
-    for s in minus:
-        w = w * lweight_of_segment(s, rank).inverse()
-    return w
+    exp = dict.fromkeys(plus, 1)
+    exp.update(dict.fromkeys(minus, -1))
+    return LWeight(exp)
 
 
 def fundamental_qchar(seg: Segment, rank: int) -> QChar:
@@ -158,6 +160,75 @@ def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
         if not is_degenerate(p, rank):
             q = q * fundamental_qchar(p, rank)
     return q
+
+
+def _tops(terms: list[tuple[dict[Segment, int], int]]) -> Counter:
+    """Per segment, the largest positive exponent among the terms."""
+    top: Counter = Counter()
+    for exp, _ in terms:
+        for seg, e in exp.items():
+            if e > top[seg]:
+                top[seg] = e
+    return top
+
+
+def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
+    """weyl_qchar(ms, rank).dominant_part(), without the full product.
+
+    An exact branch and bound over the fundamental characters of the
+    non-degenerate parts, convolved one factor at a time on exponent
+    dicts with equal partial products merged. rise[k] is how far the
+    factors from k on can still raise each exponent: the sum of the
+    largest positive exponent each of them has there. A partial product
+    is dropped as soon as one of its negative exponents can no longer
+    reach 0, and a factor's term is dropped up front when the other
+    factors together cannot lift it. rise is empty after the last
+    factor, so exactly the dominant terms remain.
+    """
+    for p in ms:
+        check_valid(p, rank)
+    # The product commutes; taking parts with the highest centre i + j
+    # first makes partial products fail sooner.
+    parts = sorted(
+        (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j)
+    )
+    factors = [
+        [(w.exponents(), m) for w, m in fundamental_qchar(p, rank).terms().items()]
+        for p in parts
+    ]
+    tops = [_tops(terms) for terms in factors]
+    rise = [Counter()]
+    for top in reversed(tops):
+        rise.append(rise[-1] + top)
+    rise.reverse()
+
+    cur: dict[frozenset, int] = {frozenset(): 1}
+    for k, terms in enumerate(factors):
+        others = rise[0] - tops[k]
+        terms = [
+            (t, mt) for t, mt in terms
+            if all(e >= 0 or e + others.get(seg, 0) >= 0 for seg, e in t.items())
+        ]
+        later = rise[k + 1]
+        nxt: dict[frozenset, int] = {}
+        for key, m in cur.items():
+            base = dict(key)
+            for t, mt in terms:
+                exp = base.copy()
+                for seg, e in t.items():
+                    x = exp.get(seg, 0) + e
+                    if x:
+                        exp[seg] = x
+                    else:
+                        del exp[seg]
+                for seg, e in exp.items():
+                    if e < 0 and e + later.get(seg, 0) < 0:
+                        break
+                else:
+                    nkey = frozenset(exp.items())
+                    nxt[nkey] = nxt.get(nkey, 0) + m * mt
+        cur = nxt
+    return {LWeight(key): m for key, m in cur.items()}
 
 
 def pair_simple_qchar(ms: Multisegment, rank: int) -> QChar:

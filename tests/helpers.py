@@ -1,12 +1,13 @@
 """Shared generators and brute-force oracles for the randomized tests.
 
 Every generator takes an explicit random.Random so each test controls its
-own seed and stays reproducible in isolation.
+own seed and stays reproducible in isolation; a fixed corpus seeds its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from weylcalc import Multisegment, Segment, swap, tau
 
@@ -21,6 +22,16 @@ def random_multisegment(rng, rank, parts=None):
     if parts is None:
         parts = rng.randint(1, 3)
     return Multisegment(random_segment(rng, rank) for _ in range(parts))
+
+
+def criterion2_instances():
+    """The fixed (ms, rank) corpus of acceptance criterion 2."""
+    rng = random.Random(92200)
+    out = []
+    for _ in range(220):
+        rank = rng.randint(1, 4)
+        out.append((random_multisegment(rng, rank, parts=rng.randint(1, 3)), rank))
+    return out
 
 
 def random_doubly_sorted(rng, parts=None):

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import _checklist
 
 from helpers import (
+    criterion2_instances,
     random_connected_pair,
     random_dense_triple,
     random_doubly_sorted,
@@ -107,19 +108,10 @@ def test_criterion_1_golden_closures():
         assert M((2, 3), (0, 2), (1, 1)) in reps1
 
 
-def _criterion2_instances():
-    rng = random.Random(92200)
-    out = []
-    for _ in range(220):
-        rank = rng.randint(1, 4)
-        out.append((random_multisegment(rng, rank, parts=rng.randint(1, 3)), rank))
-    return out
-
-
 def test_criterion_2_dominant_support_oracle():
     with criterion("criterion 2: dominant support vs product character oracle"):
         t0 = time.monotonic()
-        for ms, rank in _criterion2_instances():
+        for ms, rank in criterion2_instances():
             oracle = set(weyl_qchar(ms, rank).dominant_part())
             assert weyl_dominant_weights(ms, rank) == oracle, (ms, rank)
         elapsed = time.monotonic() - t0
@@ -273,7 +265,7 @@ def test_criterion_8_straightening_golden_and_landing():
 
 def test_criterion_9_hom_and_socle_consistency():
     with criterion("criterion 9: hom and socle consistency"):
-        for ms, rank in _criterion2_instances():
+        for ms, rank in criterion2_instances():
             support = set(weyl_qchar(ms, rank).dominant_part())
             out = socle(ms, rank)
             weights = [s.weight for s in out]

@@ -7,6 +7,7 @@ import pytest
 from helpers import random_multisegment
 
 from weylcalc import LWeight, Multisegment, ParseError, RangeError, Segment, alpha
+from weylcalc import cli
 from weylcalc.cli import main, parse_lweight, parse_multisegment, run
 
 
@@ -200,6 +201,55 @@ class TestErrors:
     def test_missing_rank_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             run(["closure", "[0,1]"])
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_outcome(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        ok = ["dominant", "--rank", "4", "--json", "[0,2][1,3][2,4]"]
+        assert run(ok) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as usage:
+            run(["closure", "--rank", "x", "[0,1]"])
+        assert usage.value.code == 2
+        assert capsys.readouterr().err.endswith("invalid int value: 'x'\n")
+        assert run(["qchar", "--rank", "1", "[0,3]"]) == 2
+        assert capsys.readouterr().err == (
+            "error: segment [0,3] has length 3, not valid at rank 1\n"
+        )
+        assert run(ok[:3] + ok[4:]) == 0
+        assert capsys.readouterr().out == (
+            "1 * w[0,2]^1 * w[1,3]^1 * w[2,4]^1\n"
+            "1 * w[0,2]^1 * w[1,4]^1 * w[2,3]^1\n"
+            "1 * w[0,3]^1 * w[1,2]^1 * w[2,4]^1\n"
+            "1 * w[0,3]^1 * w[1,4]^1\n"
+            "1 * w[0,4]^1 * w[1,2]^1 * w[2,3]^1\n"
+            "2 * w[0,4]^1 * w[1,3]^1\n"
+        )
+        assert run(ok) == 0
+        assert capsys.readouterr().out == first
+        assert built == [1]
+
+    @pytest.mark.parametrize("prefix", [[], ["dominant"], ["iota"]])
+    def test_help_is_unchanged(self, capsys, prefix):
+        run(["closed", "--rank", "2", "[0,1]"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as reused:
+            run([*prefix, "--help"])
+        got = capsys.readouterr().out
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args([*prefix, "--help"])
+        assert reused.value.code == fresh.value.code == 0
+        assert got == capsys.readouterr().out
+        assert got.startswith("usage: weylcalc")
 
 
 def test_main_returns_int(capsys):

@@ -1,4 +1,5 @@
-"""Property tests for the closure engine, the crossing move and the parser."""
+"""Property tests for the closure engine, the crossing move, the parser,
+the reflection duals and the root lattice."""
 
 import pytest
 
@@ -6,7 +7,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from weylcalc import Multisegment, Segment, closure, connected, tau  # noqa: E402
+from weylcalc import (  # noqa: E402
+    Multisegment,
+    RootVector,
+    Segment,
+    closure,
+    compose_roots,
+    connected,
+    decompose_into_roots,
+    dual_left,
+    dual_right,
+    tau,
+)
 from weylcalc.cli import parse_multisegment  # noqa: E402
 
 PROPERTY = settings(
@@ -59,3 +71,30 @@ def test_tau_exchanges_two_left_endpoints(case, data):
 def test_parse_inverts_str(case):
     ms, _ = case
     assert parse_multisegment(str(ms)) == ms
+
+
+@PROPERTY
+@given(ranked_multisegments(max_parts=6))
+def test_duals_invert_each_other(case):
+    ms, rank = case
+    assert dual_left(dual_right(ms, rank), rank) == ms
+    assert dual_right(dual_left(ms, rank), rank) == ms
+
+
+@st.composite
+def ranked_root_vectors(draw):
+    """(rv, rank) with nonzero coefficients on roots a[i,j], 1 <= j - i <= rank."""
+    rank = draw(st.integers(1, 6))
+    coef = {}
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(-3, 4))
+        seg = Segment(i, i + draw(st.integers(1, rank)))
+        coef[seg] = draw(st.integers(-3, 3).filter(bool))
+    return RootVector(coef), rank
+
+
+@PROPERTY
+@given(ranked_root_vectors())
+def test_decompose_inverts_compose(case):
+    rv, rank = case
+    assert decompose_into_roots(compose_roots(rv, rank), rank) == rv

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from helpers import random_connected_pair, random_doubly_sorted, random_multisegment
+from helpers import (
+    criterion2_instances,
+    random_connected_pair,
+    random_doubly_sorted,
+    random_multisegment,
+)
 
 from weylcalc import (
     InvalidSegment,
@@ -22,6 +27,7 @@ from weylcalc import (
     sort_plus,
     span,
     weight_of,
+    weyl_dominant_part,
     weyl_qchar,
 )
 
@@ -165,6 +171,60 @@ class TestWeylQChar:
             assert weyl_qchar(ms, rank).multiplicity(weight_of(ms, rank)) == 1
 
 
+class TestWeylDominantPart:
+    """The pruned search against the full product, multiplicities included."""
+
+    def test_criterion2_corpus(self):
+        for ms, rank in criterion2_instances():
+            assert weyl_dominant_part(ms, rank) == weyl_qchar(ms, rank).dominant_part()
+
+    def test_random_tuples_with_degenerate_parts(self):
+        # parts start close together so that they interact; about a third
+        # of the tuples have several dominant terms and a fifth a
+        # degenerate part
+        rng = random.Random(66)
+        for _ in range(400):
+            rank = rng.randint(1, 4)
+            base = rng.randint(-2, 2)
+            parts = []
+            for _ in range(rng.randint(0, 4)):
+                i = base + rng.randint(0, 3)
+                if rng.random() < 0.3:
+                    length = rng.randint(0, rank + 1)
+                else:
+                    length = rng.randint(1, rank)
+                parts.append(Segment(i, i + length))
+            # an empty part list is the empty product, as for weyl_qchar
+            ms = Multisegment(parts) if parts else ()
+            oracle = weyl_qchar(ms, rank).dominant_part()
+            assert weyl_dominant_part(ms, rank) == oracle, (ms, rank)
+
+    def test_frozen_examples(self):
+        assert weyl_dominant_part(M((0, 1), (0, 1)), 2) == {w(0, 1, 2): 1}
+        # five overlapping parts, too slow for the oracle in every run: 46
+        # weights of total multiplicity 67, as weyl_qchar gives
+        ms = M((0, 2), (1, 3), (2, 4), (3, 5), (4, 6))
+        part = weyl_dominant_part(ms, 4)
+        assert (len(part), sum(part.values()), max(part.values())) == (46, 67, 3)
+        assert part[weight_of(ms, 4)] == 1
+
+    def test_all_degenerate_parts_give_the_identity(self):
+        assert weyl_dominant_part(M((0, 0), (2, 5), (3, 3)), 2) == {
+            LWeight.identity(): 1
+        }
+
+    @pytest.mark.parametrize(
+        "pairs", [((0, 4),), ((0, 1), (0, 4)), ((0, 0), (1, 2), (5, 9), (0, 7))]
+    )
+    def test_invalid_part_fails_like_weyl_qchar(self, pairs):
+        with pytest.raises(InvalidSegment) as expected:
+            weyl_qchar(M(*pairs), 2)
+        with pytest.raises(InvalidSegment) as got:
+            weyl_dominant_part(M(*pairs), 2)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+
 class TestPairSimple:
     def test_frozen_example(self):
         q = pair_simple_qchar(M((1, 2), (0, 1)), 2)
@@ -183,6 +243,22 @@ class TestPairSimple:
             assert simple.total_mass() < full.total_mass()
             for wt, mult in simple.terms().items():
                 assert mult <= full.multiplicity(wt)
+
+    def test_mass_is_the_lgv_determinant(self):
+        # Lindstrom-Gessel-Viennot: non-intersecting pairs of paths number
+        # C(a) C(b) minus the count with swapped endpoints
+        def paths(rank, down):
+            return math.comb(rank + 1, down) if 0 <= down <= rank + 1 else 0
+
+        rng = random.Random(67)
+        for _ in range(300):
+            rank = rng.randint(1, 6)
+            a, b = random_connected_pair(rng, rank)
+            mass = pair_simple_qchar(Multisegment([a, b]), rank).total_mass()
+            assert mass == (
+                paths(rank, a.length) * paths(rank, b.length)
+                - paths(rank, a.j - b.i) * paths(rank, b.j - a.i)
+            ), (a, b, rank)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):
