@@ -1,0 +1,137 @@
+"""Write tests/data/cli_golden.json: the exact CLI bytes the golden test pins.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python tests/make_cli_golden.py
+
+Each case is an argv list and an optional stdin text; the file records
+stdout, stderr and the exit code of `weylcalc.cli.run` (argparse's
+SystemExit counts as an exit code). The name does not start with `test_`,
+so pytest does not collect this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
+
+# (subcommand, rank, positionals, extra options, stdin)
+INPUTS = [
+    ("closure", 6, ["[0,6][2,7][1,8]"], [], None),
+    ("closure", 1, ["[2,3][1,2][0,1]"], [], None),
+    ("closure", 3, ["-"], [], "[0,2][1,3]\n"),
+    ("closed", 6, ["[2,6][0,7][1,8]"], [], None),
+    ("closed", 6, ["[0,6][2,7][1,8]"], [], None),
+    ("socle", 1, ["[2,3][1,2][0,1]"], [], None),
+    ("socle", 6, ["[0,6][2,7][1,8]"], [], None),
+    ("hom", 6, ["[2,6][0,7][1,8]", "[0,6][2,7][1,8]"], [], None),
+    ("hom", 6, ["[0,6][2,7][1,8]", "[2,6][0,7][1,8]"], [], None),
+    ("hom", 1, ["[2,3][1,3][0,1]", "-"], [], "[2,3][1,2][0,1]"),
+    ("dominant-weights", 1, ["[2,3][1,2][0,1]"], [], None),
+    ("dominant-weights", 3, ["[0,2][1,3][2,3]"], [], None),
+    ("qchar", 2, ["[0,1]"], [], None),
+    ("qchar", 3, ["[0,2][1,2]"], [], None),
+    ("qchar", 2, ["[0,3][1,1]"], [], None),
+    ("dominant", 6, ["[0,6][2,7][1,8]"], [], None),
+    ("dominant", 4, ["[0,2][1,3][2,4]"], [], None),
+    ("alpha-decompose", 2, ["w[0,2]^1 * w[1,2]^-1 * w[1,3]^1"], [], None),
+    ("alpha-decompose", 2, ["w[0,1]^1"], [], None),
+    ("alpha-decompose", 3, ["1"], [], None),
+    ("alpha-decompose", 2, ["-"], [],
+     "w[0,1]^2 * w[0,2]^-2 * w[1,2]^2 * w[1,3]^-1 * w[2,3]^1 * w[2,4]^-1\n"),
+    ("leq", 2, ["w[0,2]^1 * w[1,2]^-1", "w[0,1]^1"], [], None),
+    ("leq", 2, ["w[0,1]^1", "w[0,2]^1 * w[1,2]^-1"], [], None),
+    ("dual", 2, ["[0,1][1,2]"], ["--side", "right"], None),
+    ("dual", 2, ["[0,1][1,2]"], ["--side", "left"], None),
+    ("iota", 7, ["[2,5][3,9]"], ["--sign", "plus", "--at", "1"], None),
+    ("iota", 7, ["[3,9][2,5]"], ["--sign", "minus", "--at", "1"], None),
+    ("iota", 7, ["[2,5][3,9]"], ["--sign", "plus", "--at", "2"], None),
+    ("normalform", 8, ["[0,6][4,8][2,5]"], ["--sign", "minus"], None),
+    ("normalform", 8, ["[0,6][4,8][2,5]"], ["--sign", "plus"], None),
+    # normalform weighs its result, so a part too long for the rank fails
+    # in text mode too; iota does not weigh it
+    ("normalform", 1, ["[0,5][1,2]"], ["--sign", "plus"], None),
+    ("iota", 1, ["[0,5][1,2]"], ["--sign", "minus", "--at", "1"], None),
+    ("ext-check", 2, ["[0,1]", "[3,4]"], [], None),
+    ("ext-check", 6, ["[2,6][0,7][1,8]", "[0,6][2,7][1,8]"], [], None),
+    ("subcat", 1, ["[2,3][1,2][0,1]", "w[1,3]^1"], [], None),
+    ("subcat", 1, ["[2,3][1,2][0,1]", "w[0,3]^1"], [], None),
+    # a malformed base fails before the l-weight is read from stdin
+    ("subcat", 1, ["[2,3][1,2", "-"], [], "w[1,3]^1"),
+    ("subcat", 1, ["-", "w[1,3"], [], "[2,3][1,2][0,1]"),
+    # stdin stands for one argument at most; its parse error comes first
+    ("hom", 2, ["-", "-"], [], "[0,1]x"),
+    ("hom", 2, ["-", "-"], [], "[0,1]"),
+    ("closure", 2, ["-"], [], ""),
+    ("closure", 0, ["[0,1]"], [], None),
+    ("closure", -1, ["[0,1]"], [], None),
+    ("closure", 2, ["[3,1]"], [], None),
+    ("qchar", 1, ["[0,3]"], [], None),
+    ("leq", 2, ["w[0,1]^1 *", "1"], [], None),
+]
+
+SUBCOMMANDS = [
+    "closure", "closed", "socle", "hom", "dominant-weights", "qchar",
+    "dominant", "alpha-decompose", "leq", "dual", "iota", "normalform",
+    "ext-check", "subcat",
+]
+
+# argparse rejects these before any subcommand runs
+USAGE_ERRORS = [
+    ["closure", "[0,1]"],
+    ["closure", "--rank", "x", "[0,1]"],
+    ["dual", "--rank", "2", "--side", "up", "[0,1]"],
+    ["iota", "--rank", "2", "--sign", "plus", "[0,1][1,2]"],
+    ["hom", "--rank", "2", "[0,1]"],
+    ["nosuch", "--rank", "2"],
+    [],
+]
+
+
+def cases() -> list[tuple[list[str], str | None]]:
+    out = []
+    for cmd, rank, positionals, extra, stdin in INPUTS:
+        argv = [cmd, "--rank", str(rank), *extra, *positionals]
+        out.append((argv, stdin))
+        out.append((argv[:3] + ["--json"] + argv[3:], stdin))
+    out += [(["--help"], None)] + [([cmd, "--help"], None) for cmd in SUBCOMMANDS]
+    out += [(argv, None) for argv in USAGE_ERRORS]
+    return out
+
+
+def invoke(argv: list[str], stdin: str | None) -> dict:
+    """Run one CLI call in-process and record what it printed and returned."""
+    from weylcalc import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return {"argv": argv, "stdin": stdin, "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "exit": code}
+
+
+def main() -> None:
+    # argparse wraps help and usage text to the terminal width
+    os.environ["COLUMNS"] = "80"
+    records = [invoke(argv, stdin) for argv, stdin in cases()]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(records, indent=0) + "\n")
+    print(f"wrote {len(records)} cases to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,36 @@
+"""Pin the exact CLI bytes: stdout, stderr and exit code of every case.
+
+The cases and their expected output live in data/cli_golden.json, written
+by make_cli_golden.py; they cover every subcommand in text and JSON mode,
+`-` for stdin, error precedence, usage errors and every --help text.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from make_cli_golden import invoke
+
+GOLDEN = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text())
+
+
+def _id(case):
+    return " ".join(case["argv"]) or "(no arguments)"
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[_id(c) for c in GOLDEN])
+def test_cli_bytes_match_golden(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = invoke(case["argv"], case["stdin"])
+    assert got == case
+
+
+def test_golden_covers_every_subcommand_in_both_modes():
+    from weylcalc.cli import build_parser
+
+    sub = build_parser()._subparsers._group_actions[0]
+    ran = {(c["argv"][0], "--json" in c["argv"]) for c in GOLDEN
+           if c["argv"] and c["exit"] == 0 and "--help" not in c["argv"]}
+    for name in sub.choices:
+        assert (name, False) in ran and (name, True) in ran, name

@@ -159,3 +159,29 @@ class TestDominance:
             j = i + rng.randint(1, rank)
             top = w(rng.randint(-2, 2), rng.randint(3, 6))
             assert dominance_leq(top * alpha(i, j, rank).inverse(), top, rank)
+
+
+class TestSparseVectorPins:
+    s = Segment(0, 1)
+
+    def test_types_never_compare_equal(self):
+        lw, rv = LWeight({self.s: 1}), RootVector({self.s: 1})
+        assert lw != rv and rv != lw
+        assert len({lw: "w", rv: "a"}) == 2
+
+    def test_repr_and_empty_rendering(self):
+        assert repr(LWeight({self.s: 1})) == "LWeight(w[0,1]^1)"
+        assert repr(RootVector({self.s: 2})) == "RootVector(a[0,1]^2)"
+        assert str(LWeight()) == str(RootVector()) == "1"
+        assert repr(LWeight()) == "LWeight(1)"
+        assert repr(RootVector()) == "RootVector(1)"
+
+    def test_equal_values_hash_equal(self):
+        t = Segment(1, 3)
+        for cls in (LWeight, RootVector):
+            a = cls({self.s: 2, t: -1})
+            b = cls([(t, -1), (self.s, 1), (self.s, 1)])
+            assert a == b and hash(a) == hash(b)
+            assert a.sort_key() == b.sort_key() == ((0, 1, 2), (1, 3, -1))
+            assert a.support() == {self.s, t}
+        assert hash(w(0, 1) * w(0, 1)) == hash(w(0, 1, 2))

@@ -1,0 +1,36 @@
+"""Pin the public names: the package exports and the CLI entry points."""
+
+import weylcalc
+from weylcalc import cli
+
+EXPORTS = [
+    "ClosureSet", "ExtCertificate", "ExtVerdict", "IndexOutOfRange",
+    "InvalidRoot", "InvalidSegment", "LWeight", "MixedWeylMaps",
+    "Multisegment", "NotDominant", "NotInRootLattice", "ParseError",
+    "PreconditionViolated", "QChar", "RangeError", "RootVector", "Segment",
+    "SocleSummand", "WeylcalcError", "alpha", "canonical_closed",
+    "check_valid", "closed_elements", "closure", "compose_roots", "connected",
+    "corners", "decompose_into_roots", "dominance_leq", "dominant_ancestor",
+    "dual_left", "dual_right", "enumerate_paths", "ext_vanishing",
+    "fundamental_qchar", "hom_dim", "in_minus_order", "in_plus_order",
+    "iota_at", "iota_minus", "iota_plus", "is_closed", "is_degenerate",
+    "is_doubly_sorted", "is_irreducible_weyl", "lweight_of_segment",
+    "mixed_weyl_maps", "normal_form", "pair_simple_qchar", "params_of_segment",
+    "path_weight", "segment_of_params", "socle", "soclehom_weight",
+    "sort_minus", "sort_plus", "span", "subcategory_membership", "swap", "tau",
+    "tau_word", "weight_of", "weyl_dominant_part", "weyl_dominant_weights",
+    "weyl_qchar", "weylpermute_check",
+]
+
+
+def test_package_exports_are_frozen_and_resolve():
+    assert len(EXPORTS) == 66
+    assert sorted(weylcalc.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(weylcalc, name) is not None, name
+
+
+def test_cli_entry_points_exist():
+    # pyproject's console script binds main; the benchmark tracer wraps the rest
+    for name in ("run", "main", "build_parser", "parse_multisegment", "parse_lweight"):
+        assert callable(getattr(cli, name)), name
