@@ -1,5 +1,11 @@
 """Command-line front end with stable text and JSON output.
 
+Each subcommand is one `Command` row of `COMMANDS`; `build_parser` builds
+argparse from the table, and `run` parses the positionals in order (`-`
+reads stdin, at most once, just before its parse), computes, and calls
+only the renderer that `--json` selects. Rows look library functions up
+as module globals at call time, so wrappers on this module's names see them.
+
 Exit codes: 0 on success, 2 on parse or precondition failures, 1 on
 internal errors. Output for a fixed input is byte-identical across
 runs; every list is emitted in a canonical sort order.
@@ -11,7 +17,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .closures import closure
 from .errors import (
@@ -21,7 +27,7 @@ from .errors import (
     RangeError,
     WeylcalcError,
 )
-from .lweights import LWeight, RootVector, decompose_into_roots, dominance_leq
+from .lweights import LWeight, decompose_into_roots, dominance_leq
 from .multisegments import (
     Multisegment,
     dual_left,
@@ -30,7 +36,7 @@ from .multisegments import (
     normal_form,
     weight_of,
 )
-from .qchars import weyl_dominant_part, weyl_qchar
+from .qchars import QChar, weyl_dominant_part, weyl_qchar
 from .segments import Segment
 from .weyl import (
     ext_vanishing,
@@ -99,26 +105,13 @@ def parse_lweight(text: str) -> LWeight:
     return LWeight(exps)
 
 
-def json_segment(seg: Segment) -> list[int]:
-    return [seg.i, seg.j]
-
-
 def json_multisegment(ms: Multisegment) -> list[list[int]]:
-    return [json_segment(p) for p in ms]
+    return [[p.i, p.j] for p in ms]
 
 
-def json_lweight(w: LWeight) -> list[dict]:
-    exps = w.exponents()
-    return [
-        {"segment": json_segment(seg), "exp": exps[seg]} for seg in sorted(exps)
-    ]
-
-
-def json_rootvector(rv: RootVector) -> list[dict]:
-    coefs = rv.coefficients()
-    return [
-        {"segment": json_segment(seg), "exp": coefs[seg]} for seg in sorted(coefs)
-    ]
+def json_lweight(w) -> list[dict]:
+    """Sorted factors of an LWeight or a RootVector as segment/exp records."""
+    return [{"segment": [i, j], "exp": e} for i, j, e in w.sort_key()]
 
 
 def json_qchar_terms(terms: dict[LWeight, int]) -> list[dict]:
@@ -126,208 +119,141 @@ def json_qchar_terms(terms: dict[LWeight, int]) -> list[dict]:
     return [{"weight": json_lweight(w), "mult": m} for w, m in ordered]
 
 
-def _weights_sorted(weights) -> list[LWeight]:
-    return sorted(weights, key=LWeight.sort_key)
+class Command(NamedTuple):
+    name: str
+    help: str
+    positionals: tuple  # (dest, "ms" | "w", help) in argument order
+    compute: Callable  # (args, *parsed positionals) -> result
+    render: tuple  # (text, json): result -> str, result -> JSON object
+    options: tuple = ()  # keys of _OPTIONS
 
 
-def _qchar_lines(terms: dict[LWeight, int]) -> str:
-    ordered = sorted(terms.items(), key=lambda kv: kv[0].sort_key())
-    return "\n".join(f"{m} * {w}" for w, m in ordered)
+_MS = "multisegment literal like [0,6][2,7][1,8], or - for stdin"
+_W = "l-weight literal like w[0,2]^1 * w[1,2]^-1, or 1"
+_ONE_MS = (("multisegment", "ms", _MS),)
+_SIGN = {"plus": 1, "minus": -1}
+_OPTIONS = {
+    "--side": {"choices": ["right", "left"], "required": True},
+    "--sign": {"choices": ["plus", "minus"], "required": True},
+    "--at": {"type": int, "required": True, "metavar": "P",
+             "help": "1-based window index"},
+}
 
 
-class _Stdin:
-    """Single-shot stdin provider so `-` can stand for at most one argument."""
-
-    def __init__(self):
-        self.used = False
-
-    def resolve(self, value: str) -> str:
-        if value != "-":
-            return value
-        if self.used:
-            raise ParseError("stdin may substitute at most one argument", 0)
-        self.used = True
-        return sys.stdin.read()
+def _lines(items) -> str:
+    return "\n".join(map(str, items))
 
 
-def _cmd_closure(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    cs = closure(ms, args.rank)
-    text = "\n".join(str(t) for t in cs.members)
-    payload = {
+def _truth(key: str) -> tuple:
+    return (lambda r: "true" if r else "false", lambda r: {key: r})
+
+
+def _closure_json(cs) -> dict:
+    return {
         "rank": cs.rank,
         "seed": json_multisegment(cs.seed),
         "members": [json_multisegment(t) for t in cs.members],
         "closed": [json_multisegment(t) for t in cs.closed_members],
         "orbit_reps": [json_multisegment(t) for t in cs.orbit_representatives],
     }
-    return text, payload
 
 
-def _cmd_closed(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    res = is_closed(ms, args.rank)
-    return ("true" if res else "false"), {"closed": res}
-
-
-def _cmd_socle(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    summands = socle(ms, args.rank)
-    text = "\n".join(f"{s.weight}\t{s.representative}" for s in summands)
-    payload = {
-        "summands": [
-            {
-                "weight": json_lweight(s.weight),
-                "rep": json_multisegment(s.representative),
-            }
-            for s in summands
-        ]
-    }
-    return text, payload
-
-
-def _cmd_hom(args, stdin):
-    src = parse_multisegment(stdin.resolve(args.source))
-    dst = parse_multisegment(stdin.resolve(args.target))
-    d = hom_dim(src, dst, args.rank)
-    return str(d), {"hom_dim": d}
-
-
-def _cmd_dominant_weights(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    weights = _weights_sorted(weyl_dominant_weights(ms, args.rank))
-    text = "\n".join(str(w) for w in weights)
-    return text, {"weights": [json_lweight(w) for w in weights]}
-
-
-def _cmd_qchar(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    q = weyl_qchar(ms, args.rank)
-    return _qchar_lines(q.terms()), {"terms": json_qchar_terms(q.terms())}
-
-
-def _cmd_dominant(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    part = weyl_dominant_part(ms, args.rank)
-    return _qchar_lines(part), {"terms": json_qchar_terms(part)}
-
-
-def _cmd_alpha_decompose(args, stdin):
-    w = parse_lweight(stdin.resolve(args.lweight))
+def _decompose_or_none(args, w):
     try:
-        rv = decompose_into_roots(w, args.rank)
+        return decompose_into_roots(w, args.rank)
     except NotInRootLattice:
-        return "not-in-root-lattice", {"in_root_lattice": False, "coefficients": None}
-    return str(rv), {"in_root_lattice": True, "coefficients": json_rootvector(rv)}
+        return None
 
 
-def _cmd_leq(args, stdin):
-    w1 = parse_lweight(stdin.resolve(args.lweight1))
-    w2 = parse_lweight(stdin.resolve(args.lweight2))
-    res = dominance_leq(w1, w2, args.rank)
-    return ("true" if res else "false"), {"leq": res}
+def _weighed_normal_form(args, ms):
+    # weighed in text mode too: weight_of rejects parts too long for the
+    # rank, and that error is part of the output
+    out = normal_form(ms, _SIGN[args.sign], args.rank)
+    return out, weight_of(out, args.rank)
 
 
-def _cmd_dual(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    fn = dual_right if args.side == "right" else dual_left
-    out = fn(ms, args.rank)
-    return str(out), {"result": json_multisegment(out)}
+_QCHAR = (str, lambda q: {"terms": json_qchar_terms(q.terms())})
+_RESULT = (str, lambda ms: {"result": json_multisegment(ms)})
 
-
-def _cmd_iota(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    sign = 1 if args.sign == "plus" else -1
-    out = iota_at(ms, args.at, sign, args.rank)
-    return str(out), {"result": json_multisegment(out)}
-
-
-def _cmd_normalform(args, stdin):
-    ms = parse_multisegment(stdin.resolve(args.multisegment))
-    sign = 1 if args.sign == "plus" else -1
-    out = normal_form(ms, sign, args.rank)
-    weight = weight_of(out, args.rank)
-    return str(out), {
-        "result": json_multisegment(out),
-        "weight": json_lweight(weight),
-    }
-
-
-def _cmd_ext_check(args, stdin):
-    ms1 = parse_multisegment(stdin.resolve(args.multisegment1))
-    ms2 = parse_multisegment(stdin.resolve(args.multisegment2))
-    cert = ext_vanishing(ms1, ms2, args.rank)
-    payload = {
-        "verdict": cert.verdict.value,
-        "shared_weights": [json_lweight(w) for w in cert.shared_weights],
-    }
-    return cert.verdict.value, payload
-
-
-def _cmd_subcat(args, stdin):
-    base = parse_multisegment(stdin.resolve(args.base))
-    w = parse_lweight(stdin.resolve(args.lweight))
-    res = subcategory_membership(base, w, args.rank)
-    return ("true" if res else "false"), {"member": res}
+COMMANDS = (
+    Command("closure", "saturate a tuple; members one per line", _ONE_MS,
+            lambda a, ms: closure(ms, a.rank),
+            (lambda cs: _lines(cs.members), _closure_json)),
+    Command("closed", "whether a tuple admits no crossing move", _ONE_MS,
+            lambda a, ms: is_closed(ms, a.rank), _truth("closed")),
+    Command("socle", "socle summand weights with orbit representatives", _ONE_MS,
+            lambda a, ms: socle(ms, a.rank),
+            (lambda ss: "\n".join(f"{s.weight}\t{s.representative}" for s in ss),
+             lambda ss: {"summands": [{"weight": json_lweight(s.weight),
+                                       "rep": json_multisegment(s.representative)}
+                                      for s in ss]})),
+    Command("hom", "dim Hom between two standard modules",
+            (("source", "ms", "multisegment of the source module"),
+             ("target", "ms", "multisegment of the target module")),
+            lambda a, src, dst: hom_dim(src, dst, a.rank),
+            (str, lambda d: {"hom_dim": d})),
+    Command("dominant-weights", "dominant l-weight support of a standard module",
+            _ONE_MS,
+            lambda a, ms: sorted(weyl_dominant_weights(ms, a.rank),
+                                 key=LWeight.sort_key),
+            (_lines, lambda ws: {"weights": [json_lweight(w) for w in ws]})),
+    Command("qchar", "full q-character multiset", _ONE_MS,
+            lambda a, ms: weyl_qchar(ms, a.rank), _QCHAR),
+    Command("dominant", "dominant part of the q-character", _ONE_MS,
+            lambda a, ms: QChar(weyl_dominant_part(ms, a.rank)), _QCHAR),
+    Command("alpha-decompose", "write an l-weight in the root generators",
+            (("lweight", "w", _W),), _decompose_or_none,
+            (lambda rv: "not-in-root-lattice" if rv is None else str(rv),
+             lambda rv: {"in_root_lattice": rv is not None,
+                         "coefficients": None if rv is None else json_lweight(rv)})),
+    Command("leq", "dominance order test w1 <= w2",
+            (("lweight1", "w", "left l-weight"), ("lweight2", "w", "right l-weight")),
+            lambda a, w1, w2: dominance_leq(w1, w2, a.rank), _truth("leq")),
+    Command("dual", "partwise dual of a tuple", _ONE_MS,
+            lambda a, ms: (dual_right if a.side == "right" else dual_left)(ms, a.rank),
+            _RESULT, ("--side",)),
+    Command("iota", "one ordering move on a window", _ONE_MS,
+            lambda a, ms: iota_at(ms, a.at, _SIGN[a.sign], a.rank),
+            _RESULT, ("--sign", "--at")),
+    Command("normalform", "full ordering pass", _ONE_MS, _weighed_normal_form,
+            (lambda r: str(r[0]),
+             lambda r: {"result": json_multisegment(r[0]),
+                        "weight": json_lweight(r[1])}),
+            ("--sign",)),
+    Command("ext-check", "Ext vanishing certificate",
+            (("multisegment1", "ms", "first multisegment"),
+             ("multisegment2", "ms", "second multisegment")),
+            lambda a, ms1, ms2: ext_vanishing(ms1, ms2, a.rank),
+            (lambda c: c.verdict.value,
+             lambda c: {"verdict": c.verdict.value,
+                        "shared_weights": [json_lweight(w)
+                                           for w in c.shared_weights]})),
+    Command("subcat", "tensor subcategory membership",
+            (("base", "ms", "base multisegment"), ("lweight", "w", _W)),
+            lambda a, base, w: subcategory_membership(base, w, a.rank),
+            _truth("member")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--rank", type=int, required=True, metavar="N", help="ambient rank, N >= 1"
-    )
-    common.add_argument(
-        "--json", action="store_true", help="emit a JSON object instead of text"
-    )
-
     parser = argparse.ArgumentParser(
         prog="weylcalc",
         description="Exact multisegment combinatorics for standard modules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, **positional):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for arg, kw in positional.items():
-            p.add_argument(arg, **kw)
-        p.set_defaults(handler=handler)
-        return p
-
-    ms_kw = {"help": "multisegment literal like [0,6][2,7][1,8], or - for stdin"}
-    w_kw = {"help": "l-weight literal like w[0,2]^1 * w[1,2]^-1, or 1"}
-
-    add("closure", _cmd_closure, "saturate a tuple; members one per line",
-        multisegment=ms_kw)
-    add("closed", _cmd_closed, "whether a tuple admits no crossing move",
-        multisegment=ms_kw)
-    add("socle", _cmd_socle, "socle summand weights with orbit representatives",
-        multisegment=ms_kw)
-    add("hom", _cmd_hom, "dim Hom between two standard modules",
-        source={"help": "multisegment of the source module"},
-        target={"help": "multisegment of the target module"})
-    add("dominant-weights", _cmd_dominant_weights,
-        "dominant l-weight support of a standard module", multisegment=ms_kw)
-    add("qchar", _cmd_qchar, "full q-character multiset", multisegment=ms_kw)
-    add("dominant", _cmd_dominant, "dominant part of the q-character",
-        multisegment=ms_kw)
-    add("alpha-decompose", _cmd_alpha_decompose,
-        "write an l-weight in the root generators", lweight=w_kw)
-    add("leq", _cmd_leq, "dominance order test w1 <= w2",
-        lweight1={"help": "left l-weight"}, lweight2={"help": "right l-weight"})
-    p = add("dual", _cmd_dual, "partwise dual of a tuple", multisegment=ms_kw)
-    p.add_argument("--side", choices=["right", "left"], required=True)
-    p = add("iota", _cmd_iota, "one ordering move on a window", multisegment=ms_kw)
-    p.add_argument("--sign", choices=["plus", "minus"], required=True)
-    p.add_argument("--at", type=int, required=True, metavar="P",
-                   help="1-based window index")
-    p = add("normalform", _cmd_normalform, "full ordering pass",
-            multisegment=ms_kw)
-    p.add_argument("--sign", choices=["plus", "minus"], required=True)
-    add("ext-check", _cmd_ext_check, "Ext vanishing certificate",
-        multisegment1={"help": "first multisegment"},
-        multisegment2={"help": "second multisegment"})
-    add("subcat", _cmd_subcat, "tensor subcategory membership",
-        base={"help": "base multisegment"}, lweight=w_kw)
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.add_argument(
+            "--rank", type=int, required=True, metavar="N", help="ambient rank, N >= 1"
+        )
+        p.add_argument(
+            "--json", action="store_true", help="emit a JSON object instead of text"
+        )
+        for dest, _, help_text in cmd.positionals:
+            p.add_argument(dest, help=help_text)
+        for opt in cmd.options:
+            p.add_argument(opt, **_OPTIONS[opt])
+        p.set_defaults(spec=cmd)
     return parser
 
 
@@ -341,17 +267,31 @@ def run(argv: Optional[list[str]] = None) -> int:
         # no state between calls
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    cmd = args.spec
     try:
         if args.rank < 1:
             raise PreconditionViolated(f"rank must be >= 1, got {args.rank}")
-        text, payload = args.handler(args, _Stdin())
+        parsed, stdin_used = [], False
+        for dest, kind, _ in cmd.positionals:
+            text = getattr(args, dest)
+            if text == "-":
+                if stdin_used:
+                    raise ParseError("stdin may substitute at most one argument", 0)
+                stdin_used = True
+                text = sys.stdin.read()
+            parsed.append(
+                parse_multisegment(text) if kind == "ms" else parse_lweight(text)
+            )
+        result = cmd.compute(args, *parsed)
+        text_of, json_of = cmd.render
+        out = json.dumps(json_of(result)) if args.json else text_of(result)
     except WeylcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal invariant failures
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload) if args.json else text)
+    print(out)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 An l-weight is a finite product of generators w[i,j] with integer
 exponents; a root vector collects exponents of the root generators
-a[i,j]. Both are stored as zero-pruned sparse maps keyed by Segment.
+a[i,j]. Both are zero-pruned sparse maps keyed by Segment on one shared
+base class, which gives them equality, hashing, ordering and rendering.
 """
 
 from __future__ import annotations
@@ -29,18 +30,64 @@ def _accumulate(source: ExponentSource) -> dict[Segment, int]:
     return acc
 
 
-class LWeight:
-    """A multiplicative l-weight; treat instances as immutable.
+class _SparseVector:
+    """A zero-pruned integer map keyed by Segment; treat instances as immutable.
 
-    Supports * (group law), ** (integer powers) and inverse().
-    Equality and hashing are by the exponent map.
+    Equality and hashing are by the map, and only between instances of the
+    same concrete type. `str` renders sorted `<prefix>[i,j]^e` factors
+    joined by ` * `, or `1` for the empty vector.
     """
 
     __slots__ = ("_exp", "_hash")
+    _prefix = ""
 
     def __init__(self, exponents: ExponentSource = ()):
         self._exp = _accumulate(exponents)
         self._hash = None
+
+    @classmethod
+    def _wrap(cls, exp: dict[Segment, int]):
+        """An instance over an already zero-pruned map, taken without a copy."""
+        v = cls.__new__(cls)
+        v._exp = exp
+        v._hash = None
+        return v
+
+    def support(self) -> set[Segment]:
+        return set(self._exp)
+
+    def sort_key(self) -> tuple:
+        """Canonical order: sorted (i, j, exponent) triples."""
+        return tuple((seg.i, seg.j, self._exp[seg]) for seg in sorted(self._exp))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._exp == other._exp
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._exp.items()))
+        return self._hash
+
+    def __str__(self) -> str:
+        if not self._exp:
+            return "1"
+        p = self._prefix
+        return " * ".join(f"{p}{seg}^{self._exp[seg]}" for seg in sorted(self._exp))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class LWeight(_SparseVector):
+    """A multiplicative l-weight: exponents of the generators w[i,j].
+
+    Supports * (group law), ** (integer powers) and inverse().
+    """
+
+    __slots__ = ()
+    _prefix = "w"
 
     @classmethod
     def identity(cls) -> "LWeight":
@@ -55,9 +102,6 @@ class LWeight:
 
     def exponent(self, seg: Segment) -> int:
         return self._exp.get(seg, 0)
-
-    def support(self) -> set[Segment]:
-        return set(self._exp)
 
     @property
     def is_identity(self) -> bool:
@@ -78,46 +122,13 @@ class LWeight:
                 out[seg] = ne
             elif seg in out:
                 del out[seg]
-        w = LWeight.__new__(LWeight)
-        w._exp = out
-        w._hash = None
-        return w
+        return LWeight._wrap(out)
 
     def inverse(self) -> "LWeight":
-        w = LWeight.__new__(LWeight)
-        w._exp = {seg: -e for seg, e in self._exp.items()}
-        w._hash = None
-        return w
+        return LWeight._wrap({seg: -e for seg, e in self._exp.items()})
 
     def __pow__(self, k: int) -> "LWeight":
-        w = LWeight.__new__(LWeight)
-        w._exp = {seg: e * k for seg, e in self._exp.items()} if k else {}
-        w._hash = None
-        return w
-
-    def sort_key(self) -> tuple:
-        """Canonical order: sorted (i, j, exponent) triples."""
-        return tuple(
-            (seg.i, seg.j, self._exp[seg]) for seg in sorted(self._exp)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LWeight):
-            return NotImplemented
-        return self._exp == other._exp
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._exp.items()))
-        return self._hash
-
-    def __str__(self) -> str:
-        if not self._exp:
-            return "1"
-        return " * ".join(f"w{seg}^{self._exp[seg]}" for seg in sorted(self._exp))
-
-    def __repr__(self) -> str:
-        return f"LWeight({self})"
+        return LWeight._wrap({seg: e * k for seg, e in self._exp.items()} if k else {})
 
 
 def lweight_of_segment(seg: Segment, rank: int) -> LWeight:
@@ -128,53 +139,32 @@ def lweight_of_segment(seg: Segment, rank: int) -> LWeight:
     return LWeight({seg: 1})
 
 
-class RootVector:
-    """Integer coefficients on the root generators, keyed by segment.
+class RootVector(_SparseVector):
+    """Integer coefficients on the root generators a[i,j], keyed by segment.
 
     The root a[i,j] exists for 1 <= j - i <= rank; the vector itself is
     rank-agnostic storage, validity is checked where roots are composed.
     """
 
-    __slots__ = ("_coef",)
+    __slots__ = ()
+    _prefix = "a"
 
     def __init__(self, coefficients: ExponentSource = ()):
-        self._coef = _accumulate(coefficients)
+        super().__init__(coefficients)
 
     def coefficients(self) -> dict[Segment, int]:
-        return dict(self._coef)
+        return dict(self._exp)
 
     def coefficient(self, seg: Segment) -> int:
-        return self._coef.get(seg, 0)
-
-    def support(self) -> set[Segment]:
-        return set(self._coef)
+        return self._exp.get(seg, 0)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coef
+        return not self._exp
 
     @property
     def in_positive_cone(self) -> bool:
-        return all(c > 0 for c in self._coef.values())
-
-    def sort_key(self) -> tuple:
-        return tuple((seg.i, seg.j, self._coef[seg]) for seg in sorted(self._coef))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootVector):
-            return NotImplemented
-        return self._coef == other._coef
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coef.items()))
-
-    def __str__(self) -> str:
-        if not self._coef:
-            return "1"
-        return " * ".join(f"a{seg}^{self._coef[seg]}" for seg in sorted(self._coef))
-
-    def __repr__(self) -> str:
-        return f"RootVector({self})"
+        return all(c > 0 for c in self._exp.values())
 
 
 def alpha(i: int, j: int, rank: int) -> LWeight:
