@@ -183,7 +183,7 @@ COMMANDS = (
             lambda a, ms: is_closed(ms, a.rank), _truth("closed")),
     Command("socle", "socle summand weights with orbit representatives", _ONE_MS,
             lambda a, ms: socle(ms, a.rank),
-            (lambda ss: "\n".join(f"{s.weight}\t{s.representative}" for s in ss),
+            (lambda ss: _lines(f"{s.weight}\t{s.representative}" for s in ss),
              lambda ss: {"summands": [{"weight": json_lweight(s.weight),
                                        "rep": json_multisegment(s.representative)}
                                       for s in ss]})),
@@ -240,15 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weylcalc",
         description="Exact multisegment combinatorics for standard modules.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--rank", type=int, required=True, metavar="N", help="ambient rank, N >= 1"
+    )
+    common.add_argument(
+        "--json", action="store_true", help="emit a JSON object instead of text"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
-        p = sub.add_parser(cmd.name, help=cmd.help)
-        p.add_argument(
-            "--rank", type=int, required=True, metavar="N", help="ambient rank, N >= 1"
-        )
-        p.add_argument(
-            "--json", action="store_true", help="emit a JSON object instead of text"
-        )
+        p = sub.add_parser(cmd.name, parents=[common], help=cmd.help)
         for dest, _, help_text in cmd.positionals:
             p.add_argument(dest, help=help_text)
         for opt in cmd.options:
