@@ -166,8 +166,6 @@ def _decompose_or_none(args, w):
 
 
 def _weighed_normal_form(args, ms):
-    # weighed in text mode too: weight_of rejects parts too long for the
-    # rank, and that error is part of the output
     out = normal_form(ms, _SIGN[args.sign], args.rank)
     return out, weight_of(out, args.rank)
 

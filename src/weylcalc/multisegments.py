@@ -179,12 +179,17 @@ def iota_minus(a: Segment, b: Segment, rank: int) -> tuple[Segment, Segment]:
 
 
 def iota_at(ms: Multisegment, p: int, sign: int, rank: int) -> Multisegment:
-    """Apply the sign's ordering move to the window (p, p+1), 1-based."""
+    """Apply the sign's ordering move to the window (p, p+1), 1-based.
+
+    Every part must be valid at the rank, as in weight_of.
+    """
     r = len(ms)
     if not 1 <= p <= r - 1:
         raise IndexOutOfRange(f"window index {p} outside 1..{r - 1}")
     if sign not in (1, -1):
         raise PreconditionViolated(f"sign must be +1 or -1, got {sign}")
+    for q in ms:
+        check_valid(q, rank)
     move = iota_plus if sign == 1 else iota_minus
     na, nb = move(ms[p - 1], ms[p], rank)
     parts = list(ms)
@@ -198,7 +203,10 @@ def normal_form(ms: Multisegment, sign: int, rank: int) -> Multisegment:
     The word is (iota_{r-1} ... iota_1)(iota_{r-1} ... iota_2) ...
     (iota_{r-1}), each inner block applied left to right after the
     blocks to its right. The result lies in the sign's sorted family.
+    Every part must be valid at the rank, as in weight_of.
     """
+    for q in ms:
+        check_valid(q, rank)
     r = len(ms)
     out = ms
     for k in range(r - 1, 0, -1):

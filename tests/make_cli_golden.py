@@ -54,8 +54,8 @@ INPUTS = [
     ("iota", 7, ["[2,5][3,9]"], ["--sign", "plus", "--at", "2"], None),
     ("normalform", 8, ["[0,6][4,8][2,5]"], ["--sign", "minus"], None),
     ("normalform", 8, ["[0,6][4,8][2,5]"], ["--sign", "plus"], None),
-    # normalform weighs its result, so a part too long for the rank fails
-    # in text mode too; iota does not weigh it
+    # both check every part against the rank, so a part too long for it
+    # fails in text mode too
     ("normalform", 1, ["[0,5][1,2]"], ["--sign", "plus"], None),
     ("iota", 1, ["[0,5][1,2]"], ["--sign", "minus", "--at", "1"], None),
     ("ext-check", 2, ["[0,1]", "[3,4]"], [], None),

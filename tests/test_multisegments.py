@@ -241,6 +241,13 @@ class TestIota:
         with pytest.raises(PreconditionViolated):
             iota_at(ms, 1, 2, 8)
 
+    def test_rejects_a_part_too_long_for_the_rank(self):
+        # checked before the window moves, like weight_of and normal_form;
+        # [0,5] is never connected at rank 1, so iota would only swap it
+        for p in (1, 2):
+            with pytest.raises(InvalidSegment, match=r"segment \[0,5\] has length 5"):
+                iota_at(M((1, 2), (0, 5), (2, 3)), p, -1, 1)
+
     def test_preserves_endpoint_multisets(self):
         # crossing re-pairs endpoints, so the weight can change but the
         # multisets of left and right endpoints cannot
@@ -276,3 +283,9 @@ class TestNormalForm:
     def test_fixed_points(self):
         ms = M((2, 7), (0, 6))
         assert normal_form(ms, 1, 7) == ms
+
+    def test_rejects_a_part_too_long_for_the_rank(self):
+        for ms in (M((0, 5)), M((0, 5), (1, 2))):
+            for sign in (1, -1):
+                with pytest.raises(InvalidSegment, match=r"\[0,5\]"):
+                    normal_form(ms, sign, 1)
