@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .errors import PreconditionViolated
@@ -34,12 +34,20 @@ class ClosureSet:
     closed_members: tuple[Multisegment, ...]
     orbit_representatives: tuple[Multisegment, ...]
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
-
     def __contains__(self, ms) -> bool:
-        return ms in self._member_set
+        """Test (a)+(b) of _bounds against the seed, without the members."""
+        seed = self.seed
+        if not (isinstance(ms, tuple) and len(ms) == len(seed) and all(
+                isinstance(p, tuple) and len(p) == 2 and p[1] == q.j
+                for p, q in zip(ms, seed))):
+            return False
+        lefts = [p[0] for p in sorted(ms, key=lambda p: -p[1])]
+        return (
+            sorted(lefts) == sorted(p.i for p in seed)
+            and all(0 <= p[1] - p[0] <= self.rank + 1 for p in ms)
+            and all(_dominated(lefts[:t], b)
+                    for t, b in _bounds(sort_plus(seed)).items())
+        )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -52,17 +60,13 @@ def is_closed(ms: Multisegment, rank: int) -> bool:
     return not any(connected(a, b, rank) for a, b in combinations(ms, 2))
 
 
-def closure(ms: Multisegment, rank: int) -> ClosureSet:
-    """Saturation under all crossing moves and equal-j swaps.
+def _left_closure(seed: Multisegment, rank: int):
+    """(js, left tuples in search order, closed left tuples) of the closure.
 
-    Both moves exchange the left endpoints of two parts and leave every
-    right endpoint in place: tau_{m,l} when the parts are connected, a
-    swap when j_m == j_l. So the search runs over tuples of left
-    endpoints set against the seed's fixed right endpoints; every state
-    is a permutation of the seed's left endpoints, which bounds the
-    search, and members sort exactly as their left tuples do.
+    Both moves swap the left endpoints of two parts: tau_{m,l} when they
+    are connected, a swap when j_m == j_l. So every state is a permutation
+    of the seed's left endpoints set against its fixed right endpoints.
     """
-    seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
     for p in seed:
         check_valid(p, rank)
     js = tuple(p.j for p in seed)
@@ -92,12 +96,87 @@ def closure(ms: Multisegment, rank: int) -> ClosureSet:
                 order.append(nxt)
         if not crossed:
             closed.add(cur)
+    return js, order, closed
 
+
+def _bounds(seed) -> dict[int, list[int]]:
+    """Test (b)'s prefixes of a plus-ordered seed: block end -> left endpoints.
+
+    A rearrangement P of the seed's left endpoints S, set against its right
+    endpoints, is a member of the closure iff (a) every part [P_k, j_k] is
+    valid at the rank and (b) at the end of each block of equal j, and for
+    every a, the prefix of P has no more entries >= a than that of S. This
+    matches the breadth-first search on every case tried; it is not proved.
+    """
+    r = len(seed)
+    return {t: [p.i for p in seed[:t]]
+            for t in range(1, r + 1) if t == r or seed[t].j != seed[t - 1].j}
+
+
+def _dominated(lefts, bound) -> bool:
+    """(b) on one prefix, as a pointwise bound on the sorted entries."""
+    return all(a <= b for a, b in
+               zip(sorted(lefts, reverse=True), sorted(bound, reverse=True)))
+
+
+def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
+    """Whether a member of closure(seed) weighs want; seed is plus-sorted.
+
+    want maps (i, j) to the multiplicity of a non-degenerate part. Equal-j
+    swaps make the order inside a block of equal j free, so a member's
+    block is want's parts ending at j, filled up with degenerate parts
+    [j, j] and [j - rank - 1, j]. The search tries each split of the
+    fillers, block by block, keeping every prefix of left endpoints inside
+    the seed's multiset and within test (b).
+    """
+    for p in seed:
+        check_valid(p, rank)
+    wanted: dict[int, list[int]] = {}
+    for s, e in want.items():
+        wanted.setdefault(s.j, []).extend([s.i] * e)
+    if not wanted.keys() <= {p.j for p in seed}:
+        return False
+    pool, bounds = Counter(p.i for p in seed), _bounds(seed)
+    ends = list(bounds)
+
+    def search(b: int, prefix: list[int]) -> bool:
+        if b == len(ends):
+            return True
+        t, j = ends[b], seed[ends[b] - 1].j
+        fixed = prefix + wanted.get(j, [])
+        free = t - len(fixed)
+        for c in range(free + 1):
+            p = fixed + [j] * c + [j - rank - 1] * (free - c)
+            if not Counter(p) - pool and _dominated(p, bounds[t]) and search(b + 1, p):
+                return True
+        return False
+
+    return search(0, [])
+
+
+def _descend(ms: Multisegment, rank: int) -> Multisegment:
+    """A closed member of closure(ms) by crossing moves, which raise the sum
+    of squared part lengths, so the descent ends."""
+    lefts, js = [p.i for p in ms], [p.j for p in ms]
+    moved = True
+    while moved:
+        moved = False
+        for m, l in combinations(range(len(ms)), 2):
+            if crosses(lefts[m], js[m], lefts[l], js[l], rank):
+                lefts[m], lefts[l] = lefts[l], lefts[m]
+                moved = True
+    return Multisegment(Segment(a, j) for a, j in zip(lefts, js))
+
+
+def closure(ms: Multisegment, rank: int) -> ClosureSet:
+    """Saturation under all crossing moves and equal-j swaps; see _left_closure."""
+    seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
+    js, order, closed = _left_closure(seed, rank)
     # A move keeps every part valid (a connected pair's union spans at most
     # rank + 1), so members skip Multisegment's part check and share one
     # Segment per (i, j).
-    segs = {(i, j): Segment(i, j) for i in set(start) for j in set(js) if i <= j}
-    lefts = sorted(seen)
+    segs = {(i, j): Segment(i, j) for i in set(order[0]) for j in set(js) if i <= j}
+    lefts = sorted(order)
     members = tuple(
         tuple.__new__(Multisegment, [segs[p] for p in zip(a, js)]) for a in lefts
     )

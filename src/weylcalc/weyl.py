@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .closures import closed_elements, closure, is_closed
+from .closures import (
+    _descend, _has_member_weighing, _left_closure, closed_elements, is_closed
+)
 from .errors import NotDominant
 from .lweights import LWeight
 from .multisegments import (
@@ -19,8 +21,10 @@ from .multisegments import (
     connected,
     normal_form,
     sort_plus,
+    span,
     weight_of,
 )
+from .segments import Segment
 
 
 def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
@@ -28,14 +32,27 @@ def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
 
     Computed as the weights of the closure of the plus-sorted tuple;
     invariant under permuting ms since sorting normalizes the order.
+    Members are weighed as (left, j) ints, one Segment per generator.
     """
-    cs = closure(sort_plus(ms), rank)
-    return {weight_of(t, rank) for t in cs.members}
+    js, order, _ = _left_closure(sort_plus(ms), rank)
+    gens = {(i, j): Segment(i, j)
+            for i in set(order[0]) for j in set(js) if 0 < j - i <= rank}
+    out = set()
+    for lefts in order:
+        exp: dict[Segment, int] = {}
+        for g in filter(None, map(gens.get, zip(lefts, js))):
+            exp[g] = exp.get(g, 0) + 1
+        out.add(LWeight._wrap(exp))
+    return out
 
 
 def hom_dim(src: Multisegment, dst: Multisegment, rank: int) -> int:
-    """dim Hom(W(src), W(dst)): 1 if src's weight is dominant in dst, else 0."""
-    return 1 if weight_of(src, rank) in weyl_dominant_weights(dst, rank) else 0
+    """dim Hom(W(src), W(dst)): 1 if src's weight is dominant in dst, else 0.
+
+    Searched for without building the closure; see _has_member_weighing.
+    """
+    want = weight_of(src, rank).exponents()
+    return 1 if _has_member_weighing(sort_plus(dst), want, rank) else 0
 
 
 class SocleSummand(NamedTuple):
@@ -44,10 +61,14 @@ class SocleSummand(NamedTuple):
 
 
 def socle(ms: Multisegment, rank: int) -> list[SocleSummand]:
-    """Socle summands: one weight per closed orbit of the closure."""
-    out = [
-        SocleSummand(weight_of(t, rank), t) for t in closed_elements(ms, rank)
-    ]
+    """Socle summands: one weight per closed orbit of the closure.
+
+    At rank >= span every part is valid and, on every case searched (not
+    proved), one closed orbit exists; a descent reaches it without the closure.
+    """
+    big = rank >= span(ms)
+    reps = (sort_plus(_descend(ms, rank)),) if big else closed_elements(ms, rank)
+    out = [SocleSummand(weight_of(t, rank), t) for t in reps]
     out.sort(key=lambda s: (s.weight.sort_key(), s.representative))
     return out
 

@@ -1,13 +1,16 @@
 """Property tests for the closure engine, the crossing move, the parser,
 the reflection duals and the root lattice."""
 
+from itertools import permutations
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from weylcalc import (  # noqa: E402
+    LWeight,
     Multisegment,
     RootVector,
     Segment,
@@ -19,7 +22,7 @@ from weylcalc import (  # noqa: E402
     dual_right,
     tau,
 )
-from weylcalc.cli import parse_multisegment  # noqa: E402
+from weylcalc.cli import parse_lweight, parse_multisegment  # noqa: E402
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -51,6 +54,20 @@ def test_closure_keeps_right_endpoints_and_left_multiset(case):
 
 
 @PROPERTY
+@given(ranked_multisegments(max_parts=6))
+def test_membership_test_is_exactly_the_member_set(case):
+    # `in` runs test (a)+(b): every member passes it, and every
+    # rearrangement of the left endpoints that passes it is a member
+    ms, rank = case
+    cs = closure(ms, rank)
+    members = set(cs.members)
+    assert all(t in cs for t in members)
+    for lefts in set(permutations(p.i for p in ms)):
+        cand = tuple((a, p.j) for a, p in zip(lefts, ms))
+        assert (cand in cs) == (cand in members)
+
+
+@PROPERTY
 @given(ranked_multisegments(min_parts=2), st.data())
 def test_tau_exchanges_two_left_endpoints(case, data):
     ms, rank = case
@@ -71,6 +88,25 @@ def test_tau_exchanges_two_left_endpoints(case, data):
 def test_parse_inverts_str(case):
     ms, _ = case
     assert parse_multisegment(str(ms)) == ms
+
+
+@st.composite
+def lweights(draw):
+    """LWeights with mixed-sign exponents; the empty draw is the identity."""
+    exp = {}
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(-3, 4))
+        exp[Segment(i, i + draw(st.integers(0, 6)))] = draw(
+            st.integers(-4, 4).filter(bool)
+        )
+    return LWeight(exp)
+
+
+@PROPERTY
+@given(lweights())
+@example(LWeight.identity())
+def test_parse_lweight_inverts_str(w):
+    assert parse_lweight(str(w)) == w
 
 
 @PROPERTY
