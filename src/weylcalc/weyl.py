@@ -66,8 +66,10 @@ def socle(ms: Multisegment, rank: int) -> list[SocleSummand]:
     At rank >= span every part is valid and, on every case searched (not
     proved), one closed orbit exists; a descent reaches it without the closure.
     """
-    big = rank >= span(ms)
-    reps = (sort_plus(_descend(ms, rank)),) if big else closed_elements(ms, rank)
+    if rank >= span(ms):
+        reps = (sort_plus(_descend(ms, rank)),)
+    else:
+        reps = closed_elements(ms, rank)
     out = [SocleSummand(weight_of(t, rank), t) for t in reps]
     out.sort(key=lambda s: (s.weight.sort_key(), s.representative))
     return out
