@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import PreconditionViolated
@@ -16,7 +17,8 @@ from .multisegments import (
     span,
     sort_plus,
 )
-from .segments import Segment, check_valid
+from .lweights import LWeight
+from .segments import Segment, check_valid, is_degenerate
 
 
 @dataclass(frozen=True)
@@ -34,20 +36,12 @@ class ClosureSet:
     closed_members: tuple[Multisegment, ...]
     orbit_representatives: tuple[Multisegment, ...]
 
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
+
     def __contains__(self, ms) -> bool:
-        """Test (a)+(b) of _bounds against the seed, without the members."""
-        seed = self.seed
-        if not (isinstance(ms, tuple) and len(ms) == len(seed) and all(
-                isinstance(p, tuple) and len(p) == 2 and p[1] == q.j
-                for p, q in zip(ms, seed))):
-            return False
-        lefts = [p[0] for p in sorted(ms, key=lambda p: -p[1])]
-        return (
-            sorted(lefts) == sorted(p.i for p in seed)
-            and all(0 <= p[1] - p[0] <= self.rank + 1 for p in ms)
-            and all(_dominated(lefts[:t], b)
-                    for t, b in _bounds(sort_plus(seed)).items())
-        )
+        return ms in self._member_set
 
     def __len__(self) -> int:
         return len(self.members)
@@ -97,6 +91,24 @@ def _left_closure(seed: Multisegment, rank: int):
         if not crossed:
             closed.add(cur)
     return js, order, closed
+
+
+def _segments(js, order) -> dict[tuple[int, int], Segment]:
+    """One shared Segment per (left, right) pair that a member can hold."""
+    return {(i, j): Segment(i, j) for i in set(order[0]) for j in set(js) if i <= j}
+
+
+def _member_weights(seed: Multisegment, rank: int) -> set[LWeight]:
+    """The weights of closure(seed)'s members, weighed from the (left, j) ints."""
+    js, order, _ = _left_closure(seed, rank)
+    gens = {k: s for k, s in _segments(js, order).items() if not is_degenerate(s, rank)}
+    out = set()
+    for lefts in order:
+        exp: dict[Segment, int] = {}
+        for g in filter(None, map(gens.get, zip(lefts, js))):
+            exp[g] = exp.get(g, 0) + 1
+        out.add(LWeight._wrap(exp))
+    return out
 
 
 def _bounds(seed) -> dict[int, list[int]]:
@@ -154,28 +166,13 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
     return search(0, [])
 
 
-def _descend(ms: Multisegment, rank: int) -> Multisegment:
-    """A closed member of closure(ms) by crossing moves, which raise the sum
-    of squared part lengths, so the descent ends."""
-    lefts, js = [p.i for p in ms], [p.j for p in ms]
-    moved = True
-    while moved:
-        moved = False
-        for m, l in combinations(range(len(ms)), 2):
-            if crosses(lefts[m], js[m], lefts[l], js[l], rank):
-                lefts[m], lefts[l] = lefts[l], lefts[m]
-                moved = True
-    return Multisegment(Segment(a, j) for a, j in zip(lefts, js))
-
-
 def closure(ms: Multisegment, rank: int) -> ClosureSet:
     """Saturation under all crossing moves and equal-j swaps; see _left_closure."""
     seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
     js, order, closed = _left_closure(seed, rank)
     # A move keeps every part valid (a connected pair's union spans at most
-    # rank + 1), so members skip Multisegment's part check and share one
-    # Segment per (i, j).
-    segs = {(i, j): Segment(i, j) for i in set(order[0]) for j in set(js) if i <= j}
+    # rank + 1), so members skip Multisegment's part check.
+    segs = _segments(js, order)
     lefts = sorted(order)
     members = tuple(
         tuple.__new__(Multisegment, [segs[p] for p in zip(a, js)]) for a in lefts

@@ -12,7 +12,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .closures import (
-    _descend, _has_member_weighing, _left_closure, closed_elements, is_closed
+    _has_member_weighing, _member_weights, canonical_closed, closed_elements,
+    dominant_ancestor, is_closed,
 )
 from .errors import NotDominant
 from .lweights import LWeight
@@ -24,7 +25,6 @@ from .multisegments import (
     span,
     weight_of,
 )
-from .segments import Segment
 
 
 def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
@@ -32,18 +32,9 @@ def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
 
     Computed as the weights of the closure of the plus-sorted tuple;
     invariant under permuting ms since sorting normalizes the order.
-    Members are weighed as (left, j) ints, one Segment per generator.
+    Members are weighed as (left, j) ints; see _member_weights.
     """
-    js, order, _ = _left_closure(sort_plus(ms), rank)
-    gens = {(i, j): Segment(i, j)
-            for i in set(order[0]) for j in set(js) if 0 < j - i <= rank}
-    out = set()
-    for lefts in order:
-        exp: dict[Segment, int] = {}
-        for g in filter(None, map(gens.get, zip(lefts, js))):
-            exp[g] = exp.get(g, 0) + 1
-        out.add(LWeight._wrap(exp))
-    return out
+    return _member_weights(sort_plus(ms), rank)
 
 
 def hom_dim(src: Multisegment, dst: Multisegment, rank: int) -> int:
@@ -63,11 +54,13 @@ class SocleSummand(NamedTuple):
 def socle(ms: Multisegment, rank: int) -> list[SocleSummand]:
     """Socle summands: one weight per closed orbit of the closure.
 
-    At rank >= span every part is valid and, on every case searched (not
-    proved), one closed orbit exists; a descent reaches it without the closure.
+    At rank >= span every part is valid. Reordering ms reorders its closure,
+    and sort_plus(ms) lies in the closure of its dominant ancestor, whose one
+    closed orbit is that of the canonical closed element.
     """
     if rank >= span(ms):
-        reps = (sort_plus(_descend(ms, rank)),)
+        anc = dominant_ancestor(sort_plus(ms), rank)
+        reps = (sort_plus(canonical_closed(anc, rank)),)
     else:
         reps = closed_elements(ms, rank)
     out = [SocleSummand(weight_of(t, rank), t) for t in reps]

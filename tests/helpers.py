@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from weylcalc import Multisegment, Segment, swap, tau
+from weylcalc import Multisegment, Segment, sort_plus, swap, tau
+from weylcalc.closures import _bounds, _dominated
 
 
 def random_segment(rng, rank, lo=-3, hi=6):
@@ -141,3 +142,21 @@ def block_permutations(ms):
     for combo in itertools.product(*(itertools.permutations(r) for r in runs)):
         out.append(Multisegment(s for run in combo for s in run))
     return out
+
+
+def passes_bounds(seed, cand, rank):
+    """Membership test (a)+(b) of closures._bounds, run on plain pairs.
+
+    cand is a tuple of (left, right) pairs set against seed's right
+    endpoints; (a) every pair is a valid part at the rank, (b) every
+    prefix of left endpoints at an end of an equal-j block, in j order,
+    is bounded by the seed's. Conjectured to match closure(seed).members.
+    """
+    if len(cand) != len(seed) or any(c[1] != p.j for c, p in zip(cand, seed)):
+        return False
+    lefts = [c[0] for c in sorted(cand, key=lambda c: -c[1])]
+    return (
+        sorted(lefts) == sorted(p.i for p in seed)
+        and all(0 <= c[1] - c[0] <= rank + 1 for c in cand)
+        and all(_dominated(lefts[:t], b) for t, b in _bounds(sort_plus(seed)).items())
+    )

@@ -1,7 +1,6 @@
 """Differential tests of the closure-free decisions against the closure.
 
-The membership test (a)+(b) behind `ClosureSet.__contains__`, the hom
-search, the socle descent above the span and the integer weigher of
+The membership test (a)+(b) of `closures._bounds`, the hom search, the socle descent above the span and the integer weigher of
 `weyl_dominant_weights` each rest on a conjecture checked by search. Here
 they are compared with forms built from `closure(...).members`, on seeded
 random seeds: plus-sorted and unsorted, with ties in i and in j, at ranks
@@ -12,6 +11,7 @@ import random
 from itertools import permutations
 
 import pytest
+from helpers import passes_bounds
 
 from weylcalc import (
     InvalidSegment,
@@ -62,13 +62,14 @@ def test_membership_test_matches_closure_members():
         for lefts in set(permutations(p.i for p in ms)):
             # plain pairs, since some rearrangements are not segments
             cand = tuple((a, p.j) for a, p in zip(lefts, ms))
-            assert (cand in cs) == (cand in members), (ms, rank, cand)
+            assert passes_bounds(ms, cand, rank) == (cand in members), (ms, rank, cand)
     assert below > 50 and above > 50
 
 
-def test_membership_rejects_other_shapes():
+def test_membership_is_exact_and_rejects_other_shapes():
     cs = closure(M((0, 6), (2, 7), (1, 8)), 7)
     assert M((1, 6), (2, 7), (0, 8)) in cs
+    assert ((1, 6), (2, 7), (0, 8)) in cs
     assert M((0, 6), (2, 7)) not in cs
     assert M((0, 6), (2, 7), (1, 8), (0, 0)) not in cs
     assert M((0, 6), (2, 8), (1, 7)) not in cs
@@ -76,6 +77,9 @@ def test_membership_rejects_other_shapes():
     assert ((0, 6, 1), (2, 7), (1, 8)) not in cs
     assert (0, 6, 2) not in cs
     assert "[0,6][2,7][1,8]" not in cs
+    assert not passes_bounds(cs.seed, ((0, 6), (2, 7)), 7)
+    assert not passes_bounds(cs.seed, ((0, 6), (2, 8), (1, 7)), 7)
+    assert not passes_bounds(cs.seed, ((0, 6), (2, 7), (0, 8)), 7)
 
 
 def test_hom_matches_closure_weights():

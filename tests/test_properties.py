@@ -23,6 +23,7 @@ from weylcalc import (  # noqa: E402
     tau,
 )
 from weylcalc.cli import parse_lweight, parse_multisegment  # noqa: E402
+from helpers import passes_bounds  # noqa: E402
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -56,15 +57,14 @@ def test_closure_keeps_right_endpoints_and_left_multiset(case):
 @PROPERTY
 @given(ranked_multisegments(max_parts=6))
 def test_membership_test_is_exactly_the_member_set(case):
-    # `in` runs test (a)+(b): every member passes it, and every
-    # rearrangement of the left endpoints that passes it is a member
+    # every member passes test (a)+(b), and every rearrangement of the
+    # left endpoints that passes it is a member
     ms, rank = case
-    cs = closure(ms, rank)
-    members = set(cs.members)
-    assert all(t in cs for t in members)
+    members = set(closure(ms, rank).members)
+    assert all(passes_bounds(ms, t, rank) for t in members)
     for lefts in set(permutations(p.i for p in ms)):
         cand = tuple((a, p.j) for a, p in zip(lefts, ms))
-        assert (cand in cs) == (cand in members)
+        assert passes_bounds(ms, cand, rank) == (cand in members)
 
 
 @PROPERTY
