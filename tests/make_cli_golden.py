@@ -45,8 +45,17 @@ INPUTS = [
     ("alpha-decompose", 3, ["1"], [], None),
     ("alpha-decompose", 2, ["-"], [],
      "w[0,1]^2 * w[0,2]^-2 * w[1,2]^2 * w[1,3]^-1 * w[2,3]^1 * w[2,4]^-1\n"),
+    # root-lattice edge cases: coefficients that cross a gap between two
+    # factors, the twin outside the lattice, a degenerate factor and a
+    # factor too long for the rank
+    ("alpha-decompose", 1, ["w[0,1]^1 * w[5,6]^1"], [], None),
+    ("alpha-decompose", 1, ["w[0,1]^1 * w[5,6]^-1"], [], None),
+    ("alpha-decompose", 2, ["w[0,0]^1"], [], None),
+    ("alpha-decompose", 2, ["w[0,4]^1"], [], None),
     ("leq", 2, ["w[0,2]^1 * w[1,2]^-1", "w[0,1]^1"], [], None),
     ("leq", 2, ["w[0,1]^1", "w[0,2]^1 * w[1,2]^-1"], [], None),
+    # the quotient w[0,1] * w[5,6]^-1 lies outside the lattice
+    ("leq", 1, ["w[5,6]^1", "w[0,1]^1"], [], None),
     ("dual", 2, ["[0,1][1,2]"], ["--side", "right"], None),
     ("dual", 2, ["[0,1][1,2]"], ["--side", "left"], None),
     ("iota", 7, ["[2,5][3,9]"], ["--sign", "plus", "--at", "1"], None),
