@@ -193,44 +193,36 @@ def compose_roots(rv: RootVector, rank: int) -> LWeight:
 def decompose_into_roots(w: LWeight, rank: int) -> RootVector:
     """Write w as an integer combination of roots, or raise NotInRootLattice.
 
-    Expanding a[i,j] shows the exponent of w[a,b] in compose(c) is
-    c[a,b] + c[a-1,b-1] - c[a-1,b] - c[a,b-1] away from degenerate cells,
-    so coefficients are recovered by a single sweep (ascending a, then b)
-    with c = 0 assumed outside the band 1 <= b - a <= rank. Degenerate
-    cells carry no generator, which is why the sweep needs the final
-    recomposition check: a mismatch or residue at the far boundary means
-    w never was in the lattice.
+    Write c[s,d] for the coefficient of a[s,s+d]. Expanding alpha, the
+    exponent of w[s,s+d] in compose_roots(c) is
+    c[s,d] + c[s-1,d] - c[s-1,d+1] - c[s,d-1], with c = 0 outside
+    1 <= d <= rank: one equation per non-degenerate generator and one
+    unknown per root. Rows before the first start of w's support are 0,
+    and sweeping s up to the last start, d from 1 to rank inside each s,
+    solves the rest exactly. Past the last start every exponent is 0 and
+    the row map (x_1..x_r) -> (x_2 - x_1, ..., x_r - x_1, -x_1) is
+    invertible, so c has finite support iff the last row is 0. Since
+    compose_roots never yields a factor of any other length, w is in the
+    lattice iff every factor has length in 1..rank and the last row is 0.
     """
     exp = w.exponents()
     if not exp:
-        return RootVector({})
-    pad = rank + 2
-    a_lo = min(s.i for s in exp) - pad
-    a_hi = max(s.i for s in exp) + pad
-    b_lo = min(s.j for s in exp) - pad
-    b_hi = max(s.j for s in exp) + pad
-    coef: dict[tuple[int, int], int] = {}
-
-    def cget(a: int, b: int) -> int:
-        return coef.get((a, b), 0)
-
-    for a in range(a_lo, a_hi + 1):
-        for b in range(max(b_lo, a + 1), min(b_hi, a + rank) + 1):
-            e = exp.get(Segment(a, b), 0)
-            val = e - cget(a - 1, b - 1) + cget(a - 1, b) + cget(a, b - 1)
-            if val:
-                coef[(a, b)] = val
-
-    for (a, b), v in coef.items():
-        if v and (a >= a_hi - 1 or b >= b_hi - 1):
-            raise NotInRootLattice(
-                f"{w} is not in the root lattice at rank {rank}"
-                " (sweep escaped the support box)"
-            )
-    rv = RootVector({Segment(a, b): v for (a, b), v in coef.items()})
-    if compose_roots(rv, rank) != w:
-        raise NotInRootLattice(f"{w} is not in the root lattice at rank {rank}")
-    return rv
+        return RootVector()
+    coef: dict[Segment, int] = {}
+    prev = [0] * (rank + 2)  # c[s-1,d] for d = 0..rank+1; both ends stay 0
+    if all(1 <= seg.length <= rank for seg in exp):
+        starts = [seg.i for seg in exp]
+        for s in range(min(starts), max(starts) + 1):
+            row = [0] * (rank + 2)
+            for d in range(1, rank + 1):
+                c = exp.get((s, s + d), 0) - prev[d] + prev[d + 1] + row[d - 1]
+                if c:
+                    row[d] = c
+                    coef[Segment(s, s + d)] = c
+            prev = row
+        if not any(prev):
+            return RootVector._wrap(coef)
+    raise NotInRootLattice(f"{w} is not in the root lattice at rank {rank}")
 
 
 def dominance_leq(w1: LWeight, w2: LWeight, rank: int) -> bool:

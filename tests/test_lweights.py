@@ -108,10 +108,19 @@ def test_decompose_identity_is_zero():
 
 
 def test_decompose_rejects_non_lattice_weights():
-    with pytest.raises(NotInRootLattice):
-        decompose_into_roots(w(0, 1), 2)
-    with pytest.raises(NotInRootLattice):
-        decompose_into_roots(w(0, 1, 2), 2)
+    cases = [
+        (w(0, 1), 2),
+        (w(0, 1, 2), 2),
+        # coefficients would have to run on past the last factor
+        (w(0, 1) * w(5, 6, -1), 1),
+        # lattice elements times a degenerate factor (length 0, rank + 1)
+        (alpha(0, 1, 2) * w(0, 0), 2),
+        (alpha(0, 1, 2) * w(1, 4), 2),
+    ]
+    for weight, rank in cases:
+        with pytest.raises(NotInRootLattice) as exc:
+            decompose_into_roots(weight, rank)
+        assert str(exc.value) == f"{weight} is not in the root lattice at rank {rank}"
 
 
 def test_compose_decompose_round_trip():

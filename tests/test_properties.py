@@ -12,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from weylcalc import (  # noqa: E402
     LWeight,
     Multisegment,
+    NotInRootLattice,
     RootVector,
     Segment,
     closure,
@@ -134,3 +135,23 @@ def ranked_root_vectors(draw):
 def test_decompose_inverts_compose(case):
     rv, rank = case
     assert decompose_into_roots(compose_roots(rv, rank), rank) == rv
+
+
+@st.composite
+def near_lattice_weights(draw):
+    """(w, rank): a root-lattice element times one stray factor of length 0..rank + 2."""
+    rv, rank = draw(ranked_root_vectors())
+    i = draw(st.integers(-3, 4))
+    stray = Segment(i, i + draw(st.integers(0, rank + 2)))
+    return compose_roots(rv, rank) * LWeight({stray: draw(st.sampled_from([-1, 1]))}), rank
+
+
+@PROPERTY
+@given(st.one_of(st.tuples(lweights(), st.integers(1, 6)), near_lattice_weights()))
+def test_decompose_recomposes_or_refuses(case):
+    w, rank = case
+    try:
+        rv = decompose_into_roots(w, rank)
+    except NotInRootLattice:
+        return
+    assert compose_roots(rv, rank) == w
