@@ -76,7 +76,7 @@ def parse_lweight(text: str) -> LWeight:
     """Parse `1` or a `w[i,j]^e * w[i,j]^e * ...` product."""
     if text.strip() == "1":
         return LWeight.identity()
-    exps: dict[Segment, int] = {}
+    factors: list[tuple[Segment, int]] = []
     pos, n = 0, len(text)
     first = True
     while True:
@@ -98,11 +98,10 @@ def parse_lweight(text: str) -> LWeight:
         i, j, e = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if j < i:
             raise RangeError(f"segment [{i},{j}] at byte {pos} has j < i")
-        seg = Segment(i, j)
-        exps[seg] = exps.get(seg, 0) + e
+        factors.append((Segment(i, j), e))
         pos = m.end()
         first = False
-    return LWeight(exps)
+    return LWeight(factors)
 
 
 def json_multisegment(ms: Multisegment) -> list[list[int]]:

@@ -181,9 +181,8 @@ def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
     factors from k on can still raise each exponent: the sum of the
     largest positive exponent each of them has there. A partial product
     is dropped as soon as one of its negative exponents can no longer
-    reach 0, and a factor's term is dropped up front when the other
-    factors together cannot lift it. rise is empty after the last
-    factor, so exactly the dominant terms remain.
+    reach 0. rise is empty after the last factor, so exactly the
+    dominant terms remain.
     """
     for p in ms:
         check_valid(p, rank)
@@ -196,19 +195,13 @@ def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
         [(w.exponents(), m) for w, m in fundamental_qchar(p, rank).terms().items()]
         for p in parts
     ]
-    tops = [_tops(terms) for terms in factors]
     rise = [Counter()]
-    for top in reversed(tops):
-        rise.append(rise[-1] + top)
+    for terms in reversed(factors):
+        rise.append(rise[-1] + _tops(terms))
     rise.reverse()
 
     cur: dict[frozenset, int] = {frozenset(): 1}
     for k, terms in enumerate(factors):
-        others = rise[0] - tops[k]
-        terms = [
-            (t, mt) for t, mt in terms
-            if all(e >= 0 or e + others.get(seg, 0) >= 0 for seg, e in t.items())
-        ]
         later = rise[k + 1]
         nxt: dict[frozenset, int] = {}
         for key, m in cur.items():
