@@ -139,11 +139,11 @@ def test_decompose_inverts_compose(case):
 
 @st.composite
 def near_lattice_weights(draw):
-    """(w, rank): a root-lattice element times one stray factor of length 0..rank + 2."""
+    """(w, rank): a lattice element times one stray factor of length 0..rank + 2."""
     rv, rank = draw(ranked_root_vectors())
     i = draw(st.integers(-3, 4))
-    stray = Segment(i, i + draw(st.integers(0, rank + 2)))
-    return compose_roots(rv, rank) * LWeight({stray: draw(st.sampled_from([-1, 1]))}), rank
+    stray = LWeight({Segment(i, i + draw(st.integers(0, rank + 2))): 1})
+    return compose_roots(rv, rank) * stray ** draw(st.sampled_from([-1, 1])), rank
 
 
 @PROPERTY
