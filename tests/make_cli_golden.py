@@ -83,6 +83,10 @@ INPUTS = [
     ("closure", 2, ["[3,1]"], [], None),
     ("qchar", 1, ["[0,3]"], [], None),
     ("leq", 2, ["w[0,1]^1 *", "1"], [], None),
+    # j < i messages print the parsed ints, not the matched text
+    ("closure", 2, ["[3,-0]"], [], None),
+    ("closure", 2, ["[05,3]"], [], None),
+    ("alpha-decompose", 2, ["w[07,-01]^1"], [], None),
 ]
 
 SUBCOMMANDS = [

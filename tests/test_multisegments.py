@@ -284,6 +284,21 @@ class TestNormalForm:
         ms = M((2, 7), (0, 6))
         assert normal_form(ms, 1, 7) == ms
 
+    def test_equals_folding_iota_at_over_the_word(self):
+        # (iota_{r-1} ... iota_1)(iota_{r-1} ... iota_2) ... (iota_{r-1}),
+        # the rightmost block first and each block left to right
+        rng = random.Random(34)
+        for _ in range(400):
+            rank = rng.randint(1, 6)
+            ms = random_multisegment(rng, rank, parts=rng.randint(1, 6))
+            r = len(ms)
+            for sign in (1, -1):
+                out = ms
+                for k in range(r - 1, 0, -1):
+                    for p in range(k, r):
+                        out = iota_at(out, p, sign, rank)
+                assert normal_form(ms, sign, rank) == out
+
     def test_rejects_a_part_too_long_for_the_rank(self):
         for ms in (M((0, 5)), M((0, 5), (1, 2))):
             for sign in (1, -1):
