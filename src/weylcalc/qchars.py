@@ -162,11 +162,11 @@ def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
     return q
 
 
-def _tops(terms: list[tuple[dict[Segment, int], int]]) -> Counter:
-    """Per segment, the largest positive exponent among the terms."""
+def _tops(terms: Mapping[LWeight, int]) -> Counter:
+    """Per segment, the largest positive exponent among the terms' weights."""
     top: Counter = Counter()
-    for exp, _ in terms:
-        for seg, e in exp.items():
+    for w in terms:
+        for seg, e in w._exp.items():
             if e > top[seg]:
                 top[seg] = e
     return top
@@ -176,13 +176,12 @@ def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
     """weyl_qchar(ms, rank).dominant_part(), without the full product.
 
     An exact branch and bound over the fundamental characters of the
-    non-degenerate parts, convolved one factor at a time on exponent
-    dicts with equal partial products merged. rise[k] is how far the
-    factors from k on can still raise each exponent: the sum of the
-    largest positive exponent each of them has there. A partial product
-    is dropped as soon as one of its negative exponents can no longer
-    reach 0. rise is empty after the last factor, so exactly the
-    dominant terms remain.
+    non-degenerate parts, convolved one factor at a time with equal
+    partial products merged. rise[k] is how far the factors from k on
+    can still raise each exponent: the sum of the largest positive
+    exponent each of them has there. A partial product is dropped as
+    soon as one of its negative exponents can no longer reach 0. rise is
+    empty after the last factor, so exactly the dominant terms remain.
     """
     for p in ms:
         check_valid(p, rank)
@@ -191,37 +190,26 @@ def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
     parts = sorted(
         (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j)
     )
-    factors = [
-        [(w.exponents(), m) for w, m in fundamental_qchar(p, rank).terms().items()]
-        for p in parts
-    ]
+    factors = [fundamental_qchar(p, rank).terms() for p in parts]
     rise = [Counter()]
     for terms in reversed(factors):
         rise.append(rise[-1] + _tops(terms))
     rise.reverse()
 
-    cur: dict[frozenset, int] = {frozenset(): 1}
+    cur = {LWeight.identity(): 1}
     for k, terms in enumerate(factors):
         later = rise[k + 1]
-        nxt: dict[frozenset, int] = {}
-        for key, m in cur.items():
-            base = dict(key)
-            for t, mt in terms:
-                exp = base.copy()
-                for seg, e in t.items():
-                    x = exp.get(seg, 0) + e
-                    if x:
-                        exp[seg] = x
-                    else:
-                        del exp[seg]
-                for seg, e in exp.items():
+        nxt: dict[LWeight, int] = {}
+        for wa, ma in cur.items():
+            for wb, mb in terms.items():
+                w = wa * wb
+                for seg, e in w._exp.items():
                     if e < 0 and e + later.get(seg, 0) < 0:
                         break
                 else:
-                    nkey = frozenset(exp.items())
-                    nxt[nkey] = nxt.get(nkey, 0) + m * mt
+                    nxt[w] = nxt.get(w, 0) + ma * mb
         cur = nxt
-    return {LWeight(key): m for key, m in cur.items()}
+    return cur
 
 
 def pair_simple_qchar(ms: Multisegment, rank: int) -> QChar:
