@@ -150,20 +150,19 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
         return False
     pool, bounds = Counter(p.i for p in seed), _bounds(seed)
     ends = list(bounds)
-
-    def search(b: int, prefix: list[int]) -> bool:
+    stack = [(0, [])]  # (block index, prefix of left endpoints)
+    while stack:
+        b, prefix = stack.pop()
         if b == len(ends):
             return True
         t, j = ends[b], seed[ends[b] - 1].j
         fixed = prefix + wanted.get(j, [])
         free = t - len(fixed)
-        for c in range(free + 1):
+        for c in range(free, -1, -1):  # popped in increasing c
             p = fixed + [j] * c + [j - rank - 1] * (free - c)
-            if not Counter(p) - pool and _dominated(p, bounds[t]) and search(b + 1, p):
-                return True
-        return False
-
-    return search(0, [])
+            if not Counter(p) - pool and _dominated(p, bounds[t]):
+                stack.append((b + 1, p))
+    return False
 
 
 def closure(ms: Multisegment, rank: int) -> ClosureSet:

@@ -89,6 +89,12 @@ class TestRun:
         assert run(["hom", "--rank", "6", "[2,6][0,7][1,8]", "[0,6][2,7][1,8]"]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    def test_hom_on_a_long_tuple(self, capsys):
+        # the search takes one j-block per part, past the recursion limit
+        t = "".join(f"[{k - 1},{k}]" for k in range(1100, 0, -1))
+        assert run(["hom", "--rank", "1100", t, t]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_closed_predicate(self, capsys):
         assert run(["closed", "--rank", "6", "[2,6][0,7][1,8]"]) == 0
         assert capsys.readouterr().out == "true\n"
