@@ -207,9 +207,12 @@ def normal_form(ms: Multisegment, sign: int, rank: int) -> Multisegment:
     """
     for q in ms:
         check_valid(q, rank)
-    r = len(ms)
-    out = ms
+    if sign not in (1, -1):
+        raise PreconditionViolated(f"sign must be +1 or -1, got {sign}")
+    move = iota_plus if sign == 1 else iota_minus
+    parts = list(ms)
+    r = len(parts)
     for k in range(r - 1, 0, -1):
         for p in range(k, r):
-            out = iota_at(out, p, sign, rank)
-    return out
+            parts[p - 1], parts[p] = move(parts[p - 1], parts[p], rank)
+    return Multisegment(parts)

@@ -299,6 +299,11 @@ class TestNormalForm:
                         out = iota_at(out, p, sign, rank)
                 assert normal_form(ms, sign, rank) == out
 
+    def test_rejects_a_bad_sign_at_every_length(self):
+        for ms in (M((0, 1)), M((0, 1), (1, 2)), M((0, 1), (1, 2), (2, 3))):
+            with pytest.raises(PreconditionViolated, match="sign must be"):
+                normal_form(ms, 2, 2)
+
     def test_rejects_a_part_too_long_for_the_rank(self):
         for ms in (M((0, 5)), M((0, 5), (1, 2))):
             for sign in (1, -1):
