@@ -49,59 +49,46 @@ from .weyl import (
 
 _SEG_RE = re.compile(r"\[(-?\d+),(-?\d+)\]")
 _WFACTOR_RE = re.compile(r"w\[(-?\d+),(-?\d+)\]\^(-?\d+)")
+_SPACE_RE = re.compile(r"\s*")
+
+
+def _scan(text: str, factor_re: re.Pattern, sep: str, what: str) -> list[re.Match]:
+    """The factor matches of text: sep between factors, whitespace skipped."""
+    out, pos = [], 0
+    while True:
+        pos = _SPACE_RE.match(text, pos).end()
+        if pos == len(text):
+            return out
+        if out and sep:
+            if text[pos] != sep:
+                raise ParseError(f"expected '{sep}' at byte {pos}", pos)
+            pos = _SPACE_RE.match(text, pos + 1).end()
+        m = factor_re.match(text, pos)
+        if not m:
+            raise ParseError(f"bad {what} at byte {pos}", pos)
+        i, j = int(m[1]), int(m[2])
+        if j < i:
+            raise RangeError(f"segment [{i},{j}] at byte {pos} has j < i")
+        out.append(m)
+        pos = m.end()
 
 
 def parse_multisegment(text: str) -> Multisegment:
     """Parse a [i,j][i,j]... literal; whitespace between blocks is allowed."""
-    parts = []
-    pos, n = 0, len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _SEG_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"bad multisegment syntax at byte {pos}", pos)
-        i, j = int(m.group(1)), int(m.group(2))
-        if j < i:
-            raise RangeError(f"segment [{i},{j}] at byte {pos} has j < i")
-        parts.append(Segment(i, j))
-        pos = m.end()
-    if not parts:
+    found = _scan(text, _SEG_RE, "", "multisegment syntax")
+    if not found:
         raise ParseError("empty multisegment", 0)
-    return Multisegment(parts)
+    return Multisegment(Segment(int(m[1]), int(m[2])) for m in found)
 
 
 def parse_lweight(text: str) -> LWeight:
     """Parse `1` or a `w[i,j]^e * w[i,j]^e * ...` product."""
     if text.strip() == "1":
         return LWeight.identity()
-    factors: list[tuple[Segment, int]] = []
-    pos, n = 0, len(text)
-    first = True
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            if first:
-                raise ParseError("empty l-weight", 0)
-            break
-        if not first:
-            if text[pos] != "*":
-                raise ParseError(f"expected '*' at byte {pos}", pos)
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        m = _WFACTOR_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"bad l-weight factor at byte {pos}", pos)
-        i, j, e = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if j < i:
-            raise RangeError(f"segment [{i},{j}] at byte {pos} has j < i")
-        factors.append((Segment(i, j), e))
-        pos = m.end()
-        first = False
-    return LWeight(factors)
+    found = _scan(text, _WFACTOR_RE, "*", "l-weight factor")
+    if not found:
+        raise ParseError("empty l-weight", 0)
+    return LWeight((Segment(int(m[1]), int(m[2])), int(m[3])) for m in found)
 
 
 def json_multisegment(ms: Multisegment) -> list[list[int]]:
