@@ -1,4 +1,8 @@
-"""Pin the public names: the package exports and the CLI entry points."""
+"""Pin the public names, the CLI entry points and the runtime dependencies."""
+
+import ast
+import sys
+from pathlib import Path
 
 import weylcalc
 from weylcalc import cli
@@ -34,3 +38,20 @@ def test_cli_entry_points_exist():
     # pyproject's console script binds main; the benchmark tracer wraps the rest
     for name in ("run", "main", "build_parser", "parse_multisegment", "parse_lweight"):
         assert callable(getattr(cli, name)), name
+
+
+def test_src_imports_only_the_standard_library():
+    # README promises no runtime dependencies; relative imports stay inside
+    files = sorted(Path(weylcalc.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
