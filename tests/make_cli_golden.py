@@ -71,6 +71,8 @@ INPUTS = [
     ("ext-check", 6, ["[2,6][0,7][1,8]", "[0,6][2,7][1,8]"], [], None),
     ("subcat", 1, ["[2,3][1,2][0,1]", "w[1,3]^1"], [], None),
     ("subcat", 1, ["[2,3][1,2][0,1]", "w[0,3]^1"], [], None),
+    # a base part too long for the rank is an error, as in every subcommand
+    ("subcat", 1, ["[0,9][1,1]", "w[0,1]^1"], [], None),
     # a malformed base fails before the l-weight is read from stdin
     ("subcat", 1, ["[2,3][1,2", "-"], [], "w[1,3]^1"),
     ("subcat", 1, ["-", "w[1,3"], [], "[2,3][1,2][0,1]"),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from make_cli_golden import invoke
+from make_cli_golden import cases, invoke
 
 GOLDEN = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text())
 
@@ -34,3 +34,7 @@ def test_golden_covers_every_subcommand_in_both_modes():
            if c["argv"] and c["exit"] == 0 and "--help" not in c["argv"]}
     for name in sub.choices:
         assert (name, False) in ran and (name, True) in ran, name
+
+
+def test_golden_file_matches_its_generator():
+    assert [(c["argv"], c["stdin"]) for c in GOLDEN] == cases()

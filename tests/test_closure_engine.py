@@ -93,6 +93,9 @@ def test_hom_matches_closure_weights():
         for _ in range(3):
             if rng.random() < 0.6:
                 src = list(rng.choice(members))
+                if rng.random() < 0.3:  # more parts than the target
+                    i = rng.randint(-3, 3)
+                    src.append(Segment(i, i + rng.randint(0, rank + 1)))
                 rng.shuffle(src)
                 src = Multisegment(src)
             else:
@@ -103,6 +106,11 @@ def test_hom_matches_closure_weights():
             ones += expected
             assert hom_dim(src, dst, rank) == expected, (src, dst, rank)
     assert ones > 200
+
+
+def test_hom_rejects_a_left_endpoint_the_target_lacks():
+    # want's [-3,1] uses a left endpoint -3 that the target has no copy of
+    assert hom_dim(M((0, 2), (1, 6), (-3, 1)), M((2, 2), (0, 1)), 4) == 0
 
 
 def closure_socle(ms, rank):
