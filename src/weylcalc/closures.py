@@ -111,24 +111,22 @@ def _member_weights(seed: Multisegment, rank: int) -> set[LWeight]:
     return out
 
 
-def _bounds(seed) -> dict[int, list[int]]:
-    """Test (b)'s prefixes of a plus-ordered seed: block end -> left endpoints.
+def _below(seed: Multisegment, lefts) -> bool:
+    """Test (b) on a rearrangement lefts of plus-sorted seed's left endpoints.
 
-    A rearrangement P of the seed's left endpoints S, set against its right
-    endpoints, is a member of the closure iff (a) every part [P_k, j_k] is
-    valid at the rank and (b) at the end of each block of equal j, and for
-    every a, the prefix of P has no more entries >= a than that of S. This
-    matches the breadth-first search on every case tried; it is not proved.
+    lefts, set against the seed's right endpoints, is a member of the
+    closure iff (a) every part [lefts[k], j_k] is valid at the rank and
+    (b) at the end of each block of equal j, and for every a, the prefix
+    of lefts has no more entries >= a than that of the seed: a pointwise
+    bound on the sorted entries. This matches the breadth-first search on
+    every case tried; it is not proved.
     """
     r = len(seed)
-    return {t: [p.i for p in seed[:t]]
-            for t in range(1, r + 1) if t == r or seed[t].j != seed[t - 1].j}
-
-
-def _dominated(lefts, bound) -> bool:
-    """(b) on one prefix, as a pointwise bound on the sorted entries."""
-    return all(a <= b for a, b in
-               zip(sorted(lefts, reverse=True), sorted(bound, reverse=True)))
+    return all(
+        all(a <= b for a, b in zip(sorted(lefts[:t], reverse=True),
+                                   sorted((p.i for p in seed[:t]), reverse=True)))
+        for t in range(1, r + 1) if t == r or seed[t].j != seed[t - 1].j
+    )
 
 
 def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
@@ -136,33 +134,30 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
 
     want maps (i, j) to the multiplicity of a non-degenerate part. Equal-j
     swaps make the order inside a block of equal j free, so a member's
-    block is want's parts ending at j, filled up with degenerate parts
-    [j, j] and [j - rank - 1, j]. The search tries each split of the
-    fillers, block by block, keeping every prefix of left endpoints inside
-    the seed's multiset and within test (b).
+    block j is want's parts ending at j, filled up with degenerate parts
+    [j, j] and [j - rank - 1, j]. The fillers are forced: taken by
+    increasing j, block j must take every unused j - rank - 1, which no
+    later block can, then copies of j. Test (b) decides that one candidate;
+    a short or overfull block means no member, and so does any part of want
+    left unplaced, since then some block runs out of left endpoints.
     """
     for p in seed:
         check_valid(p, rank)
-    wanted: dict[int, list[int]] = {}
+    pool, size = Counter(p.i for p in seed), Counter(p.j for p in seed)
+    block: dict[int, list[int]] = {j: [] for j in size}
     for s, e in want.items():
-        wanted.setdefault(s.j, []).extend([s.i] * e)
-    if not wanted.keys() <= {p.j for p in seed}:
+        pool[s.i] -= e
+        block.setdefault(s.j, []).extend([s.i] * e)
+    if any(c < 0 for c in pool.values()):
         return False
-    pool, bounds = Counter(p.i for p in seed), _bounds(seed)
-    ends = list(bounds)
-    stack = [(0, [])]  # (block index, prefix of left endpoints)
-    while stack:
-        b, prefix = stack.pop()
-        if b == len(ends):
-            return True
-        t, j = ends[b], seed[ends[b] - 1].j
-        fixed = prefix + wanted.get(j, [])
-        free = t - len(fixed)
-        for c in range(free, -1, -1):  # popped in increasing c
-            p = fixed + [j] * c + [j - rank - 1] * (free - c)
-            if not Counter(p) - pool and _dominated(p, bounds[t]):
-                stack.append((b + 1, p))
-    return False
+    for j in sorted(size):
+        lo = j - rank - 1
+        free = size[j] - len(block[j]) - pool[lo]
+        if free < 0 or pool[j] < free:
+            return False
+        block[j] += [lo] * pool[lo] + [j] * free
+        pool[lo], pool[j] = 0, pool[j] - free
+    return _below(seed, [i for j in sorted(size, reverse=True) for i in block[j]])
 
 
 def closure(ms: Multisegment, rank: int) -> ClosureSet:

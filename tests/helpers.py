@@ -10,7 +10,7 @@ import itertools
 import random
 
 from weylcalc import Multisegment, Segment, sort_plus, swap, tau
-from weylcalc.closures import _bounds, _dominated
+from weylcalc.closures import _below
 
 
 def random_segment(rng, rank, lo=-3, hi=6):
@@ -158,5 +158,5 @@ def passes_bounds(seed, cand, rank):
     return (
         sorted(lefts) == sorted(p.i for p in seed)
         and all(0 <= c[1] - c[0] <= rank + 1 for c in cand)
-        and all(_dominated(lefts[:t], b) for t, b in _bounds(sort_plus(seed)).items())
+        and _below(sort_plus(seed), lefts)
     )
