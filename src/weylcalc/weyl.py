@@ -25,6 +25,7 @@ from .multisegments import (
     span,
     weight_of,
 )
+from .segments import check_valid
 
 
 def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
@@ -40,7 +41,7 @@ def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
 def hom_dim(src: Multisegment, dst: Multisegment, rank: int) -> int:
     """dim Hom(W(src), W(dst)): 1 if src's weight is dominant in dst, else 0.
 
-    Searched for without building the closure; see _has_member_weighing.
+    Decided without building the closure; see _has_member_weighing.
     """
     want = weight_of(src, rank).exponents()
     return 1 if _has_member_weighing(sort_plus(dst), want, rank) else 0
@@ -117,18 +118,19 @@ def subcategory_membership(base: Multisegment, w: LWeight, rank: int) -> bool:
 
     Every support segment must start at some left endpoint of base, end
     at some right endpoint of base, and fit within the rank's reach.
-    Raises NotDominant on a non-dominant weight.
+    Raises InvalidSegment on a base part invalid at the rank, then
+    NotDominant on a non-dominant weight.
     """
+    for p in base:
+        check_valid(p, rank)
     if not w.is_dominant:
         raise NotDominant(f"{w} has a negative exponent")
     lefts = {p.i for p in base}
     rights = {p.j for p in base}
-    for seg in w.support():
-        if seg.i not in lefts or seg.j not in rights:
-            return False
-        if not 0 <= seg.length <= rank + 1:
-            return False
-    return True
+    return all(
+        seg.i in lefts and seg.j in rights and 0 <= seg.length <= rank + 1
+        for seg in w.support()
+    )
 
 
 class MixedWeylMaps(NamedTuple):

@@ -6,6 +6,7 @@ from helpers import random_doubly_sorted, random_multisegment
 
 from weylcalc import (
     ExtVerdict,
+    InvalidSegment,
     LWeight,
     Multisegment,
     NotDominant,
@@ -176,6 +177,12 @@ class TestSubcategory:
     def test_rejects_non_dominant_input(self):
         with pytest.raises(NotDominant):
             subcategory_membership(self.BASE, w(0, 1, -1), 1)
+
+    def test_checks_the_base_parts_first(self):
+        with pytest.raises(InvalidSegment, match=r"\[0,9\]"):
+            subcategory_membership(M((0, 9), (1, 1)), w(0, 1), 1)
+        with pytest.raises(InvalidSegment):
+            subcategory_membership(M((0, 9), (1, 1)), w(0, 1, -1), 1)
 
     def test_closure_weights_stay_inside(self):
         rng = random.Random(76)
