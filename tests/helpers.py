@@ -145,11 +145,11 @@ def block_permutations(ms):
 
 
 def passes_bounds(seed, cand, rank):
-    """Membership test (a)+(b) of closures._bounds, run on plain pairs.
+    """Membership test (a)+(b) on plain pairs; (b) is closures._below.
 
     cand is a tuple of (left, right) pairs set against seed's right
     endpoints; (a) every pair is a valid part at the rank, (b) every
-    prefix of left endpoints at an end of an equal-j block, in j order,
+    prefix of left endpoints at an end of an equal-j block, in plus order,
     is bounded by the seed's. Conjectured to match closure(seed).members.
     """
     if len(cand) != len(seed) or any(c[1] != p.j for c, p in zip(cand, seed)):

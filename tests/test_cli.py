@@ -90,7 +90,8 @@ class TestRun:
         assert capsys.readouterr().out == "1\n"
 
     def test_hom_on_a_long_tuple(self, capsys):
-        # the search takes one j-block per part, past the recursion limit
+        # 1,100 j-blocks of one part: past the recursion limit of a search
+        # that recursed per block, and (b) sorts a longer prefix at each end
         t = "".join(f"[{k - 1},{k}]" for k in range(1100, 0, -1))
         assert run(["hom", "--rank", "1100", t, t]) == 0
         assert capsys.readouterr().out == "1\n"

@@ -1,11 +1,12 @@
 """Differential tests of the closure-free decisions against the closure.
 
-The membership test (a)+(b) of `closures._bounds`, the hom search, the
-socle above the span (`canonical_closed` of the dominant ancestor) and the
-integer weigher of `weyl_dominant_weights` each rest on a conjecture
-checked by search. Here they are compared with forms built from
-`closure(...).members`, on seeded random seeds: plus-sorted and unsorted,
-with ties in i and in j, at ranks below and above the span.
+The membership test (a)+(b) of `closures._below`, the hom decision by one
+forced candidate member, the socle above the span (`canonical_closed` of
+the dominant ancestor) and the integer weigher of `weyl_dominant_weights`
+each rest on a conjecture checked by search. Here they are compared with
+forms built from `closure(...).members`, on seeded random seeds:
+plus-sorted and unsorted, with ties in i and in j, at ranks below and
+above the span.
 """
 
 import random
