@@ -38,6 +38,11 @@ INPUTS = [
     ("qchar", 2, ["[0,1]"], [], None),
     ("qchar", 3, ["[0,2][1,2]"], [], None),
     ("qchar", 2, ["[0,3][1,1]"], [], None),
+    # a 35-term fundamental character and a 3-part product (140 terms, some
+    # with multiplicity 2) pin the term order and the rendering of longer
+    # weights
+    ("qchar", 6, ["[0,3]"], [], None),
+    ("qchar", 3, ["[0,2][1,3][3,4]"], [], None),
     ("dominant", 6, ["[0,6][2,7][1,8]"], [], None),
     ("dominant", 4, ["[0,2][1,3][2,4]"], [], None),
     ("alpha-decompose", 2, ["w[0,2]^1 * w[1,2]^-1 * w[1,3]^1"], [], None),
