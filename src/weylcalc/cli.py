@@ -95,14 +95,18 @@ def json_multisegment(ms: Multisegment) -> list[list[int]]:
     return [[p.i, p.j] for p in ms]
 
 
+def _json_factors(key: tuple) -> list[dict]:
+    return [{"segment": [i, j], "exp": e} for i, j, e in key]
+
+
 def json_lweight(w) -> list[dict]:
     """Sorted factors of an LWeight or a RootVector as segment/exp records."""
-    return [{"segment": [i, j], "exp": e} for i, j, e in w.sort_key()]
+    return _json_factors(w.sort_key())
 
 
 def json_qchar_terms(terms: dict[LWeight, int]) -> list[dict]:
-    ordered = sorted(terms.items(), key=lambda kv: kv[0].sort_key())
-    return [{"weight": json_lweight(w), "mult": m} for w, m in ordered]
+    ordered = sorted((w.sort_key(), m) for w, m in terms.items())
+    return [{"weight": _json_factors(key), "mult": m} for key, m in ordered]
 
 
 class Command(NamedTuple):

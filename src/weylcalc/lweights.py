@@ -58,7 +58,15 @@ class _SparseVector:
 
     def sort_key(self) -> tuple:
         """Canonical order: sorted (i, j, exponent) triples."""
-        return tuple((seg.i, seg.j, self._exp[seg]) for seg in sorted(self._exp))
+        return tuple(sorted([(i, j, e) for (i, j), e in self._exp.items()]))
+
+    @classmethod
+    def _format(cls, key: tuple) -> str:
+        """The rendering of an instance whose sort_key is key."""
+        if not key:
+            return "1"
+        factor = cls._prefix + "[%s,%s]^%s"
+        return " * ".join([factor % f for f in key])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -71,10 +79,7 @@ class _SparseVector:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._exp:
-            return "1"
-        p = self._prefix
-        return " * ".join(f"{p}{seg}^{self._exp[seg]}" for seg in sorted(self._exp))
+        return self._format(self.sort_key())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

@@ -80,8 +80,8 @@ class QChar:
         return self._terms == other._terms
 
     def __str__(self) -> str:
-        lines = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-        return "\n".join(f"{m} * {w}" for w, m in lines)
+        lines = sorted((w.sort_key(), m) for w, m in self._terms.items())
+        return "\n".join(f"{m} * {LWeight._format(key)}" for key, m in lines)
 
     def __repr__(self) -> str:
         return f"QChar({len(self._terms)} terms, mass {self.total_mass()})"
@@ -137,15 +137,36 @@ def path_weight(g: Path, rank: int) -> LWeight:
 
 
 def fundamental_qchar(seg: Segment, rank: int) -> QChar:
-    """Multiset of path weights for a non-degenerate segment."""
+    """Multiset of path weights for a non-degenerate segment.
+
+    Corners are read from the down-step positions: a maximal run of downs
+    that starts at step a > 0 after k downs is the maximum [j-k, j+a-k]^-1,
+    and one that ends at step b < rank after d downs, its own counted, is
+    the minimum [j-d, j+b+1-d]^+1.
+    """
     if not 1 <= seg.length <= rank:
         raise InvalidSegment(
             f"fundamental character needs 1 <= length <= rank, got {seg}"
             f" at rank {rank}"
         )
+    j, length = seg.j, seg.length
+    # corner[d][r]: the segment of the corner at position r after d downs
+    corner = [[Segment(j - d, j - d + r) for r in range(rank + 1)]
+              for d in range(length + 1)]
     acc: dict[LWeight, int] = {}
-    for g in enumerate_paths(seg, rank):
-        w = path_weight(g, rank)
+    for downs in combinations(range(rank + 1), length):
+        exp: dict[Segment, int] = {}
+        prev = -2
+        for d, t in enumerate(downs):
+            if t != prev + 1:  # a run starts at t; the one before ended at prev
+                if prev >= 0:
+                    exp[corner[d][prev + 1]] = 1
+                if t:
+                    exp[corner[d][t]] = -1
+            prev = t
+        if prev < rank:
+            exp[corner[length][prev + 1]] = 1
+        w = LWeight._wrap(exp)
         acc[w] = acc.get(w, 0) + 1
     out = QChar.__new__(QChar)
     out._terms = acc
@@ -154,12 +175,13 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
 
 def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
     """Convolution of the fundamental characters of the non-degenerate parts."""
-    q = QChar.one()
+    q = None
     for p in ms:
         check_valid(p, rank)
         if not is_degenerate(p, rank):
-            q = q * fundamental_qchar(p, rank)
-    return q
+            f = fundamental_qchar(p, rank)
+            q = f if q is None else q * f
+    return QChar.one() if q is None else q
 
 
 def _tops(terms: Mapping[LWeight, int]) -> Counter:

@@ -13,6 +13,7 @@ from weylcalc import (  # noqa: E402
     LWeight,
     Multisegment,
     NotInRootLattice,
+    QChar,
     RootVector,
     Segment,
     closure,
@@ -23,7 +24,12 @@ from weylcalc import (  # noqa: E402
     dual_right,
     tau,
 )
-from weylcalc.cli import parse_lweight, parse_multisegment  # noqa: E402
+from weylcalc.cli import (  # noqa: E402
+    json_lweight,
+    json_qchar_terms,
+    parse_lweight,
+    parse_multisegment,
+)
 from helpers import passes_bounds  # noqa: E402
 
 PROPERTY = settings(
@@ -108,6 +114,28 @@ def lweights(draw):
 @example(LWeight.identity())
 def test_parse_lweight_inverts_str(w):
     assert parse_lweight(str(w)) == w
+
+
+def segment_order_key(w):
+    """sort_key as first written: the segments sorted, then their exponents."""
+    return tuple((seg.i, seg.j, w.exponent(seg)) for seg in sorted(w.support()))
+
+
+def render_by_segment(w):
+    """str(LWeight) as first written, from each Segment's own str."""
+    return " * ".join(f"w{seg}^{w.exponent(seg)}" for seg in sorted(w.support())) or "1"
+
+
+@PROPERTY
+@given(st.lists(st.tuples(lweights(), st.integers(1, 3)), max_size=8))
+def test_qchar_renders_each_term_from_its_sort_key(terms):
+    q = QChar(terms)
+    ordered = sorted(q.terms().items(), key=lambda kv: segment_order_key(kv[0]))
+    assert all(w.sort_key() == segment_order_key(w) for w, _ in ordered)
+    assert str(q) == "\n".join(f"{m} * {render_by_segment(w)}" for w, m in ordered)
+    assert json_qchar_terms(q.terms()) == [
+        {"weight": json_lweight(w), "mult": m} for w, m in ordered
+    ]
 
 
 @PROPERTY

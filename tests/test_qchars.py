@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -136,6 +137,32 @@ class TestFundamental:
                 paths = enumerate_paths(seg, rank)
                 assert q.total_mass() == len(paths)
                 assert len(q) == len(paths)  # distinct weights, all mult 1
+
+
+class TestFundamentalAgainstPaths:
+    """fundamental_qchar reads corners from down-steps; path_weight is the oracle."""
+
+    def test_terms_are_the_path_weights(self):
+        for rank in range(1, 10):
+            for ln in range(1, rank + 1):
+                for i in (-3, 0, 5):
+                    seg = Segment(i, i + ln)
+                    oracle = Counter(
+                        path_weight(g, rank) for g in enumerate_paths(seg, rank)
+                    )
+                    assert fundamental_qchar(seg, rank).terms() == dict(oracle), (
+                        seg, rank)
+
+    def test_one_part_weyl_character_is_the_fundamental_one(self):
+        for rank in range(1, 6):
+            for ln in range(1, rank + 1):
+                seg = Segment(2, 2 + ln)
+                assert weyl_qchar(M((2, 2 + ln)), rank) == fundamental_qchar(seg, rank)
+
+    def test_all_degenerate_parts_give_one(self):
+        q = weyl_qchar(M((0, 0), (1, 5), (3, 3)), 3)
+        assert q == QChar.one()
+        assert str(q) == "1 * 1"
 
 
 class TestWeylQChar:
