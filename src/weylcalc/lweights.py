@@ -195,6 +195,36 @@ def compose_roots(rv: RootVector, rank: int) -> LWeight:
     return w
 
 
+def _sweep(exp: dict, rank: int, coef=None) -> list[int]:
+    """The row c[s, 0..rank+1] of decompose_into_roots at exp's last start.
+
+    Each start solves its row from the one before. At a start where exp
+    has no factor that step is the row map (x_1..x_r) -> (x_2 - x_1, ...,
+    x_r - x_1, -x_1), which has order rank + 1, so with coef None a run of
+    g empty starts is crossed in g mod (rank + 1) steps. With coef a dict,
+    every start is swept and its nonzero coefficients go into coef. Either
+    way a run entered with a zero row is skipped, since it stays zero.
+    """
+    starts = sorted({i for i, _ in exp})
+    prev = [0] * (rank + 2)  # c[s-1,d] for d = 0..rank+1; both ends stay 0
+    for s, nxt in zip(starts, starts[1:] + [starts[-1] + 1]):
+        empty = nxt - s - 1
+        if coef is None:
+            empty %= rank + 1
+        for t in range(s, s + 1 + empty):
+            if t > s and not any(prev):
+                break
+            row = [0] * (rank + 2)
+            for d in range(1, rank + 1):
+                c = exp.get((t, t + d), 0) - prev[d] + prev[d + 1] + row[d - 1]
+                if c:
+                    row[d] = c
+                    if coef is not None:
+                        coef[Segment(t, t + d)] = c
+            prev = row
+    return prev
+
+
 def decompose_into_roots(w: LWeight, rank: int) -> RootVector:
     """Write w as an integer combination of roots, or raise NotInRootLattice.
 
@@ -204,29 +234,21 @@ def decompose_into_roots(w: LWeight, rank: int) -> RootVector:
     1 <= d <= rank: one equation per non-degenerate generator and one
     unknown per root. Rows before the first start of w's support are 0,
     and sweeping s up to the last start, d from 1 to rank inside each s,
-    solves the rest exactly. Past the last start every exponent is 0 and
-    the row map (x_1..x_r) -> (x_2 - x_1, ..., x_r - x_1, -x_1) is
-    invertible, so c has finite support iff the last row is 0. Since
-    compose_roots never yields a factor of any other length, w is in the
-    lattice iff every factor has length in 1..rank and the last row is 0.
+    solves the rest exactly (see _sweep). Past the last start every
+    exponent is 0 and the row map is invertible, so c has finite support
+    iff the last row is 0. Since compose_roots never yields a factor of any
+    other length, w is in the lattice iff every factor has length in
+    1..rank and the last row is 0. That is decided first, crossing gaps
+    between starts in O(rank) rows; only a member is swept start by start
+    to list its coefficients.
     """
     exp = w.exponents()
     if not exp:
         return RootVector()
-    coef: dict[Segment, int] = {}
-    prev = [0] * (rank + 2)  # c[s-1,d] for d = 0..rank+1; both ends stay 0
-    if all(1 <= seg.length <= rank for seg in exp):
-        starts = [seg.i for seg in exp]
-        for s in range(min(starts), max(starts) + 1):
-            row = [0] * (rank + 2)
-            for d in range(1, rank + 1):
-                c = exp.get((s, s + d), 0) - prev[d] + prev[d + 1] + row[d - 1]
-                if c:
-                    row[d] = c
-                    coef[Segment(s, s + d)] = c
-            prev = row
-        if not any(prev):
-            return RootVector._wrap(coef)
+    if all(1 <= seg.length <= rank for seg in exp) and not any(_sweep(exp, rank)):
+        coef: dict[Segment, int] = {}
+        _sweep(exp, rank, coef)
+        return RootVector._wrap(coef)
     raise NotInRootLattice(f"{w} is not in the root lattice at rank {rank}")
 
 

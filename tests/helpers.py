@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from weylcalc import Multisegment, Segment, sort_plus, swap, tau
+from weylcalc import Multisegment, RootVector, Segment, sort_plus, swap, tau
 from weylcalc.closures import _below
 
 
@@ -160,3 +160,38 @@ def passes_bounds(seed, cand, rank):
         and all(0 <= c[1] - c[0] <= rank + 1 for c in cand)
         and _below(sort_plus(seed), lefts)
     )
+
+
+def below_by_sorting(seed, lefts):
+    """Test (b) as first written: sort both prefixes at every block end.
+
+    The oracle for closures._below, which keeps its counts across blocks.
+    """
+    r = len(seed)
+    return all(
+        all(a <= b for a, b in zip(sorted(lefts[:t], reverse=True),
+                                   sorted((p.i for p in seed[:t]), reverse=True)))
+        for t in range(1, r + 1) if t == r or seed[t].j != seed[t - 1].j
+    )
+
+
+def sweep_roots(w, rank):
+    """decompose_into_roots swept start by start, or None outside the lattice.
+
+    The oracle for the gap crossing: every start between the first and the
+    last factor is solved row by row, as the equations are written.
+    """
+    exp = w.exponents()
+    if not all(1 <= seg.length <= rank for seg in exp):
+        return None
+    coef, prev = {}, [0] * (rank + 2)
+    starts = [seg.i for seg in exp]
+    for s in range(min(starts, default=0), max(starts, default=-1) + 1):
+        row = [0] * (rank + 2)
+        for d in range(1, rank + 1):
+            c = exp.get(Segment(s, s + d), 0) - prev[d] + prev[d + 1] + row[d - 1]
+            row[d] = c
+            if c:
+                coef[Segment(s, s + d)] = c
+        prev = row
+    return None if any(prev) else RootVector(coef)

@@ -91,7 +91,7 @@ class TestRun:
 
     def test_hom_on_a_long_tuple(self, capsys):
         # 1,100 j-blocks of one part: past the recursion limit of a search
-        # that recursed per block, and (b) sorts a longer prefix at each end
+        # that recursed per block
         t = "".join(f"[{k - 1},{k}]" for k in range(1100, 0, -1))
         assert run(["hom", "--rank", "1100", t, t]) == 0
         assert capsys.readouterr().out == "1\n"
@@ -121,6 +121,12 @@ class TestRun:
     def test_alpha_decompose(self, capsys):
         assert run(["alpha-decompose", "--rank", "2", str(alpha(0, 2, 2))]) == 0
         assert capsys.readouterr().out == "a[0,2]^1\n"
+
+    def test_alpha_decompose_crosses_a_huge_gap(self, capsys):
+        # a billion empty starts between the factors, crossed in O(rank)
+        w = "w[0,1]^1 * w[1000000000,1000000001]^-1"
+        assert run(["alpha-decompose", "--rank", "2", w]) == 0
+        assert capsys.readouterr().out == "not-in-root-lattice\n"
 
     def test_alpha_decompose_miss_is_not_an_error(self, capsys):
         assert run(["alpha-decompose", "--rank", "2", "w[0,1]^1"]) == 0

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import sweep_roots
 
 from weylcalc import (
     InvalidRoot,
@@ -145,6 +146,56 @@ def test_decompose_brute_force_cross_check():
     for _ in range(80):
         rv = RootVector({s: rng.randint(-2, 2) for s in roots})
         assert decompose_into_roots(compose_roots(rv, rank), rank) == rv
+
+
+def test_empty_start_row_map_has_order_rank_plus_one():
+    # between starts the sweep applies (x_1..x_r) -> (x_2-x_1, ..., x_r-x_1, -x_1)
+    def step(x):
+        return [b - x[0] for b in x[1:]] + [-x[0]]
+
+    for rank in range(1, 10):
+        for k in range(rank):
+            x = [int(d == k) for d in range(rank)]
+            y = x
+            for n in range(1, rank + 2):
+                y = step(y)
+                assert (y == x) == (n == rank + 1), (rank, k, n)
+
+
+def test_decompose_matches_the_start_by_start_sweep():
+    # lattice elements and near misses whose factors sit a few starts apart,
+    # so gaps of every residue mod rank + 1 are crossed
+    rng = random.Random(20261018)
+    hits = misses = 0
+    for _ in range(1500):
+        rank = rng.randint(1, 5)
+        cells = {}
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(-2, 2) + rng.choice([0, rng.randint(0, 3 * rank + 4)])
+            cells[Segment(i, i + rng.randint(1, rank))] = rng.choice([-2, -1, 1, 2])
+        weight = LWeight(cells)
+        if rng.random() < 0.4:
+            weight = compose_roots(RootVector(cells), rank)
+        if rng.random() < 0.3:
+            i = rng.randint(-2, 12)
+            weight = weight * w(i, i + rng.randint(1, rank), rng.choice([-1, 1]))
+        oracle = sweep_roots(weight, rank)
+        if oracle is None:
+            misses += 1
+            with pytest.raises(NotInRootLattice):
+                decompose_into_roots(weight, rank)
+        else:
+            hits += 1
+            assert decompose_into_roots(weight, rank) == oracle, (weight, rank)
+    assert hits > 300 and misses > 300, (hits, misses)
+
+
+def test_decompose_skips_a_gap_with_a_zero_row():
+    far = 10**9
+    weight = alpha(0, 1, 2) * alpha(far, far + 2, 2)
+    assert decompose_into_roots(weight, 2) == RootVector(
+        {Segment(0, 1): 1, Segment(far, far + 2): 1}
+    )
 
 
 class TestDominance:
