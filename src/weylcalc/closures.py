@@ -120,13 +120,35 @@ def _below(seed: Multisegment, lefts) -> bool:
     of lefts has no more entries >= a than that of the seed: a pointwise
     bound on the sorted entries. This matches the breadth-first search on
     every case tried; it is not proved.
+
+    The counts run across blocks. With the values taken in decreasing
+    order, net[k] is how many more seed entries than lefts entries equal
+    the k-th value, so the prefix sums of net are the slacks of (b) at
+    each threshold. A tree of (sum, least prefix sum) pairs over net keeps
+    the least slack, and each entry updates it in O(log r).
     """
+    values = sorted({p.i for p in seed} | set(lefts), reverse=True)
+    pos = {a: k for k, a in enumerate(values)}
+    size = 1 << len(values).bit_length()
+    tot, low = [0] * (2 * size), [0] * (2 * size)
+
+    def add(a, v):
+        i = size + pos[a]
+        tot[i] += v
+        low[i] = min(0, tot[i])
+        while i > 1:
+            i >>= 1
+            tot[i] = tot[2 * i] + tot[2 * i + 1]
+            low[i] = min(low[2 * i], tot[2 * i] + low[2 * i + 1])
+
     r = len(seed)
-    return all(
-        all(a <= b for a, b in zip(sorted(lefts[:t], reverse=True),
-                                   sorted((p.i for p in seed[:t]), reverse=True)))
-        for t in range(1, r + 1) if t == r or seed[t].j != seed[t - 1].j
-    )
+    for t in range(r):
+        if lefts[t] != seed[t].i:
+            add(seed[t].i, 1)
+            add(lefts[t], -1)
+        if (t == r - 1 or seed[t + 1].j != seed[t].j) and low[1] < 0:
+            return False
+    return True
 
 
 def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:

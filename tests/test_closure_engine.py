@@ -13,7 +13,7 @@ import random
 from itertools import permutations
 
 import pytest
-from helpers import passes_bounds
+from helpers import below_by_sorting, passes_bounds
 
 from weylcalc import (
     InvalidSegment,
@@ -28,6 +28,7 @@ from weylcalc import (
     weight_of,
     weyl_dominant_weights,
 )
+from weylcalc.closures import _below
 
 
 def M(*pairs):
@@ -152,6 +153,29 @@ def test_dense_seeds_decide_without_the_closure():
     assert hom_dim(nested, dst, 2 * r - 1) == 1
     assert hom_dim(dst, nested, 2 * r - 1) == 0
     assert socle(dst, span(dst)) == [SocleSummand(weight_of(nested, span(dst)), nested)]
+
+
+def test_below_matches_sorting_every_prefix():
+    # the running counts of _below against sorting both prefixes at every
+    # block end, on rearrangements of plus-sorted seeds with many ties
+    rng = random.Random(6005)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        ms, _ = random_seed(rng, max_parts=8)
+        seed = sort_plus(ms)
+        lefts = [p.i for p in seed]
+        rng.shuffle(lefts)
+        got = _below(seed, lefts)
+        assert got == below_by_sorting(seed, lefts), (seed, lefts)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
+def test_hom_on_a_long_chain():
+    # 3,000 one-part blocks: each block end costs its block, not its prefix
+    r = 3000
+    chain = Multisegment(Segment(k, k + 1) for k in range(r - 1, -1, -1))
+    assert hom_dim(chain, chain, r) == 1
 
 
 class TestErrorsUnchanged:
