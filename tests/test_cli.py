@@ -90,10 +90,11 @@ class TestRun:
         assert capsys.readouterr().out == "1\n"
 
     def test_hom_on_a_long_tuple(self, capsys):
-        # 1,100 j-blocks of one part: past the recursion limit of a search
-        # that recursed per block
-        t = "".join(f"[{k - 1},{k}]" for k in range(1100, 0, -1))
-        assert run(["hom", "--rank", "1100", t, t]) == 0
+        # 3,000 j-blocks of one part: past the recursion limit of a search
+        # that recursed per block, and linear only if test (b) keeps its
+        # counts across block ends
+        t = "".join(f"[{k - 1},{k}]" for k in range(3000, 0, -1))
+        assert run(["hom", "--rank", "3000", t, t]) == 0
         assert capsys.readouterr().out == "1\n"
 
     def test_closed_predicate(self, capsys):

@@ -171,13 +171,6 @@ def test_below_matches_sorting_every_prefix():
     assert min(verdicts.values()) > 300, verdicts
 
 
-def test_hom_on_a_long_chain():
-    # 3,000 one-part blocks: each block end costs its block, not its prefix
-    r = 3000
-    chain = Multisegment(Segment(k, k + 1) for k in range(r - 1, -1, -1))
-    assert hom_dim(chain, chain, r) == 1
-
-
 class TestErrorsUnchanged:
     def test_hom_weighs_the_source_first(self):
         with pytest.raises(InvalidSegment, match=r"\[0,5\]"):

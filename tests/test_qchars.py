@@ -159,11 +159,6 @@ class TestFundamentalAgainstPaths:
                 seg = Segment(2, 2 + ln)
                 assert weyl_qchar(M((2, 2 + ln)), rank) == fundamental_qchar(seg, rank)
 
-    def test_all_degenerate_parts_give_one(self):
-        q = weyl_qchar(M((0, 0), (1, 5), (3, 3)), 3)
-        assert q == QChar.one()
-        assert str(q) == "1 * 1"
-
 
 class TestWeylQChar:
     def test_square_frozen(self):
@@ -182,6 +177,7 @@ class TestWeylQChar:
         lhs = weyl_qchar(M((0, 1), (0, 3)), 2)
         assert lhs == fundamental_qchar(Segment(0, 1), 2)
         assert weyl_qchar(M((0, 3)), 2) == QChar.one()
+        assert str(weyl_qchar(M((0, 0), (1, 5), (3, 3)), 3)) == "1 * 1"
 
     def test_dominant_part_matches_closure_weights(self):
         q = weyl_qchar(GOLDEN := M((0, 6), (2, 7), (1, 8)), 6)
