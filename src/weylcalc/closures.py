@@ -11,7 +11,6 @@ from .errors import PreconditionViolated
 from .multisegments import (
     Multisegment,
     connected,
-    crosses,
     in_plus_order,
     is_doubly_sorted,
     span,
@@ -60,36 +59,37 @@ def _left_closure(seed: Multisegment, rank: int):
     Both moves swap the left endpoints of two parts: tau_{m,l} when they
     are connected, a swap when j_m == j_l. So every state is a permutation
     of the seed's left endpoints set against its fixed right endpoints.
+    With those fixed, a pair h, k with j_h > j_k crosses iff its left
+    endpoints fall in the window j_h - rank - 1 <= i_k < i_h <= j_k (see
+    connected); a pair whose js are rank + 1 or more apart never does. The
+    windows and the equal-j pairs are listed once, and a state is closed
+    iff it hits no window.
     """
     for p in seed:
         check_valid(p, rank)
     js = tuple(p.j for p in seed)
-    r = len(seed)
-    pairs = [
-        (m, l, js[m], js[l]) for m in range(r) for l in range(m + 1, r)
-    ]
+    windows, ties = [], []
+    for m, l in combinations(range(len(seed)), 2):
+        h, k = (m, l) if js[m] > js[l] else (l, m)
+        if js[m] == js[l]:
+            ties.append((m, l))
+        elif js[h] - js[k] <= rank:
+            windows.append((h, k, js[h] - rank - 1, js[k]))
     start = tuple(p.i for p in seed)
     seen = {start}
     order = [start]
     closed = set()
     for cur in order:  # breadth first: order grows while it is walked
-        crossed = False
-        for m, l, jm, jl in pairs:
-            im, il = cur[m], cur[l]
-            if jm != jl:
-                if not crosses(im, jm, il, jl, rank):
-                    continue
-                crossed = True
-            elif im == il:
-                continue
+        moves = [(h, k) for h, k, lo, hi in windows if lo <= cur[k] < cur[h] <= hi]
+        if not moves:
+            closed.add(cur)
+        for m, l in moves + ties:
             nxt = list(cur)
-            nxt[m], nxt[l] = il, im
+            nxt[m], nxt[l] = cur[l], cur[m]
             nxt = tuple(nxt)
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
-        if not crossed:
-            closed.add(cur)
     return js, order, closed
 
 
@@ -206,29 +206,27 @@ def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:
 def canonical_closed(ms: Multisegment, rank: int) -> Multisegment:
     """The closed element reachable from a doubly sorted tuple.
 
-    Assigns to each position p (taken from r down to 1) the smallest
-    unused source position s with i_s <= j_p, then pairs that left
-    endpoint with j_p. Requires rank >= span(ms) and both endpoint
+    At rank >= span the lower end of connected's window never binds, so
+    parts h, k with j_h > j_k are connected iff i_k < i_h <= j_k. Taken by
+    increasing j, each right endpoint takes the largest unused left
+    endpoint <= j: the top of a stack onto which the left endpoints are
+    pushed in increasing order once they are <= j. A later part never gets
+    a left endpoint in (i_k, j_k], since k would have taken it, so the
+    result is closed. Requires rank >= span(ms) and both endpoint
     sequences weakly decreasing.
     """
-    r = len(ms)
     if not is_doubly_sorted(ms):
         raise PreconditionViolated("canonical_closed needs a doubly sorted tuple")
     if rank < span(ms):
         raise PreconditionViolated(
             f"canonical_closed needs rank >= span = {span(ms)}, got {rank}"
         )
-    sigma: dict[int, int] = {}
-    used: set[int] = set()
-    for p in range(r, 0, -1):
-        s = min(
-            s for s in range(1, r + 1) if s not in used and ms[s - 1].i <= ms[p - 1].j
-        )
-        sigma[p] = s
-        used.add(s)
-    return Multisegment(
-        Segment(ms[sigma[p] - 1].i, ms[p - 1].j) for p in range(1, r + 1)
-    )
+    lefts, stack, out = [p.i for p in ms], [], []
+    for p in reversed(ms):
+        while lefts and lefts[-1] <= p.j:
+            stack.append(lefts.pop())
+        out.append(Segment(stack.pop(), p.j))
+    return Multisegment(reversed(out))
 
 
 def dominant_ancestor(ms: Multisegment, rank: int) -> Multisegment:

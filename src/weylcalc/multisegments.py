@@ -39,27 +39,17 @@ def weight_of(ms: Multisegment, rank: int) -> LWeight:
     return LWeight((p, 1) for p in ms if not is_degenerate(p, rank))
 
 
-def crosses(ai: int, aj: int, bi: int, bj: int, rank: int) -> bool:
-    """The connectedness test of [ai, aj] and [bi, bj] on bare endpoints.
-
-    True iff one pair of endpoints interleaves strictly on the left and
-    weakly in the middle (bi < ai <= bj < aj or the mirror image) and
-    the union spans at most rank + 1.
-    """
-    if bi < ai <= bj < aj:
-        return aj - bi <= rank + 1
-    if ai < bi <= aj < bj:
-        return bj - ai <= rank + 1
-    return False
-
-
 def connected(a: Segment, b: Segment, rank: int) -> bool:
     """Whether two segments cross properly within the rank's reach.
 
-    See crosses for the condition. Symmetric and invariant under
-    simultaneous translation.
+    Name the pair so that j_h > j_k. Then h and k are connected iff their
+    left endpoints fall in the window j_h - rank - 1 <= i_k < i_h <= j_k:
+    k starts first, h starts before k ends, and the union [i_k, j_h]
+    spans at most rank + 1. Parts with equal j are never connected.
+    Symmetric and invariant under simultaneous translation.
     """
-    return crosses(a.i, a.j, b.i, b.j, rank)
+    h, k = (b, a) if a.j < b.j else (a, b)
+    return h.j - rank - 1 <= k.i < h.i <= k.j < h.j
 
 
 def _check_index(r: int, p: int, name: str = "index") -> None:

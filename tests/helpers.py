@@ -8,8 +8,22 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
-from weylcalc import Multisegment, RootVector, Segment, sort_plus, swap, tau
+from weylcalc import (
+    Multisegment,
+    RootVector,
+    Segment,
+    closure,
+    hom_dim,
+    socle,
+    sort_plus,
+    span,
+    swap,
+    tau,
+    weyl_dominant_part,
+    weyl_dominant_weights,
+)
 from weylcalc.closures import _below
 
 
@@ -144,6 +158,38 @@ def block_permutations(ms):
     return out
 
 
+def crosses(ai, aj, bi, bj, rank):
+    """The crossing rule as first written, on bare endpoints, two branches.
+
+    The oracle for multisegments.connected, which states it as one window.
+    """
+    if bi < ai <= bj < aj:
+        return aj - bi <= rank + 1
+    if ai < bi <= aj < bj:
+        return bj - ai <= rank + 1
+    return False
+
+
+def canonical_closed_by_min_search(ms):
+    """canonical_closed as first written: an O(r^2) search per position.
+
+    Assigns to each position p (taken from r down to 1) the smallest
+    unused source position s with i_s <= j_p, then pairs that left
+    endpoint with j_p. The oracle for closures.canonical_closed.
+    """
+    r = len(ms)
+    sigma, used = {}, set()
+    for p in range(r, 0, -1):
+        s = min(
+            s for s in range(1, r + 1) if s not in used and ms[s - 1].i <= ms[p - 1].j
+        )
+        sigma[p] = s
+        used.add(s)
+    return Multisegment(
+        Segment(ms[sigma[p] - 1].i, ms[p - 1].j) for p in range(1, r + 1)
+    )
+
+
 def passes_bounds(seed, cand, rank):
     """Membership test (a)+(b) on plain pairs; (b) is closures._below.
 
@@ -195,3 +241,61 @@ def sweep_roots(w, rank):
                 coef[Segment(s, s + d)] = c
         prev = row
     return None if any(prev) else RootVector(coef)
+
+
+def box_tuples(max_rank, window, parts):
+    """(ms, rank) for every tuple of the box, ranks 1..max_rank.
+
+    The box holds every plus-sorted multiset of at most `parts` segments
+    valid at the rank, inside [0, window], with least left endpoint 0.
+    Translation moves any tuple to least left endpoint 0, so the box
+    covers every tuple of its shape up to translation.
+    """
+    for rank in range(1, max_rank + 1):
+        segs = [Segment(i, j) for i in range(window + 1)
+                for j in range(i, min(window, i + rank + 1) + 1)]
+        for n in range(1, parts + 1):
+            for combo in itertools.combinations_with_replacement(segs, n):
+                if min(p.i for p in combo) == 0:
+                    yield sort_plus(Multisegment(combo)), rank
+
+
+def certify_box(max_rank, window, parts):
+    """(cases per check, failures) over box_tuples(max_rank, window, parts).
+
+    Each tuple checks the conjectures that the closure-free paths rest on
+    against the closure and the oracles here:
+    - members: closure members equal move_saturate's;
+    - bounds: test (a)+(b) on every rearrangement of the left endpoints
+      agrees with `in`;
+    - one orbit and socle, at rank >= span: one closed orbit, and socle's
+      representative is it;
+    - dominant support: weyl_dominant_weights is the support of
+      weyl_dominant_part (the dominant weights are the closure's);
+    - hom: hom_dim(member, seed) is 1 for every member.
+    A failure is recorded as (check, ms, rank).
+    """
+    cases, failures = Counter(), []
+
+    def check(name, ok):  # reads the loop's ms and rank
+        cases[name] += 1
+        if not ok:
+            failures.append((name, ms, rank))
+
+    for ms, rank in box_tuples(max_rank, window, parts):
+        cases["tuples"] += 1
+        cs = closure(ms, rank)
+        check("members", set(cs.members) == move_saturate(ms, rank))
+        for lefts in set(itertools.permutations(p.i for p in ms)):
+            # plain pairs, since some rearrangements are not segments
+            cand = tuple((a, p.j) for a, p in zip(lefts, ms))
+            check("bounds", passes_bounds(ms, cand, rank) == (cand in cs))
+        if rank >= span(ms):
+            check("one orbit", len(cs.orbit_representatives) == 1)
+            reps = [s.representative for s in socle(ms, rank)]
+            check("socle", reps == list(cs.orbit_representatives))
+        check("dominant support",
+              weyl_dominant_weights(ms, rank) == set(weyl_dominant_part(ms, rank)))
+        for t in cs.members:
+            check("hom", hom_dim(t, ms, rank) == 1)
+    return cases, failures

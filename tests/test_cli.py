@@ -92,10 +92,14 @@ class TestRun:
     def test_hom_on_a_long_tuple(self, capsys):
         # 3,000 j-blocks of one part: past the recursion limit of a search
         # that recursed per block, and linear only if test (b) keeps its
-        # counts across block ends
+        # counts across block ends; socle at rank >= span is linear only if
+        # its canonical closed element takes each left endpoint off a stack
         t = "".join(f"[{k - 1},{k}]" for k in range(3000, 0, -1))
         assert run(["hom", "--rank", "3000", t, t]) == 0
         assert capsys.readouterr().out == "1\n"
+        assert run(["socle", "--rank", "3000", t]) == 0
+        closed = "[0,3000]" + "".join(f"[{k},{k}]" for k in range(2999, 0, -1))
+        assert capsys.readouterr().out == f"w[0,3000]^1\t{closed}\n"
 
     def test_closed_predicate(self, capsys):
         assert run(["closed", "--rank", "6", "[2,6][0,7][1,8]"]) == 0

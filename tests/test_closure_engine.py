@@ -6,14 +6,14 @@ the dominant ancestor) and the integer weigher of `weyl_dominant_weights`
 each rest on a conjecture checked by search. Here they are compared with
 forms built from `closure(...).members`, on seeded random seeds:
 plus-sorted and unsorted, with ties in i and in j, at ranks below and
-above the span.
+above the span; and on every tuple of a small box (`helpers.certify_box`).
 """
 
 import random
 from itertools import permutations
 
 import pytest
-from helpers import below_by_sorting, passes_bounds
+from helpers import below_by_sorting, certify_box, passes_bounds
 
 from weylcalc import (
     InvalidSegment,
@@ -67,6 +67,14 @@ def test_membership_test_matches_closure_members():
             cand = tuple((a, p.j) for a, p in zip(lefts, ms))
             assert passes_bounds(ms, cand, rank) == (cand in members), (ms, rank, cand)
     assert below > 50 and above > 50
+
+
+def test_every_tuple_of_a_small_box_passes_the_certificate():
+    # ranks 1..3, window [0, 4], at most 3 parts; tests/certify_box.py
+    # runs the same checks on larger boxes
+    cases, failures = certify_box(3, 4, 3)
+    assert failures == []
+    assert cases["tuples"] == 1159 and cases["one orbit"] == 796
 
 
 def test_membership_is_exact_and_rejects_other_shapes():

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     block_permutations,
+    canonical_closed_by_min_search,
     move_saturate,
     random_doubly_sorted,
     random_multisegment,
@@ -184,7 +185,7 @@ class TestCanonicalClosed:
 
     def test_produces_the_unique_orbit(self):
         rng = random.Random(55)
-        seen = 0
+        seen = tied = 0
         while seen < 80:
             ms = random_doubly_sorted(rng)
             rank = span(ms) + rng.randint(1, 3)
@@ -194,9 +195,13 @@ class TestCanonicalClosed:
             cs = closure(ms, rank)
             assert len(cs.orbit_representatives) == 1
             cc = canonical_closed(ms, rank)
+            assert cc == canonical_closed_by_min_search(ms)
             assert is_closed(cc, rank)
             assert cc in cs
             assert sort_plus(cc) == cs.orbit_representatives[0]
+            ends = [p.i for p in ms] + [p.j for p in ms]
+            tied += len(set(ends)) < len(ends)
+        assert tied >= 30
 
 
 class TestDominantAncestor:

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import random_multisegment, random_segment
+from helpers import crosses, random_multisegment, random_segment
 
 from weylcalc import (
     IndexOutOfRange,
@@ -86,6 +87,28 @@ class TestConnected:
         assert connected(Segment(2, 3), Segment(1, 2), 1)
         assert connected(Segment(1, 2), Segment(2, 3), 1)
         assert not connected(Segment(1, 3), Segment(0, 1), 1)  # span 3 over cap
+
+    def test_window_matches_the_two_branch_rule(self):
+        # the oracle is the rule as first written, on bare endpoints; the
+        # draws cover equal j, equal i, and interleaved pairs whose union
+        # is exactly rank + 1 (connected) or rank + 2 (not)
+        rng = random.Random(68)
+        seen = Counter()
+        for _ in range(20000):
+            rank = rng.randint(1, 6)
+            ai, bi = rng.randint(-4, 4), rng.randint(-4, 4)
+            aj, bj = ai + rng.randint(0, rank + 2), bi + rng.randint(0, rank + 2)
+            want = crosses(ai, aj, bi, bj, rank)
+            assert connected(Segment(ai, aj), Segment(bi, bj), rank) == want
+            assert connected(Segment(bi, bj), Segment(ai, aj), rank) == want
+            interleaved = bi < ai <= bj < aj or ai < bi <= aj < bj
+            union = max(aj, bj) - min(ai, bi)
+            seen["connected"] += want
+            seen["equal j"] += aj == bj
+            seen["equal i"] += ai == bi
+            seen["union rank + 1"] += interleaved and union == rank + 1
+            seen["union rank + 2"] += interleaved and union == rank + 2
+        assert min(seen.values()) >= 300, seen
 
 
 class TestTau:
