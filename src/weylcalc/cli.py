@@ -165,8 +165,7 @@ _RESULT = (str, lambda ms: {"result": json_multisegment(ms)})
 
 COMMANDS = (
     Command("closure", "saturate a tuple; members one per line", _ONE_MS,
-            lambda a, ms: closure(ms, a.rank),
-            (lambda cs: _lines(cs.members), _closure_json)),
+            lambda a, ms: closure(ms, a.rank), (str, _closure_json)),
     Command("closed", "whether a tuple admits no crossing move", _ONE_MS,
             lambda a, ms: is_closed(ms, a.rank), _truth("closed")),
     Command("socle", "socle summand weights with orbit representatives", _ONE_MS,
@@ -182,9 +181,10 @@ COMMANDS = (
             (str, lambda d: {"hom_dim": d})),
     Command("dominant-weights", "dominant l-weight support of a standard module",
             _ONE_MS,
-            lambda a, ms: sorted(weyl_dominant_weights(ms, a.rank),
-                                 key=LWeight.sort_key),
-            (_lines, lambda ws: {"weights": [json_lweight(w) for w in ws]})),
+            lambda a, ms: sorted(w.sort_key()
+                                 for w in weyl_dominant_weights(ms, a.rank)),
+            (lambda keys: "\n".join(map(LWeight._format, keys)),
+             lambda keys: {"weights": list(map(_json_factors, keys))})),
     Command("qchar", "full q-character multiset", _ONE_MS,
             lambda a, ms: weyl_qchar(ms, a.rank), _QCHAR),
     Command("dominant", "dominant part of the q-character", _ONE_MS,

@@ -24,16 +24,40 @@ from .segments import Segment, check_valid, is_degenerate
 class ClosureSet:
     """The saturation of a seed tuple at a fixed rank.
 
-    members are sorted lexicographically; closed_members is the subset
-    with no connected pair; orbit_representatives are the distinct
-    sort_plus forms of the closed members, sorted.
+    Every member sets a permutation of the seed's left endpoints against
+    its right endpoints js, so the closure is held as left tuples: lefts
+    sorted (the members' lexicographic order) and closed_lefts, those with
+    no connected pair. members, closed_members and orbit_representatives
+    (the distinct sort_plus forms of the closed members, sorted) are built
+    on first use; str renders the members one per line without them.
     """
 
     rank: int
     seed: Multisegment
-    members: tuple[Multisegment, ...]
-    closed_members: tuple[Multisegment, ...]
-    orbit_representatives: tuple[Multisegment, ...]
+    js: tuple[int, ...]
+    lefts: tuple[tuple[int, ...], ...]
+    closed_lefts: tuple[tuple[int, ...], ...]
+
+    def _build(self, lefts) -> tuple[Multisegment, ...]:
+        # A move keeps every part valid (a connected pair's union spans at
+        # most rank + 1), so members skip Multisegment's part check.
+        segs = _segments(self.js, self.lefts)
+        return tuple(
+            tuple.__new__(Multisegment, [segs[p] for p in zip(a, self.js)])
+            for a in lefts
+        )
+
+    @cached_property
+    def members(self) -> tuple[Multisegment, ...]:
+        return self._build(self.lefts)
+
+    @cached_property
+    def closed_members(self) -> tuple[Multisegment, ...]:
+        return self._build(self.closed_lefts)
+
+    @cached_property
+    def orbit_representatives(self) -> tuple[Multisegment, ...]:
+        return tuple(sorted({sort_plus(t) for t in self.closed_members}))
 
     @cached_property
     def _member_set(self) -> frozenset:
@@ -43,7 +67,11 @@ class ClosureSet:
         return ms in self._member_set
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.lefts)
+
+    def __str__(self) -> str:
+        row = "".join(f"[%d,{j}]" for j in self.js)
+        return "\n".join(map(row.__mod__, self.lefts))
 
 
 def is_closed(ms: Multisegment, rank: int) -> bool:
@@ -186,16 +214,7 @@ def closure(ms: Multisegment, rank: int) -> ClosureSet:
     """Saturation under all crossing moves and equal-j swaps; see _left_closure."""
     seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
     js, order, closed = _left_closure(seed, rank)
-    # A move keeps every part valid (a connected pair's union spans at most
-    # rank + 1), so members skip Multisegment's part check.
-    segs = _segments(js, order)
-    lefts = sorted(order)
-    members = tuple(
-        tuple.__new__(Multisegment, [segs[p] for p in zip(a, js)]) for a in lefts
-    )
-    closed_members = tuple(t for t, a in zip(members, lefts) if a in closed)
-    reps = tuple(sorted({sort_plus(t) for t in closed_members}))
-    return ClosureSet(rank, seed, members, closed_members, reps)
+    return ClosureSet(rank, seed, js, tuple(sorted(order)), tuple(sorted(closed)))
 
 
 def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:

@@ -16,11 +16,13 @@ from weylcalc import (
     Segment,
     closure,
     hom_dim,
+    is_closed,
     socle,
     sort_plus,
     span,
     swap,
     tau,
+    weight_of,
     weyl_dominant_part,
     weyl_dominant_weights,
 )
@@ -272,7 +274,12 @@ def certify_box(max_rank, window, parts):
       representative is it;
     - dominant support: weyl_dominant_weights is the support of
       weyl_dominant_part (the dominant weights are the closure's);
-    - hom: hom_dim(member, seed) is 1 for every member.
+    - hom: hom_dim(member, seed) is 1 for every member;
+    - hom near miss: for every rearrangement that forms valid segments but
+      is not a member, hom_dim(near miss, seed) is 1 iff its weight is one
+      of the closure's;
+    - render and closed: str(cs) is the members one per line, and
+      closed_members are the members that pass is_closed, in member order.
     A failure is recorded as (check, ms, rank).
     """
     cases, failures = Counter(), []
@@ -285,17 +292,24 @@ def certify_box(max_rank, window, parts):
     for ms, rank in box_tuples(max_rank, window, parts):
         cases["tuples"] += 1
         cs = closure(ms, rank)
+        weights = weyl_dominant_weights(ms, rank)
         check("members", set(cs.members) == move_saturate(ms, rank))
+        check("render", str(cs) == "\n".join(map(str, cs.members)))
+        check("closed", list(cs.closed_members)
+              == [t for t in cs.members if is_closed(t, rank)])
         for lefts in set(itertools.permutations(p.i for p in ms)):
             # plain pairs, since some rearrangements are not segments
             cand = tuple((a, p.j) for a, p in zip(lefts, ms))
             check("bounds", passes_bounds(ms, cand, rank) == (cand in cs))
+            if cand not in cs and all(0 <= j - a <= rank + 1 for a, j in cand):
+                near = Multisegment(Segment(a, j) for a, j in cand)
+                check("hom near miss", hom_dim(near, ms, rank)
+                      == (weight_of(near, rank) in weights))
         if rank >= span(ms):
             check("one orbit", len(cs.orbit_representatives) == 1)
             reps = [s.representative for s in socle(ms, rank)]
             check("socle", reps == list(cs.orbit_representatives))
-        check("dominant support",
-              weyl_dominant_weights(ms, rank) == set(weyl_dominant_part(ms, rank)))
+        check("dominant support", weights == set(weyl_dominant_part(ms, rank)))
         for t in cs.members:
             check("hom", hom_dim(t, ms, rank) == 1)
     return cases, failures

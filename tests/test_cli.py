@@ -69,6 +69,19 @@ class TestRun:
         assert run(["closure", "--rank", "6", "[0,6][2,7][1,8]"]) == 0
         assert capsys.readouterr().out == "[0,6][2,7][1,8]\n[2,6][0,7][1,8]\n"
 
+    @pytest.mark.parametrize("rank, seed, text", [
+        (3, "[-2,0][-3,-1]", "[-3,0][-2,-1]\n[-2,0][-3,-1]"),
+        # equal j, with the degenerate part [1,1]
+        (2, "[1,1][-1,1]", "[-1,1][1,1]\n[1,1][-1,1]"),
+    ])
+    def test_closure_text_renders_each_member_part_by_part(
+        self, capsys, rank, seed, text
+    ):
+        assert run(["closure", "--rank", str(rank), seed]) == 0
+        assert capsys.readouterr().out == text + "\n"
+        members = cli.closure(parse_multisegment(seed), rank).members
+        assert text == "\n".join("".join(map(str, t)) for t in members)
+
     def test_closure_json(self, capsys):
         assert run(["closure", "--rank", "6", "--json", "[0,6][2,7][1,8]"]) == 0
         assert json.loads(capsys.readouterr().out) == {

@@ -75,6 +75,7 @@ def test_every_tuple_of_a_small_box_passes_the_certificate():
     cases, failures = certify_box(3, 4, 3)
     assert failures == []
     assert cases["tuples"] == 1159 and cases["one orbit"] == 796
+    assert cases["hom near miss"] == 420
 
 
 def test_membership_is_exact_and_rejects_other_shapes():

@@ -86,6 +86,13 @@ class TestClosureSetApi:
         assert M((1, 6), (2, 7), (0, 8)) not in cs
         assert len(cs) == 2
 
+    def test_text_and_len_build_no_member(self):
+        cs = closure(M((-2, 0), (-3, -1), (1, 1)), 3)
+        assert str(cs) == "[-3,0][-2,-1][1,1]\n[-2,0][-3,-1][1,1]"
+        assert len(cs) == 2
+        assert "members" not in vars(cs)
+        assert str(cs) == "\n".join(map(str, cs.members))
+
     def test_members_sorted_and_consistent(self):
         rng = random.Random(51)
         for _ in range(60):
