@@ -27,7 +27,7 @@ from .errors import (
     RangeError,
     WeylcalcError,
 )
-from .lweights import LWeight, decompose_into_roots, dominance_leq
+from .lweights import LWeight, _ranked, decompose_into_roots, dominance_leq
 from .multisegments import (
     Multisegment,
     dual_left,
@@ -95,18 +95,18 @@ def json_multisegment(ms: Multisegment) -> list[list[int]]:
     return [[p.i, p.j] for p in ms]
 
 
-def _json_factors(key: tuple) -> list[dict]:
-    return [{"segment": [i, j], "exp": e} for i, j, e in key]
+def _json_factor(f: tuple) -> dict:
+    return {"segment": [f[0], f[1]], "exp": f[2]}
 
 
 def json_lweight(w) -> list[dict]:
     """Sorted factors of an LWeight or a RootVector as segment/exp records."""
-    return _json_factors(w.sort_key())
+    return list(map(_json_factor, w.sort_key()))
 
 
 def json_qchar_terms(terms: dict[LWeight, int]) -> list[dict]:
-    ordered = sorted((w.sort_key(), m) for w, m in terms.items())
-    return [{"weight": _json_factors(key), "mult": m} for key, m in ordered]
+    """Terms by sort_key, sharing one record per distinct factor."""
+    return [{"weight": fs, "mult": m} for fs, m in _ranked(terms, _json_factor)]
 
 
 class Command(NamedTuple):
@@ -160,7 +160,7 @@ def _weighed_normal_form(args, ms):
     return out, weight_of(out, args.rank)
 
 
-_QCHAR = (str, lambda q: {"terms": json_qchar_terms(q.terms())})
+_QCHAR = (str, lambda q: {"terms": json_qchar_terms(q._terms)})
 _RESULT = (str, lambda ms: {"result": json_multisegment(ms)})
 
 COMMANDS = (
@@ -180,11 +180,10 @@ COMMANDS = (
             lambda a, src, dst: hom_dim(src, dst, a.rank),
             (str, lambda d: {"hom_dim": d})),
     Command("dominant-weights", "dominant l-weight support of a standard module",
-            _ONE_MS,
-            lambda a, ms: sorted(w.sort_key()
-                                 for w in weyl_dominant_weights(ms, a.rank)),
-            (lambda keys: "\n".join(map(LWeight._format, keys)),
-             lambda keys: {"weights": list(map(_json_factors, keys))})),
+            _ONE_MS, lambda a, ms: dict.fromkeys(weyl_dominant_weights(ms, a.rank)),
+            (lambda ws: "\n".join([" * ".join(fs) or "1"
+                                   for fs, _ in _ranked(ws, LWeight._factor.__mod__)]),
+             lambda ws: {"weights": [fs for fs, _ in _ranked(ws, _json_factor)]})),
     Command("qchar", "full q-character multiset", _ONE_MS,
             lambda a, ms: weyl_qchar(ms, a.rank), _QCHAR),
     Command("dominant", "dominant part of the q-character", _ONE_MS,

@@ -8,7 +8,7 @@ base class, which gives them equality, hashing, ordering and rendering.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidRoot, NotInRootLattice
 from .segments import Segment, check_valid, is_degenerate
@@ -34,12 +34,11 @@ class _SparseVector:
     """A zero-pruned integer map keyed by Segment; treat instances as immutable.
 
     Equality and hashing are by the map, and only between instances of the
-    same concrete type. `str` renders sorted `<prefix>[i,j]^e` factors
+    same concrete type. `str` renders sorted `_factor` factors (`w[i,j]^e`)
     joined by ` * `, or `1` for the empty vector.
     """
 
     __slots__ = ("_exp", "_hash")
-    _prefix = ""
 
     def __init__(self, exponents: ExponentSource = ()):
         self._exp = _accumulate(exponents)
@@ -63,10 +62,7 @@ class _SparseVector:
     @classmethod
     def _format(cls, key: tuple) -> str:
         """The rendering of an instance whose sort_key is key."""
-        if not key:
-            return "1"
-        factor = cls._prefix + "[%s,%s]^%s"
-        return " * ".join([factor % f for f in key])
+        return " * ".join([cls._factor % f for f in key]) or "1"
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -92,7 +88,7 @@ class LWeight(_SparseVector):
     """
 
     __slots__ = ()
-    _prefix = "w"
+    _factor = "w[%s,%s]^%s"
 
     @classmethod
     def identity(cls) -> "LWeight":
@@ -136,6 +132,22 @@ class LWeight(_SparseVector):
         return LWeight._wrap({seg: e * k for seg, e in self._exp.items()} if k else {})
 
 
+def _ranked(terms: Mapping, render: Callable) -> list[tuple[list, object]]:
+    """(rendered factors, value) per item of terms, by its weight's sort_key.
+
+    Each distinct (i, j, e) triple of all the weights is rendered once, and
+    each weight is keyed by the sorted ranks of its triples. Ranking keeps
+    the order of triples, so the keys sort as the sort_keys do, a proper
+    prefix first, but as tuples of ints.
+    """
+    items = sorted({f for w in terms for f in w._exp.items()})
+    rank = {f: r for r, f in enumerate(items)}
+    table = [render((i, j, e)) for (i, j), e in items]
+    keys = [tuple(sorted(map(rank.__getitem__, w._exp.items()))) for w in terms]
+    ordered = sorted(zip(keys, terms.values()))
+    return [(list(map(table.__getitem__, k)), v) for k, v in ordered]
+
+
 def lweight_of_segment(seg: Segment, rank: int) -> LWeight:
     """Generator for a valid segment; degenerate segments give the identity."""
     check_valid(seg, rank)
@@ -152,7 +164,7 @@ class RootVector(_SparseVector):
     """
 
     __slots__ = ()
-    _prefix = "a"
+    _factor = "a[%s,%s]^%s"
 
     def __init__(self, coefficients: ExponentSource = ()):
         super().__init__(coefficients)

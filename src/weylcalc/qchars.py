@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Union
 
 from .errors import InvalidSegment, PreconditionViolated
-from .lweights import LWeight, lweight_of_segment
+from .lweights import LWeight, _ranked, lweight_of_segment
 from .multisegments import Multisegment, connected, is_doubly_sorted
 from .segments import Segment, check_valid, is_degenerate
 
@@ -24,7 +24,11 @@ TermSource = Union[Mapping[LWeight, int], Iterable[tuple[LWeight, int]]]
 
 
 class QChar:
-    """A finite multiset of l-weights with positive multiplicities."""
+    """A finite multiset of l-weights with positive multiplicities.
+
+    `str` lists the terms by sort_key, rendered from one table of their
+    distinct factors (lweights._ranked).
+    """
 
     __slots__ = ("_terms",)
 
@@ -80,8 +84,8 @@ class QChar:
         return self._terms == other._terms
 
     def __str__(self) -> str:
-        lines = sorted((w.sort_key(), m) for w, m in self._terms.items())
-        return "\n".join(f"{m} * {LWeight._format(key)}" for key, m in lines)
+        lines = _ranked(self._terms, LWeight._factor.__mod__)
+        return "\n".join([f"{m} * {' * '.join(fs) or '1'}" for fs, m in lines])
 
     def __repr__(self) -> str:
         return f"QChar({len(self._terms)} terms, mass {self.total_mass()})"

@@ -1,7 +1,11 @@
 """Property tests for the closure engine, the crossing move, the parser,
 the reflection duals and the root lattice."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from itertools import permutations
+from unittest.mock import patch
 
 import pytest
 
@@ -24,6 +28,7 @@ from weylcalc import (  # noqa: E402
     dual_right,
     tau,
 )
+from weylcalc import cli  # noqa: E402
 from weylcalc.cli import (  # noqa: E402
     json_lweight,
     json_qchar_terms,
@@ -126,8 +131,18 @@ def render_by_segment(w):
     return " * ".join(f"w{seg}^{w.exponent(seg)}" for seg in sorted(w.support())) or "1"
 
 
+def _w(*factors):
+    return LWeight({Segment(i, j): e for i, j, e in factors})
+
+
 @PROPERTY
 @given(st.lists(st.tuples(lweights(), st.integers(1, 3)), max_size=8))
+@example([(_w((0, 1, 1)), 2), (LWeight.identity(), 1), (_w((-1, 0, -1)), 3)])
+@example([(_w((0, 1, 1), (2, 3, -1)), 1), (_w((0, 1, 1)), 2)])  # a proper prefix
+@example([(_w((0, 2, 2)), 1), (_w((0, 2, 1), (1, 2, 1)), 1), (_w((0, 2, 1)), 3)])
+@example([(_w((-12, -3, -10), (10, 15, 1)), 1), (_w((-3, 10, 11)), 2),
+          (_w((-12, 4, 2)), 1)])
+@example([])
 def test_qchar_renders_each_term_from_its_sort_key(terms):
     q = QChar(terms)
     ordered = sorted(q.terms().items(), key=lambda kv: segment_order_key(kv[0]))
@@ -136,6 +151,32 @@ def test_qchar_renders_each_term_from_its_sort_key(terms):
     assert json_qchar_terms(q.terms()) == [
         {"weight": json_lweight(w), "mult": m} for w, m in ordered
     ]
+    if not terms:
+        assert (str(q), json_qchar_terms(q.terms())) == ("", [])
+
+
+def run_with_dominant_weights(weights, *flags):
+    """cli stdout for dominant-weights when the library returns weights."""
+    out = io.StringIO()
+    with patch.object(cli, "weyl_dominant_weights", lambda ms, rank: set(weights)):
+        with redirect_stdout(out):
+            assert cli.run(["dominant-weights", "--rank", "1", "[0,1]", *flags]) == 0
+    return out.getvalue()
+
+
+@PROPERTY
+@given(st.lists(lweights(), max_size=8))
+@example([LWeight.identity(), _w((0, 1, 1)), _w((0, 1, 1), (2, 3, 1))])
+@example([])
+def test_dominant_weights_render_from_sorted_sort_keys(weights):
+    # the renderers against rendering each weight from its own sort_key
+    keys = sorted({w.sort_key() for w in weights})
+    text = "\n".join(map(LWeight._format, keys))
+    assert run_with_dominant_weights(weights) == text + "\n"
+    factors = [[{"segment": [i, j], "exp": e} for i, j, e in k] for k in keys]
+    assert json.loads(run_with_dominant_weights(weights, "--json")) == {
+        "weights": factors
+    }
 
 
 @PROPERTY

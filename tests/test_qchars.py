@@ -11,6 +11,7 @@ from helpers import (
     random_multisegment,
 )
 
+from weylcalc.cli import json_qchar_terms
 from weylcalc import (
     InvalidSegment,
     LWeight,
@@ -106,6 +107,26 @@ class TestQCharAlgebra:
     def test_rendering_sorted_and_stable(self):
         q = fundamental_qchar(Segment(0, 1), 2)
         assert str(q) == "1 * w[0,1]^1\n1 * w[0,2]^1 * w[1,2]^-1\n1 * w[1,3]^-1"
+
+    @pytest.mark.parametrize("pairs, rank, size", [
+        (((0, 5),), 10, 462),
+        (((25, 27), (20, 23), (24, 25)), 5, 1800),
+    ])
+    def test_rendering_of_factor_heavy_characters_follows_sort_keys(
+        self, pairs, rank, size
+    ):
+        # the ranked factor table against rendering each term from its own
+        # sort_key, on characters whose terms carry up to 11 factors
+        q = weyl_qchar(M(*pairs), rank)
+        ordered = sorted((w.sort_key(), m) for w, m in q.terms().items())
+        assert len(ordered) == size
+        assert str(q) == "\n".join(
+            f"{m} * {LWeight._format(key)}" for key, m in ordered
+        )
+        assert json_qchar_terms(q.terms()) == [
+            {"weight": [{"segment": [i, j], "exp": e} for i, j, e in key], "mult": m}
+            for key, m in ordered
+        ]
 
 
 class TestFundamental:
