@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import PreconditionViolated
 from .multisegments import (
@@ -26,17 +26,19 @@ class ClosureSet:
 
     Every member sets a permutation of the seed's left endpoints against
     its right endpoints js, so the closure is held as left tuples: lefts
-    sorted (the members' lexicographic order) and closed_lefts, those with
-    no connected pair. members, closed_members and orbit_representatives
-    (the distinct sort_plus forms of the closed members, sorted) are built
-    on first use; str renders the members one per line without them.
+    sorted (the members' lexicographic order). closed_lefts, those with no
+    connected pair, are the search's closed states when there was one, or
+    the lefts that hit no window of _windows. closed_lefts, members,
+    closed_members and orbit_representatives (the distinct sort_plus forms
+    of the closed members, sorted) are built on first use; len and str
+    need none of them.
     """
 
     rank: int
     seed: Multisegment
     js: tuple[int, ...]
     lefts: tuple[tuple[int, ...], ...]
-    closed_lefts: tuple[tuple[int, ...], ...]
+    _closed: set | None = field(default=None, repr=False, compare=False)
 
     def _build(self, lefts) -> tuple[Multisegment, ...]:
         # A move keeps every part valid (a connected pair's union spans at
@@ -45,6 +47,16 @@ class ClosureSet:
         return tuple(
             tuple.__new__(Multisegment, [segs[p] for p in zip(a, self.js)])
             for a in lefts
+        )
+
+    @cached_property
+    def closed_lefts(self) -> tuple[tuple[int, ...], ...]:
+        if self._closed is not None:
+            return tuple(sorted(self._closed))
+        windows, _ = _windows(self.js, self.rank)
+        return tuple(
+            a for a in self.lefts
+            if not any(lo <= a[k] < a[h] <= hi for h, k, lo, hi in windows)
         )
 
     @cached_property
@@ -81,29 +93,68 @@ def is_closed(ms: Multisegment, rank: int) -> bool:
     return not any(connected(a, b, rank) for a, b in combinations(ms, 2))
 
 
-def _left_closure(seed: Multisegment, rank: int):
-    """(js, left tuples in search order, closed left tuples) of the closure.
+def _windows(js, rank):
+    """(windows, ties) of the pairs of parts with right endpoints js.
 
-    Both moves swap the left endpoints of two parts: tau_{m,l} when they
-    are connected, a swap when j_m == j_l. So every state is a permutation
-    of the seed's left endpoints set against its fixed right endpoints.
-    With those fixed, a pair h, k with j_h > j_k crosses iff its left
-    endpoints fall in the window j_h - rank - 1 <= i_k < i_h <= j_k (see
-    connected); a pair whose js are rank + 1 or more apart never does. The
-    windows and the equal-j pairs are listed once, and a state is closed
-    iff it hits no window.
+    A pair h, k with j_h > j_k crosses iff its left endpoints fall in the
+    window j_h - rank - 1 <= i_k < i_h <= j_k (see connected), listed as
+    (h, k, j_h - rank - 1, j_k); a pair whose js are rank + 1 or more
+    apart never does. ties are the pairs with equal j. A state is closed
+    iff it hits no window; its moves are the windows it hits and the ties.
     """
-    for p in seed:
-        check_valid(p, rank)
-    js = tuple(p.j for p in seed)
     windows, ties = [], []
-    for m, l in combinations(range(len(seed)), 2):
+    for m, l in combinations(range(len(js)), 2):
         h, k = (m, l) if js[m] > js[l] else (l, m)
         if js[m] == js[l]:
             ties.append((m, l))
         elif js[h] - js[k] <= rank:
             windows.append((h, k, js[h] - rank - 1, js[k]))
+    return windows, ties
+
+
+def _left_closure(seed: Multisegment, rank: int):
+    """(js, left tuples, closed left tuples or None) of the closure.
+
+    Both moves swap the left endpoints of two parts: tau_{m,l} when they
+    are connected, a swap when j_m == j_l. So every state is a permutation
+    A of the seed's left endpoints set against its fixed right endpoints.
+
+    If the seed is doubly sorted and rank >= span, the closure is every A
+    with A_k <= j_k for all k. Moves keep parts valid, and [A_k, j_k] is
+    valid iff A_k <= j_k, as j_k - A_k <= max j - min i <= rank + 1.
+    Conversely, if j_h > j_k and A_h < A_k, swapping the pair gives a valid
+    B, and B -> A is the crossing move on h, k: its window j_h - rank - 1
+    <= A_h < A_k <= j_k holds, as min i >= max j - rank - 1. Sum A_k * j_k
+    rises from A to B, so such swaps end at an A with no such pair, which
+    equal-j swaps reach from the seed. So no search: positions take, by
+    increasing j, any distinct unused left endpoint <= j (never none, the
+    seed being valid); once those left are distinct and <= the next j,
+    each of their orders completes a member. The closed set is left None.
+
+    Any other seed is searched breadth first; see _windows.
+    """
+    for p in seed:
+        check_valid(p, rank)
+    js = tuple(p.j for p in seed)
     start = tuple(p.i for p in seed)
+    if (js[0] - start[-1] <= rank + 1 and list(js) == sorted(js, reverse=True)
+            and list(start) == sorted(start, reverse=True)):
+        out = []
+        level = [((), start[::-1])]  # (suffix, unused lefts ascending)
+        for j in reversed(js):
+            nxt = []
+            for suffix, pool in level:
+                if pool[-1] <= j and len(set(pool)) == len(pool):
+                    out += [a + suffix for a in permutations(pool)]
+                    continue
+                for x, v in enumerate(pool):
+                    if v > j:
+                        break
+                    if not x or pool[x - 1] != v:
+                        nxt.append(((v,) + suffix, pool[:x] + pool[x + 1:]))
+            level = nxt
+        return js, out, None
+    windows, ties = _windows(js, rank)
     seen = {start}
     order = [start]
     closed = set()
@@ -214,7 +265,7 @@ def closure(ms: Multisegment, rank: int) -> ClosureSet:
     """Saturation under all crossing moves and equal-j swaps; see _left_closure."""
     seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
     js, order, closed = _left_closure(seed, rank)
-    return ClosureSet(rank, seed, js, tuple(sorted(order)), tuple(sorted(closed)))
+    return ClosureSet(rank, seed, js, tuple(sorted(order)), closed)
 
 
 def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:

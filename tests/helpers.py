@@ -280,6 +280,9 @@ def certify_box(max_rank, window, parts):
       of the closure's;
     - render and closed: str(cs) is the members one per line, and
       closed_members are the members that pass is_closed, in member order.
+    The cases also count the tuples whose closure was listed with no search
+    ("closure by generator": doubly sorted at rank >= span) and those that
+    were searched ("closure by search"), so a sweep shows both were checked.
     A failure is recorded as (check, ms, rank).
     """
     cases, failures = Counter(), []
@@ -292,6 +295,7 @@ def certify_box(max_rank, window, parts):
     for ms, rank in box_tuples(max_rank, window, parts):
         cases["tuples"] += 1
         cs = closure(ms, rank)
+        cases["closure by generator" if cs._closed is None else "closure by search"] += 1
         weights = weyl_dominant_weights(ms, rank)
         check("members", set(cs.members) == move_saturate(ms, rank))
         check("render", str(cs) == "\n".join(map(str, cs.members)))

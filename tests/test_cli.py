@@ -113,6 +113,14 @@ class TestRun:
         assert run(["socle", "--rank", "3000", t]) == 0
         closed = "[0,3000]" + "".join(f"[{k},{k}]" for k in range(2999, 0, -1))
         assert capsys.readouterr().out == f"w[0,3000]^1\t{closed}\n"
+        # closures listed with no search: 1,200 j-levels, past the recursion
+        # limit of a generator that recursed per level; and 12 equal parts,
+        # 12! orders of a multiset but one member
+        chain = "".join(f"[{3 * k},{3 * k + 1}]" for k in range(1199, -1, -1))
+        assert run(["closure", "--rank", "3600", chain]) == 0
+        assert capsys.readouterr().out == chain + "\n"
+        assert run(["closure", "--rank", "5", "[0,5]" * 12]) == 0
+        assert capsys.readouterr().out == "[0,5]" * 12 + "\n"
 
     def test_closed_predicate(self, capsys):
         assert run(["closed", "--rank", "6", "[2,6][0,7][1,8]"]) == 0

@@ -7,13 +7,21 @@ each rest on a conjecture checked by search. Here they are compared with
 forms built from `closure(...).members`, on seeded random seeds:
 plus-sorted and unsorted, with ties in i and in j, at ranks below and
 above the span; and on every tuple of a small box (`helpers.certify_box`).
+The closure itself lists a doubly sorted seed at rank >= span with no
+search; that listing is compared with `helpers.move_saturate` here too.
 """
 
 import random
 from itertools import permutations
 
 import pytest
-from helpers import below_by_sorting, certify_box, passes_bounds
+from helpers import (
+    below_by_sorting,
+    certify_box,
+    move_saturate,
+    passes_bounds,
+    random_doubly_sorted,
+)
 
 from weylcalc import (
     InvalidSegment,
@@ -22,6 +30,7 @@ from weylcalc import (
     SocleSummand,
     closure,
     hom_dim,
+    is_closed,
     socle,
     sort_plus,
     span,
@@ -76,6 +85,52 @@ def test_every_tuple_of_a_small_box_passes_the_certificate():
     assert failures == []
     assert cases["tuples"] == 1159 and cases["one orbit"] == 796
     assert cases["hom near miss"] == 420
+    assert cases["closure by generator"] == 591
+    assert cases["closure by search"] == 568
+
+
+def check_generated_closure(ms, rank):
+    cs = closure(ms, rank)
+    assert cs._closed is None, "listed with no search"
+    saturated = move_saturate(ms, rank)
+    assert len(cs) == len(saturated) and set(cs.members) == saturated, (ms, rank)
+    assert list(cs.closed_members) == [t for t in cs.members if is_closed(t, rank)]
+
+
+def test_generated_closure_matches_move_saturation():
+    # doubly sorted seeds of 1-7 parts with lefts in [-3, 3], so repeated
+    # lefts and equal js are common, at ranks span to span + 3
+    rng = random.Random(6006)
+    sizes = []
+    for _ in range(120):
+        ms = random_doubly_sorted(rng, parts=rng.randint(1, 7))
+        for rank in range(max(span(ms), 1), span(ms) + 4):
+            check_generated_closure(ms, rank)
+            sizes.append(len(closure(ms, rank)))
+    assert max(sizes) > 100 and sizes.count(1) > 20
+
+
+def test_generated_closure_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def doubly_sorted(draw):
+        r = draw(st.integers(1, 7))
+        lefts = sorted(draw(st.lists(st.integers(-2, 3), min_size=r, max_size=r)),
+                       reverse=True)
+        js = []  # from the smallest left up, each j >= its left and the last j
+        for i in reversed(lefts):
+            js.append(max([i] + js[-1:]) + draw(st.integers(0, 2)))
+        ms = M(*zip(lefts, reversed(js)))
+        return ms, max(span(ms), 1) + draw(st.integers(0, 3))
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(doubly_sorted())
+    def check(case):
+        check_generated_closure(*case)
+
+    check()
 
 
 def test_membership_is_exact_and_rejects_other_shapes():
