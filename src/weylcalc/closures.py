@@ -128,8 +128,8 @@ def _left_closure(seed: Multisegment, rank: int):
     rises from A to B, so such swaps end at an A with no such pair, which
     equal-j swaps reach from the seed. So no search: positions take, by
     increasing j, any distinct unused left endpoint <= j (never none, the
-    seed being valid); once those left are distinct and <= the next j,
-    each of their orders completes a member. The closed set is left None.
+    seed being valid); once the unused ones are distinct and <= the next
+    j, each of their orders completes a member. The closed set is None.
 
     Any other seed is searched breadth first; see _windows.
     """
