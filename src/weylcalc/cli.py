@@ -17,7 +17,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .closures import closure
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     RangeError,
     WeylcalcError,
 )
-from .lweights import LWeight, _ranked, decompose_into_roots, dominance_leq
+from .lweights import LWeight, decompose_into_roots, dominance_leq
 from .multisegments import (
     Multisegment,
     dual_left,
@@ -36,7 +36,7 @@ from .multisegments import (
     normal_form,
     weight_of,
 )
-from .qchars import QChar, weyl_dominant_part, weyl_qchar
+from .qchars import QChar, _ranked, weyl_dominant_part, weyl_qchar
 from .segments import Segment
 from .weyl import (
     ext_vanishing,
@@ -104,9 +104,10 @@ def json_lweight(w) -> list[dict]:
     return list(map(_json_factor, w.sort_key()))
 
 
-def json_qchar_terms(terms: dict[LWeight, int]) -> list[dict]:
-    """Terms by sort_key, sharing one record per distinct factor."""
-    return [{"weight": fs, "mult": m} for fs, m in _ranked(terms, _json_factor)]
+def json_qchar_terms(terms: Union[QChar, dict[LWeight, int]]) -> list[dict]:
+    """Terms of a QChar or a weight map by sort_key, one record per distinct factor."""
+    q = terms if isinstance(terms, QChar) else QChar(terms)
+    return [{"weight": fs, "mult": m} for fs, m in q._rows(_json_factor)]
 
 
 class Command(NamedTuple):
@@ -160,7 +161,7 @@ def _weighed_normal_form(args, ms):
     return out, weight_of(out, args.rank)
 
 
-_QCHAR = (str, lambda q: {"terms": json_qchar_terms(q._terms)})
+_QCHAR = (str, lambda q: {"terms": json_qchar_terms(q)})
 _RESULT = (str, lambda ms: {"result": json_multisegment(ms)})
 
 COMMANDS = (
@@ -180,10 +181,11 @@ COMMANDS = (
             lambda a, src, dst: hom_dim(src, dst, a.rank),
             (str, lambda d: {"hom_dim": d})),
     Command("dominant-weights", "dominant l-weight support of a standard module",
-            _ONE_MS, lambda a, ms: dict.fromkeys(weyl_dominant_weights(ms, a.rank)),
-            (lambda ws: "\n".join([" * ".join(fs) or "1"
-                                   for fs, _ in _ranked(ws, LWeight._factor.__mod__)]),
-             lambda ws: {"weights": [fs for fs, _ in _ranked(ws, _json_factor)]})),
+            _ONE_MS, lambda a, ms: QChar._of(
+                *_ranked(dict.fromkeys(weyl_dominant_weights(ms, a.rank), 1))),
+            (lambda q: "\n".join([" * ".join(fs) or "1"
+                                  for fs, _ in q._rows(LWeight._factor.__mod__)]),
+             lambda q: {"weights": [fs for fs, _ in q._rows(_json_factor)]})),
     Command("qchar", "full q-character multiset", _ONE_MS,
             lambda a, ms: weyl_qchar(ms, a.rank), _QCHAR),
     Command("dominant", "dominant part of the q-character", _ONE_MS,

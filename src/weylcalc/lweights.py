@@ -8,7 +8,7 @@ base class, which gives them equality, hashing, ordering and rendering.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import InvalidRoot, NotInRootLattice
 from .segments import Segment, check_valid, is_degenerate
@@ -130,22 +130,6 @@ class LWeight(_SparseVector):
 
     def __pow__(self, k: int) -> "LWeight":
         return LWeight._wrap({seg: e * k for seg, e in self._exp.items()} if k else {})
-
-
-def _ranked(terms: Mapping, render: Callable) -> list[tuple[list, object]]:
-    """(rendered factors, value) per item of terms, by its weight's sort_key.
-
-    Each distinct (i, j, e) triple of all the weights is rendered once, and
-    each weight is keyed by the sorted ranks of its triples. Ranking keeps
-    the order of triples, so the keys sort as the sort_keys do, a proper
-    prefix first, but as tuples of ints.
-    """
-    items = sorted({f for w in terms for f in w._exp.items()})
-    rank = {f: r for r, f in enumerate(items)}
-    table = [render((i, j, e)) for (i, j), e in items]
-    keys = [tuple(sorted(map(rank.__getitem__, w._exp.items()))) for w in terms]
-    ordered = sorted(zip(keys, terms.values()))
-    return [(list(map(table.__getitem__, k)), v) for k, v in ordered]
 
 
 def lweight_of_segment(seg: Segment, rank: int) -> LWeight:

@@ -11,11 +11,11 @@ corner at position r contributes the segment
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
-from typing import Iterable, Mapping, Union
+from itertools import combinations, repeat
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidSegment, PreconditionViolated
-from .lweights import LWeight, _ranked, lweight_of_segment
+from .lweights import LWeight, lweight_of_segment
 from .multisegments import Multisegment, connected, is_doubly_sorted
 from .segments import Segment, check_valid, is_degenerate
 
@@ -23,72 +23,116 @@ Path = tuple[int, ...]
 TermSource = Union[Mapping[LWeight, int], Iterable[tuple[LWeight, int]]]
 
 
+def _ranked(terms: Mapping[LWeight, int]) -> tuple[list, dict]:
+    """(factors, keys) of distinct weights with their multiplicities.
+
+    factors are the sorted distinct (segment, exponent) items of all the
+    weights; each weight is keyed by the ascending tuple of its items'
+    indices in factors. Indexing keeps the order of items, so the keys
+    sort as the weights' sort_keys do, a proper prefix first.
+    """
+    factors = sorted({f for w in terms for f in w._exp.items()})
+    index = {f: r for r, f in enumerate(factors)}
+    return factors, {tuple(sorted(map(index.__getitem__, w._exp.items()))): m
+                     for w, m in terms.items()}
+
+
 class QChar:
     """A finite multiset of l-weights with positive multiplicities.
 
-    `str` lists the terms by sort_key, rendered from one table of their
-    distinct factors (lweights._ranked).
+    Stored ranked: `_factors` is a sorted table of distinct (Segment, e)
+    factors, which may hold factors no term uses, and `_keys` maps each
+    term, an ascending tuple of factor indices, to its multiplicity, so
+    the keys sort as the terms' sort_keys do. `str` and the JSON renderer
+    sort the keys and render each factor of the table once; LWeights are
+    built only when asked for. fundamental_qchar writes its keys as ints
+    straight from the paths.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_factors", "_keys")
 
     def __init__(self, terms: TermSource = ()):
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[LWeight, int] = {}
         for w, m in items:
+            if not isinstance(w, LWeight):
+                raise TypeError(f"expected LWeight key, got {type(w).__name__}")
+            if not isinstance(m, int):
+                raise TypeError(f"expected int multiplicity, got {type(m).__name__}")
             if m < 0:
                 raise PreconditionViolated("multiplicities must be positive")
             if m:
                 acc[w] = acc.get(w, 0) + m
-        self._terms = acc
+        self._factors, self._keys = _ranked(acc)
+
+    @classmethod
+    def _of(cls, factors: list, keys: dict) -> "QChar":
+        q = cls.__new__(cls)
+        q._factors, q._keys = factors, keys
+        return q
 
     @classmethod
     def one(cls) -> "QChar":
         return cls({LWeight.identity(): 1})
 
+    def _weights(self) -> list[tuple[LWeight, int]]:
+        """(weight, multiplicity) per term, built from the factor table."""
+        get = self._factors.__getitem__
+        return [(LWeight._wrap(dict(map(get, k))), m) for k, m in self._keys.items()]
+
     def terms(self) -> dict[LWeight, int]:
-        return dict(self._terms)
+        return dict(self._weights())
 
     def multiplicity(self, w: LWeight) -> int:
-        return self._terms.get(w, 0)
+        index = {f: r for r, f in enumerate(self._factors)}
+        try:
+            key = tuple(sorted(map(index.__getitem__, w._exp.items())))
+        except KeyError:
+            return 0
+        return self._keys.get(key, 0)
 
     def support(self) -> set[LWeight]:
-        return set(self._terms)
+        return set(self.terms())
 
     def total_mass(self) -> int:
         """Number of terms counted with multiplicity."""
-        return sum(self._terms.values())
+        return sum(self._keys.values())
 
     def dominant_part(self) -> dict[LWeight, int]:
         """Terms whose weight has no negative exponent."""
-        return {w: m for w, m in self._terms.items() if w.is_dominant}
+        return {w: m for w, m in self.terms().items() if w.is_dominant}
 
     def __mul__(self, other: "QChar") -> "QChar":
         if not isinstance(other, QChar):
             return NotImplemented
         acc: dict[LWeight, int] = {}
-        for wa, ma in self._terms.items():
-            for wb, mb in other._terms.items():
+        rhs = other._weights()
+        for wa, ma in self._weights():
+            for wb, mb in rhs:
                 w = wa * wb
                 acc[w] = acc.get(w, 0) + ma * mb
-        out = QChar.__new__(QChar)
-        out._terms = acc
-        return out
+        return QChar._of(*_ranked(acc))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QChar):
             return NotImplemented
-        return self._terms == other._terms
+        return self.terms() == other.terms()
+
+    def _rows(self, render: Callable) -> list[tuple[list, int]]:
+        """(rendered factors, multiplicity) per term, by sort_key."""
+        table = [render((i, j, e)) for (i, j), e in self._factors]
+        keys = self._keys
+        return [(list(map(table.__getitem__, k)), keys[k]) for k in sorted(keys)]
 
     def __str__(self) -> str:
-        lines = _ranked(self._terms, LWeight._factor.__mod__)
-        return "\n".join([f"{m} * {' * '.join(fs) or '1'}" for fs, m in lines])
+        rows = self._rows(LWeight._factor.__mod__)
+        return "\n".join([f"{m} * {' * '.join(fs) or '1'}" for fs, m in rows])
 
     def __repr__(self) -> str:
-        return f"QChar({len(self._terms)} terms, mass {self.total_mass()})"
+        return f"QChar({len(self)} terms, mass {self.total_mass()})"
 
 
 def enumerate_paths(seg: Segment, rank: int) -> list[Path]:
@@ -141,40 +185,44 @@ def path_weight(g: Path, rank: int) -> LWeight:
 
 
 def fundamental_qchar(seg: Segment, rank: int) -> QChar:
-    """Multiset of path weights for a non-degenerate segment.
+    """Multiset of path weights for a non-degenerate segment, built as int keys.
 
-    Corners are read from the down-step positions: a maximal run of downs
-    that starts at step a > 0 after k downs is the maximum [j-k, j+a-k]^-1,
-    and one that ends at step b < rank after d downs, its own counted, is
-    the minimum [j-d, j+b+1-d]^+1.
+    With L = j - i downs and U = rank + 1 - L ups, a path is the weakly
+    increasing sequence u_0 <= ... <= u_(L-1) in [0, U] of the ups before
+    each down, and its corner after d downs and u ups is the segment
+    [j-d, j+u]. A run of downs starting at down k > 0 gives the minimum
+    after (k, u_(k-1)) and the maximum after (k, u_k); the first run gives
+    the maximum after (0, u_0) if u_0 > 0, and the last run ends in the
+    minimum after (L, u_(L-1)) if u_(L-1) < U. The factor ([j-d, j+u], e)
+    has index (L-d) * 2(U+1) + 2u + (e > 0), which is sorted order, so a
+    key lists the corners from the last down back to the first. Keys are
+    extended one down at a time from the last, sharing the part so far
+    between paths; distinct paths have distinct weights.
     """
     if not 1 <= seg.length <= rank:
         raise InvalidSegment(
             f"fundamental character needs 1 <= length <= rank, got {seg}"
             f" at rank {rank}"
         )
-    j, length = seg.j, seg.length
-    # corner[d][r]: the segment of the corner at position r after d downs
-    corner = [[Segment(j - d, j - d + r) for r in range(rank + 1)]
-              for d in range(length + 1)]
-    acc: dict[LWeight, int] = {}
-    for downs in combinations(range(rank + 1), length):
-        exp: dict[Segment, int] = {}
-        prev = -2
-        for d, t in enumerate(downs):
-            if t != prev + 1:  # a run starts at t; the one before ended at prev
-                if prev >= 0:
-                    exp[corner[d][prev + 1]] = 1
-                if t:
-                    exp[corner[d][t]] = -1
-            prev = t
-        if prev < rank:
-            exp[corner[length][prev + 1]] = 1
-        w = LWeight._wrap(exp)
-        acc[w] = acc.get(w, 0) + 1
-    out = QChar.__new__(QChar)
-    out._terms = acc
-    return out
+    length, ups = seg.length, rank + 1 - seg.length
+    width = 2 * (ups + 1)
+    factors = [(s, e) for a in range(length + 1) for u in range(ups + 1)
+               for s in (Segment(seg.i + a, seg.j + u),) for e in (-1, 1)]
+    # heads[u]: keys so far of the paths whose latest down chosen has u ups before it
+    heads = [[(2 * u + 1,)] for u in range(ups)] + [[()]]
+    for k in range(length - 1, 0, -1):
+        base = (length - k) * width
+        nxt: list[list[tuple]] = [[] for _ in heads]
+        for u, keys in enumerate(heads):
+            nxt[u] += keys
+            for v in range(u):
+                pair = (base + 2 * v + 1, base + 2 * u)  # the minimum, the maximum
+                nxt[v] += map(tuple.__add__, keys, repeat(pair))
+        heads = nxt
+    keys = heads[0]
+    for u in range(1, ups + 1):
+        keys += map(tuple.__add__, heads[u], repeat((length * width + 2 * u,)))
+    return QChar._of(factors, dict.fromkeys(keys, 1))
 
 
 def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
@@ -188,10 +236,10 @@ def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
     return QChar.one() if q is None else q
 
 
-def _tops(terms: Mapping[LWeight, int]) -> Counter:
+def _tops(terms: list[tuple[LWeight, int]]) -> Counter:
     """Per segment, the largest positive exponent among the terms' weights."""
     top: Counter = Counter()
-    for w in terms:
+    for w, _ in terms:
         for seg, e in w._exp.items():
             if e > top[seg]:
                 top[seg] = e
@@ -216,7 +264,7 @@ def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
     parts = sorted(
         (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j)
     )
-    factors = [fundamental_qchar(p, rank).terms() for p in parts]
+    factors = [fundamental_qchar(p, rank)._weights() for p in parts]
     rise = [Counter()]
     for terms in reversed(factors):
         rise.append(rise[-1] + _tops(terms))
@@ -227,7 +275,7 @@ def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
         later = rise[k + 1]
         nxt: dict[LWeight, int] = {}
         for wa, ma in cur.items():
-            for wb, mb in terms.items():
+            for wb, mb in terms:
                 w = wa * wb
                 for seg, e in w._exp.items():
                     if e < 0 and e + later.get(seg, 0) < 0:
@@ -263,9 +311,7 @@ def pair_simple_qchar(ms: Multisegment, rank: int) -> QChar:
             if all(x > y for x, y in zip(g1, g2)):
                 w = w1 * w2
                 acc[w] = acc.get(w, 0) + 1
-    out = QChar.__new__(QChar)
-    out._terms = acc
-    return out
+    return QChar._of(*_ranked(acc))
 
 
 def soclehom_weight(ms: Multisegment, rank: int) -> LWeight:

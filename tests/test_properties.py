@@ -26,6 +26,7 @@ from weylcalc import (  # noqa: E402
     decompose_into_roots,
     dual_left,
     dual_right,
+    fundamental_qchar,
     tau,
 )
 from weylcalc import cli  # noqa: E402
@@ -177,6 +178,56 @@ def test_dominant_weights_render_from_sorted_sort_keys(weights):
     assert json.loads(run_with_dominant_weights(weights, "--json")) == {
         "weights": factors
     }
+
+
+@st.composite
+def fundamentals(draw, max_rank=4):
+    """fundamental_qchar of a non-degenerate segment at a small rank."""
+    rank = draw(st.integers(1, max_rank))
+    i = draw(st.integers(-2, 3))
+    return fundamental_qchar(Segment(i, i + draw(st.integers(1, rank))), rank)
+
+
+def weight_lists(max_size):
+    return st.lists(st.tuples(lweights(), st.integers(1, 3)), max_size=max_size)
+
+
+# the ways a character is built: from terms, as int keys, as a product
+QCHARS = st.one_of(
+    weight_lists(8).map(QChar),
+    fundamentals(),
+    st.tuples(fundamentals(3), fundamentals(3)).map(lambda ab: ab[0] * ab[1]),
+)
+SMALL_QCHARS = st.one_of(weight_lists(4).map(QChar), fundamentals(3))
+
+
+@PROPERTY
+@given(QCHARS, lweights(), st.data())
+def test_qchar_agrees_with_its_terms(q, other, data):
+    terms = q.terms()
+    rebuilt = QChar(terms)
+    # a fundamental character's table holds factors no term uses
+    assert rebuilt == q and q == rebuilt and str(rebuilt) == str(q)
+    assert QChar(list(terms.items())) == q
+    assert (len(q), q.total_mass()) == (len(terms), sum(terms.values()))
+    assert q.support() == set(terms)
+    assert q.dominant_part() == {w: m for w, m in terms.items() if w.is_dominant}
+    assert all(q.multiplicity(w) == m for w, m in terms.items())
+    assert q.multiplicity(other) == terms.get(other, 0)
+    # a weight made of factors in q's table, a term or not
+    picked = data.draw(st.lists(st.sampled_from(q._factors), max_size=4)
+                       if q._factors else st.just([]))
+    w = LWeight(dict(picked))
+    assert q.multiplicity(w) == terms.get(w, 0)
+
+
+@PROPERTY
+@given(SMALL_QCHARS, SMALL_QCHARS, SMALL_QCHARS)
+def test_qchar_product_commutes_and_associates(a, b, c):
+    assert a * b == b * a and str(a * b) == str(b * a)
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).total_mass() == a.total_mass() * b.total_mass()
+    assert a * QChar.one() == a
 
 
 @PROPERTY

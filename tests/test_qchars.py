@@ -1,6 +1,10 @@
+import io
+import json
 import math
 import random
 from collections import Counter
+from contextlib import redirect_stdout
+from unittest.mock import patch
 
 import pytest
 
@@ -11,6 +15,7 @@ from helpers import (
     random_multisegment,
 )
 
+from weylcalc import cli
 from weylcalc.cli import json_qchar_terms
 from weylcalc import (
     InvalidSegment,
@@ -129,6 +134,60 @@ class TestQCharAlgebra:
         ]
 
 
+    def test_rejects_keys_that_are_not_lweights(self):
+        with pytest.raises(TypeError, match="expected LWeight key, got str"):
+            QChar({"x": 1})
+        with pytest.raises(TypeError, match="expected LWeight key, got Segment"):
+            QChar([(Segment(0, 1), 1)])
+
+    def test_rejects_multiplicities_that_are_not_ints(self):
+        with pytest.raises(TypeError, match="expected int multiplicity, got float"):
+            QChar({LWeight.identity(): 1.5})
+        with pytest.raises(TypeError, match="expected int multiplicity, got str"):
+            QChar([(w(0, 1), "2")])
+        with pytest.raises(PreconditionViolated):
+            QChar({w(0, 1): -1})
+        assert str(QChar([(w(0, 1), 2), (w(0, 1), 1), (w(1, 2), 0)])) == "3 * w[0,1]^1"
+
+
+def count_lweights():
+    """A patch that appends to calls each LWeight made by _wrap or __init__."""
+    calls = []
+    wrap, init = LWeight._wrap.__func__, LWeight.__init__
+
+    def counted_wrap(cls, exp):
+        calls.append("_wrap")
+        return wrap(cls, exp)
+
+    def counted_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
+
+    patches = (patch.object(LWeight, "_wrap", classmethod(counted_wrap)),
+               patch.object(LWeight, "__init__", counted_init))
+    return calls, patches
+
+
+class TestNoWeightPerPath:
+    """Building and rendering a fundamental character makes no LWeight."""
+
+    def test_largest_shape_builds_no_lweight(self):
+        calls, (p1, p2) = count_lweights()
+        with p1, p2:
+            q = fundamental_qchar(Segment(0, 7), 14)
+            text = str(q)
+            records = json_qchar_terms(q)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.run(["qchar", "--rank", "14", "[0,7]"]) == 0
+                assert cli.run(["qchar", "--rank", "14", "[0,7]", "--json"]) == 0
+            assert calls == []
+            # the counter sees the weights that terms() builds
+            assert len(q.terms()) == len(calls) == 6435
+        assert out.getvalue() == f"{text}\n{json.dumps({'terms': records})}\n"
+        assert "_wrap" not in vars(LWeight) and "__init__" not in vars(LWeight)
+
+
 class TestFundamental:
     def test_frozen_terms(self):
         q = fundamental_qchar(Segment(0, 1), 2)
@@ -160,19 +219,31 @@ class TestFundamental:
                 assert len(q) == len(paths)  # distinct weights, all mult 1
 
 
+def check_against_paths(seg, rank):
+    """str, JSON and terms() of fundamental_qchar against the path weights,
+    each rendered on its own from its sort_key."""
+    q = fundamental_qchar(seg, rank)
+    oracle = Counter(path_weight(g, rank) for g in enumerate_paths(seg, rank))
+    ordered = sorted((w.sort_key(), m) for w, m in oracle.items())
+    assert q.terms() == dict(oracle), (seg, rank)
+    assert str(q) == "\n".join(f"{m} * {LWeight._format(key)}" for key, m in ordered)
+    assert json_qchar_terms(q) == [
+        {"weight": [{"segment": [i, j], "exp": e} for i, j, e in key], "mult": m}
+        for key, m in ordered
+    ]
+
+
 class TestFundamentalAgainstPaths:
-    """fundamental_qchar reads corners from down-steps; path_weight is the oracle."""
+    """fundamental_qchar writes int keys from down-steps; path_weight is the oracle."""
 
     def test_terms_are_the_path_weights(self):
-        for rank in range(1, 10):
+        for rank in range(1, 11):
             for ln in range(1, rank + 1):
                 for i in (-3, 0, 5):
-                    seg = Segment(i, i + ln)
-                    oracle = Counter(
-                        path_weight(g, rank) for g in enumerate_paths(seg, rank)
-                    )
-                    assert fundamental_qchar(seg, rank).terms() == dict(oracle), (
-                        seg, rank)
+                    check_against_paths(Segment(i, i + ln), rank)
+
+    def test_largest_benchmark_shape(self):
+        check_against_paths(Segment(0, 7), 14)
 
     def test_one_part_weyl_character_is_the_fundamental_one(self):
         for rank in range(1, 6):
