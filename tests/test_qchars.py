@@ -133,7 +133,6 @@ class TestQCharAlgebra:
             for key, m in ordered
         ]
 
-
     def test_rejects_keys_that_are_not_lweights(self):
         with pytest.raises(TypeError, match="expected LWeight key, got str"):
             QChar({"x": 1})
@@ -150,34 +149,27 @@ class TestQCharAlgebra:
         assert str(QChar([(w(0, 1), 2), (w(0, 1), 1), (w(1, 2), 0)])) == "3 * w[0,1]^1"
 
 
-def count_lweights():
-    """A patch that appends to calls each LWeight made by _wrap or __init__."""
-    calls = []
-    wrap, init = LWeight._wrap.__func__, LWeight.__init__
-
-    def counted_wrap(cls, exp):
-        calls.append("_wrap")
-        return wrap(cls, exp)
-
-    def counted_init(self, *args):
-        calls.append("__init__")
-        init(self, *args)
-
-    patches = (patch.object(LWeight, "_wrap", classmethod(counted_wrap)),
-               patch.object(LWeight, "__init__", counted_init))
-    return calls, patches
-
-
 class TestNoWeightPerPath:
     """Building and rendering a fundamental character makes no LWeight."""
 
     def test_largest_shape_builds_no_lweight(self):
-        calls, (p1, p2) = count_lweights()
-        with p1, p2:
+        calls = []
+        wrap, init = LWeight._wrap.__func__, LWeight.__init__
+
+        def counted_wrap(cls, exp):
+            calls.append("_wrap")
+            return wrap(cls, exp)
+
+        def counted_init(self, *args):
+            calls.append("__init__")
+            init(self, *args)
+
+        out = io.StringIO()
+        with patch.object(LWeight, "_wrap", classmethod(counted_wrap)), \
+                patch.object(LWeight, "__init__", counted_init):
             q = fundamental_qchar(Segment(0, 7), 14)
             text = str(q)
             records = json_qchar_terms(q)
-            out = io.StringIO()
             with redirect_stdout(out):
                 assert cli.run(["qchar", "--rank", "14", "[0,7]"]) == 0
                 assert cli.run(["qchar", "--rank", "14", "[0,7]", "--json"]) == 0
