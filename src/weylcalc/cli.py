@@ -19,7 +19,7 @@ import re
 import sys
 from typing import Callable, NamedTuple, Optional, Union
 
-from .closures import closure
+from .closures import _weight_keys, closure
 from .errors import (
     NotInRootLattice,
     ParseError,
@@ -34,9 +34,10 @@ from .multisegments import (
     dual_right,
     iota_at,
     normal_form,
+    sort_plus,
     weight_of,
 )
-from .qchars import QChar, _ranked, weyl_dominant_part, weyl_qchar
+from .qchars import QChar, weyl_dominant_part, weyl_qchar
 from .segments import Segment
 from .weyl import (
     ext_vanishing,
@@ -44,7 +45,6 @@ from .weyl import (
     is_closed,
     socle,
     subcategory_membership,
-    weyl_dominant_weights,
 )
 
 _SEG_RE = re.compile(r"\[(-?\d+),(-?\d+)\]")
@@ -181,8 +181,7 @@ COMMANDS = (
             lambda a, src, dst: hom_dim(src, dst, a.rank),
             (str, lambda d: {"hom_dim": d})),
     Command("dominant-weights", "dominant l-weight support of a standard module",
-            _ONE_MS, lambda a, ms: QChar._of(
-                *_ranked(dict.fromkeys(weyl_dominant_weights(ms, a.rank), 1))),
+            _ONE_MS, lambda a, ms: QChar._of(*_weight_keys(sort_plus(ms), a.rank)),
             (lambda q: "\n".join([" * ".join(fs) or "1"
                                   for fs, _ in q._rows(LWeight._factor.__mod__)]),
              lambda q: {"weights": [fs for fs, _ in q._rows(_json_factor)]})),

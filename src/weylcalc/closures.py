@@ -16,8 +16,7 @@ from .multisegments import (
     span,
     sort_plus,
 )
-from .lweights import LWeight
-from .segments import Segment, check_valid, is_degenerate
+from .segments import Segment, check_valid
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,11 @@ class ClosureSet:
     _closed: set | None = field(default=None, repr=False, compare=False)
 
     def _build(self, lefts) -> tuple[Multisegment, ...]:
-        # A move keeps every part valid (a connected pair's union spans at
-        # most rank + 1), so members skip Multisegment's part check.
-        segs = _segments(self.js, self.lefts)
+        # One shared Segment per (left, j) pair. A move keeps every part valid
+        # (a connected pair's union spans at most rank + 1), so members skip
+        # Multisegment's part check.
+        segs = {(i, j): Segment(i, j) for i in set(self.lefts[0]) for j in set(self.js)
+                if i <= j}
         return tuple(
             tuple.__new__(Multisegment, [segs[p] for p in zip(a, self.js)])
             for a in lefts
@@ -172,22 +173,28 @@ def _left_closure(seed: Multisegment, rank: int):
     return js, order, closed
 
 
-def _segments(js, order) -> dict[tuple[int, int], Segment]:
-    """One shared Segment per (left, right) pair that a member can hold."""
-    return {(i, j): Segment(i, j) for i in set(order[0]) for j in set(js) if i <= j}
+def _weight_keys(seed: Multisegment, rank: int) -> tuple[list, dict]:
+    """The weights of closure(seed)'s members as QChar's (factors, keys).
 
-
-def _member_weights(seed: Multisegment, rank: int) -> set[LWeight]:
-    """The weights of closure(seed)'s members, weighed from the (left, j) ints."""
+    factors lists the (segment, e) that a member can hold, sorted: the
+    non-degenerate (left, j) pairs of the seed, e up to the copies of both.
+    Each member's key, mapped to 1, is the ascending tuple of its factors'
+    indices, so keys sort as sort_keys do. cols[k] indexes (left, j_k) at
+    e = 1; a pair held c times takes c - 1 more. With distinct js none repeats.
+    """
     js, order, _ = _left_closure(seed, rank)
-    gens = {k: s for k, s in _segments(js, order).items() if not is_degenerate(s, rank)}
-    out = set()
-    for lefts in order:
-        exp: dict[Segment, int] = {}
-        for g in filter(None, map(gens.get, zip(lefts, js))):
-            exp[g] = exp.get(g, 0) + 1
-        out.add(LWeight._wrap(exp))
-    return out
+    factors, cols = [], {j: {} for j in js}
+    for i, j in sorted({(i, j) for i in order[0] for j in js if 0 < j - i <= rank}):
+        cols[j][i] = len(factors)
+        e = min(order[0].count(i), js.count(j))
+        factors += [(Segment(i, j), c) for c in range(1, e + 1)]
+    cols = [cols[j] for j in js]
+    if len(set(js)) == len(js):
+        keys = ([r for r in map(dict.get, cols, a) if r is not None] for a in order)
+    else:
+        keys = ([r + c - 1 for r, c in Counter(map(dict.get, cols, a)).items()
+                 if r is not None] for a in order)
+    return factors, {tuple(sorted(k)): 1 for k in keys}
 
 
 def _below(seed: Multisegment, lefts) -> bool:

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .closures import (
-    _has_member_weighing, _member_weights, canonical_closed, closed_elements,
+    _has_member_weighing, _weight_keys, canonical_closed, closed_elements,
     dominant_ancestor, is_closed,
 )
 from .errors import NotDominant
@@ -33,9 +33,11 @@ def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
 
     Computed as the weights of the closure of the plus-sorted tuple;
     invariant under permuting ms since sorting normalizes the order.
-    Members are weighed as (left, j) ints; see _member_weights.
+    Members are weighed as int keys into a factor table (see _weight_keys),
+    and one LWeight is built per distinct key.
     """
-    return _member_weights(sort_plus(ms), rank)
+    factors, keys = _weight_keys(sort_plus(ms), rank)
+    return {LWeight._wrap(dict(map(factors.__getitem__, k))) for k in keys}
 
 
 def hom_dim(src: Multisegment, dst: Multisegment, rank: int) -> int:
@@ -103,12 +105,18 @@ class ExtCertificate:
 
 
 def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertificate:
-    """Disjoint dominant supports force Ext vanishing; overlap decides nothing."""
-    w1 = weyl_dominant_weights(ms1, rank)
-    # the support depends on the plus-sorted tuple alone
-    same = sort_plus(ms1) == sort_plus(ms2)
-    w2 = w1 if same else weyl_dominant_weights(ms2, rank)
-    shared = sorted(w1 & w2, key=LWeight.sort_key)
+    """Disjoint dominant supports force Ext vanishing; overlap decides nothing.
+
+    The supports are compared as keys of _weight_keys, ms2's rewritten in
+    ms1's factor table; LWeights are built for the shared weights only.
+    """
+    plus = sort_plus(ms1), sort_plus(ms2)
+    factors, keys = _weight_keys(plus[0], rank)
+    if plus[1] != plus[0]:  # the support depends on the plus-sorted tuple alone
+        other, theirs = _weight_keys(plus[1], rank)
+        at = {f: r for r, f in enumerate(factors)}  # None for a factor it lacks
+        keys = keys.keys() & {tuple([at.get(other[r]) for r in k]) for k in theirs}
+    shared = [LWeight._wrap(dict(map(factors.__getitem__, k))) for k in sorted(keys)]
     verdict = ExtVerdict.INCONCLUSIVE if shared else ExtVerdict.VANISHES
     return ExtCertificate(verdict, tuple(shared))
 

@@ -11,10 +11,12 @@ import random
 from collections import Counter
 
 from weylcalc import (
+    LWeight,
     Multisegment,
     RootVector,
     Segment,
     closure,
+    ext_vanishing,
     hom_dim,
     is_closed,
     socle,
@@ -279,7 +281,12 @@ def certify_box(max_rank, window, parts):
       is not a member, hom_dim(near miss, seed) is 1 iff its weight is one
       of the closure's;
     - render and closed: str(cs) is the members one per line, and
-      closed_members are the members that pass is_closed, in member order.
+      closed_members are the members that pass is_closed, in member order;
+    - ext: ext_vanishing's shared weights, for the tuple with itself and
+      with up to two earlier tuples of the box that share a weight with it
+      at the rank, are the intersection of their weyl_dominant_weights
+      sorted by sort_key ("ext overlap" counts the pairs with some but not
+      all weights shared).
     The cases also count the tuples whose closure was listed with no search
     ("closure by generator": doubly sorted at rank >= span) and those that
     were searched ("closure by search"), so a sweep shows both were checked.
@@ -292,11 +299,19 @@ def certify_box(max_rank, window, parts):
         if not ok:
             failures.append((name, ms, rank))
 
+    holder = {}  # (rank, weight) -> (ms, weights) of the latest tuple with it
     for ms, rank in box_tuples(max_rank, window, parts):
         cases["tuples"] += 1
         cs = closure(ms, rank)
         cases["closure by generator" if cs._closed is None else "closure by search"] += 1
         weights = weyl_dominant_weights(ms, rank)
+        earlier = {holder[rank, w][0]: holder[rank, w] for w in weights
+                   if (rank, w) in holder}
+        for other, theirs in [(ms, weights), *list(earlier.values())[:2]]:
+            shared = sorted(weights & theirs, key=LWeight.sort_key)
+            check("ext", list(ext_vanishing(ms, other, rank).shared_weights) == shared)
+            cases["ext overlap"] += 0 < len(shared) < max(len(weights), len(theirs))
+        holder.update(((rank, w), (ms, weights)) for w in weights)
         check("members", set(cs.members) == move_saturate(ms, rank))
         check("render", str(cs) == "\n".join(map(str, cs.members)))
         check("closed", list(cs.closed_members)

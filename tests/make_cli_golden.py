@@ -35,6 +35,10 @@ INPUTS = [
     ("hom", 1, ["[2,3][1,3][0,1]", "-"], [], "[2,3][1,2][0,1]"),
     ("dominant-weights", 1, ["[2,3][1,2][0,1]"], [], None),
     ("dominant-weights", 3, ["[0,2][1,3][2,3]"], [], None),
+    # equal js give a weight with an exponent 2; a part of length rank + 1
+    # is degenerate and weighs nothing
+    ("dominant-weights", 2, ["[0,2][1,2][0,1][0,1]"], [], None),
+    ("dominant-weights", 2, ["[0,3][1,2][2,3]"], [], None),
     ("qchar", 2, ["[0,1]"], [], None),
     ("qchar", 3, ["[0,2][1,2]"], [], None),
     ("qchar", 2, ["[0,3][1,1]"], [], None),
@@ -74,6 +78,8 @@ INPUTS = [
     ("iota", 1, ["[0,5][1,2]"], ["--sign", "minus", "--at", "1"], None),
     ("ext-check", 2, ["[0,1]", "[3,4]"], [], None),
     ("ext-check", 6, ["[2,6][0,7][1,8]", "[0,6][2,7][1,8]"], [], None),
+    # supports of 3 weights each, 2 of them shared, over different lefts
+    ("ext-check", 3, ["[3,5][3,4][2,3]", "[3,5][2,5][1,4][3,3]"], [], None),
     ("subcat", 1, ["[2,3][1,2][0,1]", "w[1,3]^1"], [], None),
     ("subcat", 1, ["[2,3][1,2][0,1]", "w[0,3]^1"], [], None),
     # a base part too long for the rank is an error, as in every subcommand

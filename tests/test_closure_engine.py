@@ -9,10 +9,16 @@ plus-sorted and unsorted, with ties in i and in j, at ranks below and
 above the span; and on every tuple of a small box (`helpers.certify_box`).
 The closure itself lists a doubly sorted seed at rank >= span with no
 search; that listing is compared with `helpers.move_saturate` here too.
+The weigher's int keys (`closures._weight_keys`) are compared with the
+weights of the members, rendered and intersected as `LWeight`s.
 """
 
+import io
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 from itertools import permutations
+from unittest.mock import patch
 
 import pytest
 from helpers import (
@@ -24,11 +30,14 @@ from helpers import (
 )
 
 from weylcalc import (
+    ExtVerdict,
     InvalidSegment,
+    LWeight,
     Multisegment,
     Segment,
     SocleSummand,
     closure,
+    ext_vanishing,
     hom_dim,
     is_closed,
     socle,
@@ -37,7 +46,8 @@ from weylcalc import (
     weight_of,
     weyl_dominant_weights,
 )
-from weylcalc.closures import _below
+from weylcalc import QChar, cli
+from weylcalc.closures import _below, _weight_keys
 
 
 def M(*pairs):
@@ -87,6 +97,7 @@ def test_every_tuple_of_a_small_box_passes_the_certificate():
     assert cases["hom near miss"] == 420
     assert cases["closure by generator"] == 591
     assert cases["closure by search"] == 568
+    assert cases["ext"] == 2241 and cases["ext overlap"] == 326
 
 
 def check_generated_closure(ms, rank):
@@ -207,6 +218,83 @@ def test_dominant_weights_match_member_weights():
     for _ in range(300):
         ms, rank = random_seed(rng)
         assert weyl_dominant_weights(ms, rank) == member_weights(ms, rank), (ms, rank)
+
+
+def by_sort_key(weights):
+    return sorted(weights, key=LWeight.sort_key)
+
+
+def test_weight_keys_render_as_the_sorted_member_weights():
+    rng = random.Random(6007)
+    squares = 0
+    for _ in range(300):
+        ms, rank = random_seed(rng)
+        factors, keys = _weight_keys(sort_plus(ms), rank)
+        assert set(keys.values()) == {1}
+        rows = QChar._of(factors, keys)._rows(LWeight._factor.__mod__)
+        text = "\n".join([" * ".join(fs) or "1" for fs, _ in rows])
+        weights = by_sort_key(member_weights(ms, rank))
+        assert text == "\n".join(map(str, weights)), (ms, rank)
+        squares += any(2 in w.exponents().values() for w in weights)
+    assert squares > 20
+
+
+def related_seed(rng, ms, rank):
+    """A seed at rank whose support shares some weights with ms's.
+
+    A member of ms's closure weighs only weights of ms. A degenerate part
+    added to it may bring a left endpoint that ms lacks, so that the factor
+    tables differ, and weights that ms lacks.
+    """
+    parts = list(rng.choice(closure(sort_plus(ms), rank).members))
+    j = rng.randint(-2, 6)
+    parts.append(Segment(j - rng.choice((0, rank + 1)), j))
+    rng.shuffle(parts)
+    return Multisegment(parts)
+
+
+def test_ext_vanishing_shares_the_intersection_of_member_weights():
+    rng = random.Random(6008)
+    seen = Counter()
+    for _ in range(500):
+        ms, rank = random_seed(rng)
+        other = related_seed(rng, ms, rank)
+        if rng.random() < 0.2:
+            other, _ = random_seed(rng)
+            if any(p.length > rank + 1 for p in other):
+                continue
+        ours, theirs = member_weights(ms, rank), member_weights(other, rank)
+        shared = by_sort_key(ours & theirs)
+        cert = ext_vanishing(ms, other, rank)
+        assert list(cert.shared_weights) == shared, (ms, other, rank)
+        assert (cert.verdict is ExtVerdict.VANISHES) == (not shared)
+        seen["vanishes"] += not shared
+        if 0 < len(shared) < len(ours | theirs):
+            seen["overlaps"] += 1
+            seen["squares"] += any(2 in w.exponents().values() for w in shared)
+            tables = (_weight_keys(sort_plus(t), rank)[0] for t in (ms, other))
+            seen["other tables"] += next(tables) != next(tables)
+    assert seen["vanishes"] > 30 and seen["overlaps"] > 50, seen
+    assert seen["squares"] > 5 and seen["other tables"] > 25, seen
+
+
+def test_cli_weighs_without_hashing_lweights():
+    # dominant-weights and text ext-check stay on int keys: no set of
+    # LWeights is built on the way
+    def refuse(self):
+        raise AssertionError("an LWeight was hashed")
+
+    runs = [
+        ["dominant-weights", "--rank", "2", "[0,2][1,2][0,1][0,1]"],
+        ["dominant-weights", "--rank", "3", "--json", "[0,4][1,2][2,3]"],
+        ["ext-check", "--rank", "3", "[3,5][3,4][2,3]", "[3,5][2,5][1,4][3,3]"],
+        ["ext-check", "--rank", "6", "[2,6][0,7][1,8]", "[0,6][2,7][1,8]"],
+    ]
+    with patch.object(LWeight, "__hash__", refuse):
+        for argv in runs:
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.run(argv) == 0, argv
+            assert out.getvalue().strip(), argv
 
 
 def test_dense_seeds_decide_without_the_closure():
