@@ -34,6 +34,7 @@ from weylcalc import (
     InvalidSegment,
     LWeight,
     Multisegment,
+    QChar,
     Segment,
     SocleSummand,
     closure,
@@ -46,7 +47,7 @@ from weylcalc import (
     weight_of,
     weyl_dominant_weights,
 )
-from weylcalc import QChar, cli
+from weylcalc import cli
 from weylcalc.closures import _below, _weight_keys
 
 
