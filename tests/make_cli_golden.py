@@ -119,6 +119,22 @@ USAGE_ERRORS = [
     [],
 ]
 
+# argv shapes that argparse reads in ways a hand reader easily gets wrong:
+# = forms, abbreviations, repeats, options after a positional, `--`, and
+# ints that str.isdigit and int() disagree on
+FALLBACK_SHAPES = [
+    ["closed", "--rank=3", "[0,1]"],
+    ["closed", "--ra", "3", "[0,1]"],
+    ["closed", "--j", "--rank", "3", "[0,1]"],
+    ["closed", "--rank", "3", "--rank", "4", "[0,1]"],
+    ["hom", "[0,1]", "--rank", "3", "[1,2]"],
+    ["closed", "--rank", "3", "--", "[0,1]"],
+    ["closed", "--rank", " 3", "[0,1]"],
+    ["closed", "--rank", "3_0", "[0,1]"],
+    ["closed", "--rank", "²", "[0,1]"],
+    ["closed", "--rank", "3", "-[0,1]"],
+]
+
 
 def cases() -> list[tuple[list[str], str | None]]:
     out = []
@@ -127,7 +143,7 @@ def cases() -> list[tuple[list[str], str | None]]:
         out.append((argv, stdin))
         out.append((argv[:3] + ["--json"] + argv[3:], stdin))
     out += [(["--help"], None)] + [([cmd, "--help"], None) for cmd in SUBCOMMANDS]
-    out += [(argv, None) for argv in USAGE_ERRORS]
+    out += [(argv, None) for argv in USAGE_ERRORS + FALLBACK_SHAPES]
     return out
 
 
