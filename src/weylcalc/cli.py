@@ -1,10 +1,12 @@
 """Command-line front end with stable text and JSON output.
 
-Each subcommand is one `Command` row of `COMMANDS`; `build_parser` builds
-argparse from the table, and `run` parses the positionals in order (`-`
-reads stdin, at most once, just before its parse), computes, and calls
-only the renderer that `--json` selects. Rows look library functions up
-as module globals at call time, so wrappers on this module's names see them.
+Each subcommand is one `Command` row of `COMMANDS`. `run` reads canonical
+argv from the table itself and any other through the argparse parser that
+`build_parser` makes from it, so argparse words every message. It then
+parses the positionals in order (`-` reads stdin, at most once, just before
+its parse), computes, and calls only the renderer that `--json` selects.
+Rows look library functions up as module globals at call time, so wrappers
+on this module's names see them.
 
 Exit codes: 0 on success, 2 on parse or precondition failures, 1 on
 internal errors. Output for a fixed input is byte-identical across
@@ -13,11 +15,10 @@ runs; every list is emitted in a canonical sort order.
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
-from typing import Callable, NamedTuple, Optional, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from .closures import _weight_keys, closure
 from .errors import (
@@ -46,6 +47,9 @@ from .weyl import (
     socle,
     subcategory_membership,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 _SEG_RE = re.compile(r"\[(-?\d+),(-?\d+)\]")
 _WFACTOR_RE = re.compile(r"w\[(-?\d+),(-?\d+)\]\^(-?\d+)")
@@ -224,6 +228,7 @@ COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="weylcalc",
         description="Exact multisegment combinatorics for standard modules.",
@@ -246,16 +251,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BY_NAME = {cmd.name: cmd for cmd in COMMANDS}
+# ASCII: int() also reads ' 3' and '3_0', and rejects '²', which isdigit() accepts
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _read(argv) -> Optional[SimpleNamespace]:
+    """parse_args's namespace for a canonical argv, or None to ask argparse.
+
+    Canonical: the subcommand name; `--rank N`, `--json` and the command's
+    options, each once and with one value; then exactly its positionals.
+    """
+    cmd = _BY_NAME.get(argv[0]) if argv else None
+    if cmd is None:
+        return None
+    valued = {"--rank": {"type": int}, **{o: _OPTIONS[o] for o in cmd.options}}
+    out = {"command": cmd.name, "json": False, "spec": cmd}
+    rest = list(argv[1:])
+    while rest and rest[0].startswith("--"):
+        opt = rest.pop(0)
+        if opt == "--json" and not out["json"]:
+            out["json"] = True
+            continue
+        if opt not in valued or not rest:
+            return None
+        spec, value = valued.pop(opt), rest.pop(0)
+        if spec.get("type") is int and _INT_RE.fullmatch(value):
+            value = int(value)
+        elif value not in spec.get("choices", ()):
+            return None
+        out[opt[2:]] = value
+    flags = [t for t in rest if t.startswith("-") and t != "-"]  # -h, --, -x
+    if valued or flags or len(rest) != len(cmd.positionals):
+        return None
+    out.update(zip([dest for dest, _, _ in cmd.positionals], rest))
+    return SimpleNamespace(**out)
+
+
+# built on first fallback and reused: parse_args keeps no state between calls
 _parser: Optional[argparse.ArgumentParser] = None
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     global _parser
-    if _parser is None:
-        # built on first use, not at import, and reused: parse_args keeps
-        # no state between calls
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
     cmd = args.spec
     try:
         if args.rank < 1:
@@ -273,6 +316,8 @@ def run(argv: Optional[list[str]] = None) -> int:
             )
         result = cmd.compute(args, *parsed)
         text_of, json_of = cmd.render
+        if args.json:
+            import json
         out = json.dumps(json_of(result)) if args.json else text_of(result)
     except WeylcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

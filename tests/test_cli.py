@@ -256,6 +256,8 @@ class TestParserReuse:
         ok = ["dominant", "--rank", "4", "--json", "[0,2][1,3][2,4]"]
         assert run(ok) == 0
         first = capsys.readouterr().out
+        # canonical argv never builds the parser; the usage error below does
+        assert built == []
         with pytest.raises(SystemExit) as usage:
             run(["closure", "--rank", "x", "[0,1]"])
         assert usage.value.code == 2
