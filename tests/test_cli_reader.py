@@ -100,12 +100,15 @@ def _near_canonical(cmd):
     options = [valued("--rank", ["1", "3", "-1"])] + [
         valued(o, cli._OPTIONS[o].get("choices", ["1", "2"])) for o in cmd.options]
     pieces = st.tuples(st.sampled_from([(), ("--json",)]), *options).flatmap(st.permutations)
-    edits = {"keep": lambda ps, again: ps, "drop": lambda ps, again: ps[1:],
-             "repeat": lambda ps, again: [*ps, again]}
+
+    def assemble(ps, edit, again, pos):
+        ps = {"keep": ps, "drop": ps[1:], "repeat": [*ps, again]}[edit]
+        return [cmd.name, *_flat(ps), *pos]
+
     n = len(cmd.positionals)
     return st.builds(
-        lambda ps, edit, again, pos: [cmd.name, *_flat(edits[edit](ps, again)), *pos],
-        pieces, st.sampled_from(["keep", "keep", "drop", "repeat"]), st.one_of(options),
+        assemble, pieces, st.sampled_from(["keep", "keep", "drop", "repeat"]),
+        st.one_of(options),
         st.lists(st.sampled_from(LITERALS[:4]), min_size=n, max_size=n)
         | st.lists(st.sampled_from(LITERALS), min_size=n - 1, max_size=n + 1))
 
