@@ -186,8 +186,8 @@ COMMANDS = (
             (str, lambda d: {"hom_dim": d})),
     Command("dominant-weights", "dominant l-weight support of a standard module",
             _ONE_MS, lambda a, ms: QChar._of(*_weight_keys(sort_plus(ms), a.rank)),
-            (lambda q: "\n".join([" * ".join(fs) or "1"
-                                  for fs, _ in q._rows(LWeight._factor.__mod__)]),
+            (lambda q: "\n".join([fs or "1" for fs, _ in
+                                  q._rows(LWeight._factor.__mod__, " * ".join)]),
              lambda q: {"weights": [fs for fs, _ in q._rows(_json_factor)]})),
     Command("qchar", "full q-character multiset", _ONE_MS,
             lambda a, ms: weyl_qchar(ms, a.rank), _QCHAR),

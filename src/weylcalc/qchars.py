@@ -10,8 +10,8 @@ corner at position r contributes the segment
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations, repeat
+from itertools import chain, combinations, count, repeat
+from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidSegment, PreconditionViolated
@@ -73,7 +73,7 @@ class QChar:
 
     @classmethod
     def one(cls) -> "QChar":
-        return cls({LWeight.identity(): 1})
+        return cls._of([], {(): 1})
 
     def _weights(self) -> list[tuple[LWeight, int]]:
         """(weight, multiplicity) per term, built from the factor table."""
@@ -105,13 +105,7 @@ class QChar:
     def __mul__(self, other: "QChar") -> "QChar":
         if not isinstance(other, QChar):
             return NotImplemented
-        acc: dict[LWeight, int] = {}
-        rhs = other._weights()
-        for wa, ma in self._weights():
-            for wb, mb in rhs:
-                w = wa * wb
-                acc[w] = acc.get(w, 0) + ma * mb
-        return QChar._of(*_ranked(acc))
+        return _convolve((self, other))
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -121,18 +115,74 @@ class QChar:
             return NotImplemented
         return self.terms() == other.terms()
 
-    def _rows(self, render: Callable) -> list[tuple[list, int]]:
-        """(rendered factors, multiplicity) per term, by sort_key."""
-        table = [render((i, j, e)) for (i, j), e in self._factors]
+    def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
+        """(join of the rendered factors, multiplicity) per term, by sort_key."""
+        get = [render((i, j, e)) for (i, j), e in self._factors].__getitem__
         keys = self._keys
-        return [(list(map(table.__getitem__, k)), keys[k]) for k in sorted(keys)]
+        return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
     def __str__(self) -> str:
-        rows = self._rows(LWeight._factor.__mod__)
-        return "\n".join([f"{m} * {' * '.join(fs) or '1'}" for fs, m in rows])
+        rows = self._rows(LWeight._factor.__mod__, " * ".join)
+        return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
 
     def __repr__(self) -> str:
         return f"QChar({len(self)} terms, mass {self.total_mass()})"
+
+
+def _packed(chars) -> tuple[dict, int, int, list]:
+    """(slots, w, bias, terms): the chars' terms on packed exponent ints.
+
+    slots numbers the segments of the chars' tables in sorted order; terms[c]
+    lists chars[c]'s terms as (sum of e << w*slot, multiplicity), so products
+    pack as sums. bias, the sum of the chars' largest |e|, bounds a product's
+    exponents, and w is the least of 8, 16, 32, ... with bias < 2**(w-1): a
+    product plus c in each slot, bias <= c <= 2**(w-1), holds e + c there.
+    """
+    slots = dict(zip(sorted({f[0] for q in chars for f in q._factors}), count()))
+    bias = sum([max([abs(e) for _, e in q._factors], default=0) for q in chars])
+    w = max(8, 1 << bias.bit_length().bit_length())
+    gets = [[e << w * slots[s] for s, e in q._factors].__getitem__ for q in chars]
+    return slots, w, bias, [[(sum(map(get, k)), m) for k, m in q._keys.items()]
+                            for q, get in zip(chars, gets)]
+
+
+def _fold(acc: dict, packed: list, rise: Iterable, high: int) -> dict[int, int]:
+    """acc times each packed char in turn; x is kept iff x + rise[k] has all of high."""
+    for terms, later in zip(packed, rise):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for v, m in acc.items():
+            for u, n in terms:
+                x = v + u
+                if (x + later) & high == high:
+                    nxt[x] = get(x, 0) + m * n
+        acc = nxt
+    return acc
+
+
+def _convolve(chars) -> QChar:
+    """The product of chars: one k-fold convolution on packed ints, decoded once.
+
+    Slots start at bias, so slot s ends at d = e + bias. Each distinct
+    64-bit chunk of slots is decoded once, to its (s, d) with d != bias;
+    the sorted used (s, d) index the table, so keys keep the sort_key order.
+    """
+    slots, w, bias, packed = _packed(chars)
+    n, per = len(slots), max(1, 64 // w)
+    mask, top, cols = (1 << w) - 1, (1 << w * per) - 1, []
+    acc = _fold({bias * ((1 << w * n) - 1) // mask: 1}, packed, repeat(0), 0)
+    for lo in range(0, w * n, w * per):
+        chunks = [v >> lo & top for v in acc]
+        found = {x: [(s, d) for s in range(lo // w, min(lo // w + per, n))
+                     if (d := x >> w * s - lo & mask) != bias] for x in set(chunks)}
+        cols.append((chunks, found))
+    used = sorted({f for _, found in cols for fs in found.values() for f in fs})
+    index, segs, keys = {f: r for r, f in enumerate(used)}, list(slots), repeat(())
+    for chunks, found in cols:
+        decoded = {x: tuple(map(index.__getitem__, fs)) for x, fs in found.items()}
+        keys = map(add, keys, map(decoded.__getitem__, chunks))
+    factors = [(segs[s], d - bias) for s, d in used]
+    return QChar._of(factors, dict(zip(keys, acc.values())))
 
 
 def enumerate_paths(seg: Segment, rank: int) -> list[Path]:
@@ -226,64 +276,44 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
 
 
 def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
-    """Convolution of the fundamental characters of the non-degenerate parts."""
-    q = None
+    """Product of the fundamental characters of the non-degenerate parts."""
     for p in ms:
         check_valid(p, rank)
-        if not is_degenerate(p, rank):
-            f = fundamental_qchar(p, rank)
-            q = f if q is None else q * f
-    return QChar.one() if q is None else q
-
-
-def _tops(terms: list[tuple[LWeight, int]]) -> Counter:
-    """Per segment, the largest positive exponent among the terms' weights."""
-    top: Counter = Counter()
-    for w, _ in terms:
-        for seg, e in w._exp.items():
-            if e > top[seg]:
-                top[seg] = e
-    return top
+    chars = [fundamental_qchar(p, rank) for p in ms if not is_degenerate(p, rank)]
+    return _convolve(chars) if len(chars) > 1 else chars[0] if chars else QChar.one()
 
 
 def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
     """weyl_qchar(ms, rank).dominant_part(), without the full product.
 
     An exact branch and bound over the fundamental characters of the
-    non-degenerate parts, convolved one factor at a time with equal
-    partial products merged. rise[k] is how far the factors from k on
-    can still raise each exponent: the sum of the largest positive
-    exponent each of them has there. A partial product is dropped as
-    soon as one of its negative exponents can no longer reach 0. rise is
-    empty after the last factor, so exactly the dominant terms remain.
+    non-degenerate parts, convolved one at a time on packed ints (_packed)
+    with equal partial products merged. Slots start at B = 2**(w-1), and
+    rise[k] packs how far the factors from k on can still raise each
+    exponent: the sum of their largest positive exponents there. A slot of
+    v + rise[k] holds e + B + rise < 2B, so v survives iff every top bit
+    (the mask high) is set, each e can still reach 0. rise is 0 after the
+    last factor: exactly the dominant terms remain, and only they decode.
     """
     for p in ms:
         check_valid(p, rank)
     # The product commutes; taking parts with the highest centre i + j
     # first makes partial products fail sooner.
-    parts = sorted(
-        (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j)
-    )
-    factors = [fundamental_qchar(p, rank)._weights() for p in parts]
-    rise = [Counter()]
-    for terms in reversed(factors):
-        rise.append(rise[-1] + _tops(terms))
-    rise.reverse()
-
-    cur = {LWeight.identity(): 1}
-    for k, terms in enumerate(factors):
-        later = rise[k + 1]
-        nxt: dict[LWeight, int] = {}
-        for wa, ma in cur.items():
-            for wb, mb in terms:
-                w = wa * wb
-                for seg, e in w._exp.items():
-                    if e < 0 and e + later.get(seg, 0) < 0:
-                        break
-                else:
-                    nxt[w] = nxt.get(w, 0) + ma * mb
-        cur = nxt
-    return cur
+    chars = [fundamental_qchar(p, rank) for p in sorted(
+        (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j))]
+    slots, w, _, packed = _packed(chars)
+    rise = [0]
+    for q in chars[:0:-1]:
+        # a segment's last used factor in sorted order has its largest e
+        used = sorted(set(chain.from_iterable(q._keys)))
+        top = dict(map(q._factors.__getitem__, used)).items()
+        rise.append(rise[-1] + sum([e << w * slots[s] for s, e in top if e > 0]))
+    half, mask, out = 1 << w - 1, (1 << w) - 1, {}
+    high = half * ((1 << w * len(slots)) - 1) // mask
+    for v, m in _fold({high: 1}, packed, rise[::-1], high).items():
+        exp = zip(slots, [(v >> w * n & mask) - half for n in range(len(slots))])
+        out[LWeight._wrap({s: e for s, e in exp if e})] = m
+    return out
 
 
 def pair_simple_qchar(ms: Multisegment, rank: int) -> QChar:

@@ -16,9 +16,11 @@ from weylcalc import (
     RootVector,
     Segment,
     closure,
+    enumerate_paths,
     ext_vanishing,
     hom_dim,
     is_closed,
+    path_weight,
     socle,
     sort_plus,
     span,
@@ -245,6 +247,24 @@ def sweep_roots(w, rank):
                 coef[Segment(s, s + d)] = c
         prev = row
     return None if any(prev) else RootVector(coef)
+
+
+def path_product(ms, rank):
+    """The q-character of ms as {LWeight: multiplicity}, from paths alone.
+
+    The product over all parts of the sums of their path weights,
+    multiplied pair by pair as LWeights: no QChar and no factor table. A
+    degenerate part has one path, with no corner, so it contributes 1.
+    """
+    acc = Counter({LWeight.identity(): 1})
+    for p in ms:
+        weights = [path_weight(g, rank) for g in enumerate_paths(p, rank)]
+        nxt = Counter()
+        for w, m in acc.items():
+            for v in weights:
+                nxt[w * v] += m
+        acc = nxt
+    return dict(acc)
 
 
 def box_tuples(max_rank, window, parts):

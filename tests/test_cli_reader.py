@@ -155,6 +155,24 @@ def test_a_call_imports_argparse_and_json_only_when_it_needs_them(argv, imported
     assert done.stdout.splitlines()[-1] == repr(imported)
 
 
+def test_the_packed_products_import_nothing():
+    # the products run on plain ints: no array, struct or numpy at import,
+    # and no module imported on first use
+    probe = (
+        "import sys\n"
+        "from weylcalc import cli\n"
+        "before = set(sys.modules)\n"
+        "cli.run(['qchar', '--rank', '5', '[25,27][20,23][24,25]'])\n"
+        "cli.run(['dominant', '--rank', '4', '[0,2][0,2][1,3]'])\n"
+        "cli.run(['dominant-weights', '--rank', '4', '[0,2][0,2][1,3]'])\n"
+        "print(sorted(set(sys.modules) - before),"
+        " [m for m in ('array', 'ctypes', 'numpy') if m in before])\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[] []"
+
+
 def test_python_m_reads_sys_argv_through_the_reader():
     done = _python("-m", "weylcalc", "closed", "--rank", "2", "[0,1]")
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")

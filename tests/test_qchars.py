@@ -3,13 +3,14 @@ import json
 import math
 import random
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from unittest.mock import patch
 
 import pytest
 
 from helpers import (
     criterion2_instances,
+    path_product,
     random_connected_pair,
     random_doubly_sorted,
     random_multisegment,
@@ -149,24 +150,73 @@ class TestQCharAlgebra:
         assert str(QChar([(w(0, 1), 2), (w(0, 1), 1), (w(1, 2), 0)])) == "3 * w[0,1]^1"
 
 
+def rendered(terms):
+    """str and json_qchar_terms of a weight map, each term from its own sort_key."""
+    ordered = sorted((w.sort_key(), m) for w, m in terms.items())
+    text = "\n".join(f"{m} * {LWeight._format(key)}" for key, m in ordered)
+    records = [
+        {"weight": [{"segment": [i, j], "exp": e} for i, j, e in key], "mult": m}
+        for key, m in ordered
+    ]
+    return text, records
+
+
+def check_product_against_paths(ms, rank):
+    q = weyl_qchar(ms, rank)
+    oracle = path_product(ms, rank)
+    assert q.terms() == oracle, (ms, rank)
+    text, records = rendered(oracle)
+    assert str(q) == text
+    assert json_qchar_terms(q) == records
+    return q
+
+
+def interacting_tuples(rng, count):
+    """(ms, rank) whose parts start close together, so that they interact.
+
+    About a third of the tuples have several dominant terms and a fifth a
+    degenerate part; an empty part list is the empty product, ().
+    """
+    for _ in range(count):
+        rank = rng.randint(1, 4)
+        base = rng.randint(-2, 2)
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            i = base + rng.randint(0, 3)
+            if rng.random() < 0.3:
+                length = rng.randint(0, rank + 1)
+            else:
+                length = rng.randint(1, rank)
+            parts.append(Segment(i, i + length))
+        yield (Multisegment(parts) if parts else ()), rank
+
+
+@contextmanager
+def counted_lweights():
+    """Within the block, every LWeight built appends to the list it yields."""
+    calls = []
+    wrap, init = LWeight._wrap.__func__, LWeight.__init__
+
+    def counted_wrap(cls, exp):
+        calls.append("_wrap")
+        return wrap(cls, exp)
+
+    def counted_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
+
+    with patch.object(LWeight, "_wrap", classmethod(counted_wrap)), \
+            patch.object(LWeight, "__init__", counted_init):
+        yield calls
+    assert "_wrap" not in vars(LWeight) and "__init__" not in vars(LWeight)
+
+
 class TestNoWeightPerPath:
-    """Building and rendering a fundamental character makes no LWeight."""
+    """Characters, their products and renderings make no LWeight per term."""
 
     def test_largest_shape_builds_no_lweight(self):
-        calls = []
-        wrap, init = LWeight._wrap.__func__, LWeight.__init__
-
-        def counted_wrap(cls, exp):
-            calls.append("_wrap")
-            return wrap(cls, exp)
-
-        def counted_init(self, *args):
-            calls.append("__init__")
-            init(self, *args)
-
         out = io.StringIO()
-        with patch.object(LWeight, "_wrap", classmethod(counted_wrap)), \
-                patch.object(LWeight, "__init__", counted_init):
+        with counted_lweights() as calls:
             q = fundamental_qchar(Segment(0, 7), 14)
             text = str(q)
             records = json_qchar_terms(q)
@@ -177,7 +227,98 @@ class TestNoWeightPerPath:
             # the counter sees the weights that terms() builds
             assert len(q.terms()) == len(calls) == 6435
         assert out.getvalue() == f"{text}\n{json.dumps({'terms': records})}\n"
-        assert "_wrap" not in vars(LWeight) and "__init__" not in vars(LWeight)
+
+    def test_largest_product_builds_no_lweight(self):
+        argv = ["qchar", "--rank", "5", "[25,27][20,23][24,25]"]
+        out = io.StringIO()
+        with counted_lweights() as calls:
+            q = weyl_qchar(M((25, 27), (20, 23), (24, 25)), 5)
+            text = str(q)
+            records = json_qchar_terms(q)
+            pair = fundamental_qchar(Segment(25, 27), 5) * fundamental_qchar(
+                Segment(20, 23), 5)
+            with redirect_stdout(out):
+                assert cli.run(argv) == 0
+                assert cli.run(argv + ["--json"]) == 0
+            assert calls == []
+        assert (len(q), len(pair)) == (1800, 300)
+        assert out.getvalue() == f"{text}\n{json.dumps({'terms': records})}\n"
+
+    @pytest.mark.parametrize("pairs, rank, size", [
+        (((0, 2), (1, 3), (2, 4), (3, 5), (4, 6)), 4, 46),
+        (((25, 27), (25, 27), (26, 28)), 4, 2),
+        (((0, 1), (0, 3)), 2, 1),
+        (((0, 0), (3, 3)), 2, 1),
+    ])
+    def test_dominant_part_builds_only_the_weights_it_returns(self, pairs, rank, size):
+        with counted_lweights() as calls:
+            part = weyl_dominant_part(M(*pairs), rank)
+            assert len(calls) == len(part) == size
+
+
+class TestProductAgainstPaths:
+    """weyl_qchar, str and JSON against path_product, which multiplies LWeights."""
+
+    @pytest.mark.parametrize("pairs, rank", [
+        # the five products of the enumerate benchmark (seed 0)
+        (((25, 30), (23, 27)), 5),
+        (((25, 27), (20, 23), (24, 25)), 5),
+        (((25, 26), (25, 27)), 4),
+        (((26, 28), (20, 21), (22, 25)), 3),
+        (((21, 24), (24, 28)), 4),
+    ])
+    def test_benchmark_products(self, pairs, rank):
+        check_product_against_paths(M(*pairs), rank)
+
+    @pytest.mark.parametrize("pairs, rank, top", [
+        (((0, 2), (0, 2)), 4, 2),
+        (((0, 2), (0, 2), (0, 2)), 3, 3),
+        (((1, 2), (1, 2), (0, 4), (1, 2)), 3, 3),
+    ])
+    def test_repeated_parts(self, pairs, rank, top):
+        q = check_product_against_paths(M(*pairs), rank)
+        assert max(abs(e) for wt in q.terms() for e in wt.exponents().values()) == top
+
+    def test_random_interacting_tuples(self):
+        for ms, rank in interacting_tuples(random.Random(66), 150):
+            check_product_against_paths(ms, rank)
+
+
+class TestPackedEdges:
+    """Slot widths past one byte, and products with the identity or nothing."""
+
+    def test_a_130_fold_power_needs_two_byte_slots(self):
+        # [0,1] at rank 1 has the character w[0,1] + w[1,2]^-1, so exponents
+        # reach 130 and -130
+        q = weyl_qchar(M(*[(0, 1)] * 130), 1)
+        assert q.terms() == {
+            w(0, 1, k) * w(1, 2, k - 130): math.comb(130, k) for k in range(131)
+        }
+        assert q.total_mass() == 2 ** 130
+
+    @pytest.mark.parametrize("e", [200, 2 ** 70])
+    def test_large_exponents_times_a_fundamental_character(self, e):
+        q = QChar({w(0, 1, e) * w(1, 2, -e): 3, w(0, 2, -e): 2, w(1, 2): 1,
+                   LWeight.identity(): 1})
+        f = fundamental_qchar(Segment(0, 1), 2)
+        expected = Counter()
+        for wa, ma in q.terms().items():
+            for wb, mb in f.terms().items():
+                expected[wa * wb] += ma * mb
+        text, records = rendered(expected)
+        for product in (q * f, f * q):
+            assert product.terms() == dict(expected)
+            assert str(product) == text
+            assert json_qchar_terms(product) == records
+
+    def test_identity_and_empty_tables(self):
+        one, f = QChar.one(), fundamental_qchar(Segment(0, 1), 2)
+        assert one * one == one and str(one * one) == "1 * 1"
+        assert one * f == f == f * one and str(one * f) == str(f)
+        assert (QChar({LWeight.identity(): 2}) * f).terms() == dict.fromkeys(f.terms(), 2)
+        empty = QChar()
+        for product in (empty * f, f * empty, empty * one, empty * empty):
+            assert (len(product), product.terms(), str(product)) == (0, {}, "")
 
 
 class TestFundamental:
@@ -286,23 +427,7 @@ class TestWeylDominantPart:
             assert weyl_dominant_part(ms, rank) == weyl_qchar(ms, rank).dominant_part()
 
     def test_random_tuples_with_degenerate_parts(self):
-        # parts start close together so that they interact; about a third
-        # of the tuples have several dominant terms and a fifth a
-        # degenerate part
-        rng = random.Random(66)
-        for _ in range(400):
-            rank = rng.randint(1, 4)
-            base = rng.randint(-2, 2)
-            parts = []
-            for _ in range(rng.randint(0, 4)):
-                i = base + rng.randint(0, 3)
-                if rng.random() < 0.3:
-                    length = rng.randint(0, rank + 1)
-                else:
-                    length = rng.randint(1, rank)
-                parts.append(Segment(i, i + length))
-            # an empty part list is the empty product, as for weyl_qchar
-            ms = Multisegment(parts) if parts else ()
+        for ms, rank in interacting_tuples(random.Random(66), 400):
             oracle = weyl_qchar(ms, rank).dominant_part()
             assert weyl_dominant_part(ms, rank) == oracle, (ms, rank)
 
