@@ -38,7 +38,7 @@ from .multisegments import (
     sort_plus,
     weight_of,
 )
-from .qchars import QChar, weyl_dominant_part, weyl_qchar
+from .qchars import QChar, _dominant, weyl_qchar
 from .segments import Segment
 from .weyl import (
     ext_vanishing,
@@ -185,14 +185,14 @@ COMMANDS = (
             lambda a, src, dst: hom_dim(src, dst, a.rank),
             (str, lambda d: {"hom_dim": d})),
     Command("dominant-weights", "dominant l-weight support of a standard module",
-            _ONE_MS, lambda a, ms: QChar._of(*_weight_keys(sort_plus(ms), a.rank)),
+            _ONE_MS, lambda a, ms: _weight_keys(sort_plus(ms), a.rank),
             (lambda q: "\n".join([fs or "1" for fs, _ in
                                   q._rows(LWeight._factor.__mod__, " * ".join)]),
              lambda q: {"weights": [fs for fs, _ in q._rows(_json_factor)]})),
     Command("qchar", "full q-character multiset", _ONE_MS,
             lambda a, ms: weyl_qchar(ms, a.rank), _QCHAR),
     Command("dominant", "dominant part of the q-character", _ONE_MS,
-            lambda a, ms: QChar(weyl_dominant_part(ms, a.rank)), _QCHAR),
+            lambda a, ms: _dominant(ms, a.rank), _QCHAR),
     Command("alpha-decompose", "write an l-weight in the root generators",
             (("lweight", "w", _W),), _decompose_or_none,
             (lambda rv: "not-in-root-lattice" if rv is None else str(rv),

@@ -16,6 +16,7 @@ from .multisegments import (
     span,
     sort_plus,
 )
+from .qchars import QChar
 from .segments import Segment, check_valid
 
 
@@ -173,10 +174,10 @@ def _left_closure(seed: Multisegment, rank: int):
     return js, order, closed
 
 
-def _weight_keys(seed: Multisegment, rank: int) -> tuple[list, dict]:
-    """The weights of closure(seed)'s members as QChar's (factors, keys).
+def _weight_keys(seed: Multisegment, rank: int) -> QChar:
+    """The weights of closure(seed)'s members, each once, as a ranked QChar.
 
-    factors lists the (segment, e) that a member can hold, sorted: the
+    Its table lists the (segment, e) that a member can hold, sorted: the
     non-degenerate (left, j) pairs of the seed, e up to the copies of both.
     Each member's key, mapped to 1, is the ascending tuple of its factors'
     indices, so keys sort as sort_keys do. cols[k] indexes (left, j_k) at
@@ -194,7 +195,7 @@ def _weight_keys(seed: Multisegment, rank: int) -> tuple[list, dict]:
     else:
         keys = ([r + c - 1 for r, c in Counter(map(dict.get, cols, a)).items()
                  if r is not None] for a in order)
-    return factors, {tuple(sorted(k)): 1 for k in keys}
+    return QChar._of(factors, {tuple(sorted(k)): 1 for k in keys})
 
 
 def _below(seed: Multisegment, lefts) -> bool:

@@ -10,7 +10,7 @@ corner at position r contributes the segment
 
 from __future__ import annotations
 
-from itertools import chain, combinations, count, repeat
+from itertools import accumulate, combinations, count, repeat
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
@@ -23,30 +23,16 @@ Path = tuple[int, ...]
 TermSource = Union[Mapping[LWeight, int], Iterable[tuple[LWeight, int]]]
 
 
-def _ranked(terms: Mapping[LWeight, int]) -> tuple[list, dict]:
-    """(factors, keys) of distinct weights with their multiplicities.
-
-    factors are the sorted distinct (segment, exponent) items of all the
-    weights; each weight is keyed by the ascending tuple of its items'
-    indices in factors. Indexing keeps the order of items, so the keys
-    sort as the weights' sort_keys do, a proper prefix first.
-    """
-    factors = sorted({f for w in terms for f in w._exp.items()})
-    index = {f: r for r, f in enumerate(factors)}
-    return factors, {tuple(sorted(map(index.__getitem__, w._exp.items()))): m
-                     for w, m in terms.items()}
-
-
 class QChar:
     """A finite multiset of l-weights with positive multiplicities.
 
     Stored ranked: `_factors` is a sorted table of distinct (Segment, e)
-    factors, which may hold factors no term uses, and `_keys` maps each
-    term, an ascending tuple of factor indices, to its multiplicity, so
-    the keys sort as the terms' sort_keys do. `str` and the JSON renderer
-    sort the keys and render each factor of the table once; LWeights are
-    built only when asked for. fundamental_qchar writes its keys as ints
-    straight from the paths.
+    factors, each used by some term except in closures._weight_keys' tables,
+    and `_keys` maps each term, an ascending tuple of factor indices, to its
+    multiplicity, so the keys sort as the terms' sort_keys do. `str` and the
+    JSON renderer sort the keys and render each factor of the table once;
+    LWeights are built only when asked for. fundamental_qchar writes its
+    keys as ints straight from the paths.
     """
 
     __slots__ = ("_factors", "_keys")
@@ -63,7 +49,11 @@ class QChar:
                 raise PreconditionViolated("multiplicities must be positive")
             if m:
                 acc[w] = acc.get(w, 0) + m
-        self._factors, self._keys = _ranked(acc)
+        # indexing keeps the order of items, so keys sort as sort_keys do
+        self._factors = sorted({f for w in acc for f in w._exp.items()})
+        index = {f: r for r, f in enumerate(self._factors)}
+        self._keys = {tuple(sorted(map(index.__getitem__, w._exp.items()))): m
+                      for w, m in acc.items()}
 
     @classmethod
     def _of(cls, factors: list, keys: dict) -> "QChar":
@@ -75,13 +65,9 @@ class QChar:
     def one(cls) -> "QChar":
         return cls._of([], {(): 1})
 
-    def _weights(self) -> list[tuple[LWeight, int]]:
-        """(weight, multiplicity) per term, built from the factor table."""
-        get = self._factors.__getitem__
-        return [(LWeight._wrap(dict(map(get, k))), m) for k, m in self._keys.items()]
-
     def terms(self) -> dict[LWeight, int]:
-        return dict(self._weights())
+        get = self._factors.__getitem__
+        return {LWeight._wrap(dict(map(get, k))): m for k, m in self._keys.items()}
 
     def multiplicity(self, w: LWeight) -> int:
         index = {f: r for r, f in enumerate(self._factors)}
@@ -115,6 +101,18 @@ class QChar:
             return NotImplemented
         return self.terms() == other.terms()
 
+    def _shared(self, other: "QChar") -> list[LWeight]:
+        """The weights of self's terms that other also has, by sort_key.
+
+        other's keys are rewritten in self's table (None for a factor it lacks).
+        """
+        keys, get = self._keys.keys(), self._factors.__getitem__
+        if other is not self:
+            at = {f: r for r, f in enumerate(self._factors)}
+            keys = keys & {tuple([at.get(other._factors[r]) for r in k])
+                           for k in other._keys}
+        return [LWeight._wrap(dict(map(get, k))) for k in sorted(keys)]
+
     def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
         """(join of the rendered factors, multiplicity) per term, by sort_key."""
         get = [render((i, j, e)) for (i, j), e in self._factors].__getitem__
@@ -129,21 +127,21 @@ class QChar:
         return f"QChar({len(self)} terms, mass {self.total_mass()})"
 
 
-def _packed(chars) -> tuple[dict, int, int, list]:
-    """(slots, w, bias, terms): the chars' terms on packed exponent ints.
+def _packed(chars) -> tuple[dict, int, list]:
+    """(slots, w, terms): the chars' terms on packed exponent ints.
 
     slots numbers the segments of the chars' tables in sorted order; terms[c]
     lists chars[c]'s terms as (sum of e << w*slot, multiplicity), so products
-    pack as sums. bias, the sum of the chars' largest |e|, bounds a product's
-    exponents, and w is the least of 8, 16, 32, ... with bias < 2**(w-1): a
-    product plus c in each slot, bias <= c <= 2**(w-1), holds e + c there.
+    pack as sums. The sum of the chars' largest |e| bounds a product's
+    exponents, and w is the least of 8, 16, 32, ... that puts it below
+    2**(w-1): a product plus 2**(w-1) in each slot holds e + 2**(w-1) there.
     """
     slots = dict(zip(sorted({f[0] for q in chars for f in q._factors}), count()))
     bias = sum([max([abs(e) for _, e in q._factors], default=0) for q in chars])
     w = max(8, 1 << bias.bit_length().bit_length())
     gets = [[e << w * slots[s] for s, e in q._factors].__getitem__ for q in chars]
-    return slots, w, bias, [[(sum(map(get, k)), m) for k, m in q._keys.items()]
-                            for q, get in zip(chars, gets)]
+    return slots, w, [[(sum(map(get, k)), m) for k, m in q._keys.items()]
+                      for q, get in zip(chars, gets)]
 
 
 def _fold(acc: dict, packed: list, rise: Iterable, high: int) -> dict[int, int]:
@@ -160,28 +158,41 @@ def _fold(acc: dict, packed: list, rise: Iterable, high: int) -> dict[int, int]:
     return acc
 
 
-def _convolve(chars) -> QChar:
-    """The product of chars: one k-fold convolution on packed ints, decoded once.
+def _convolve(chars, dominant: bool = False) -> QChar:
+    """The product of chars, or its dominant terms: one packed convolution.
 
-    Slots start at bias, so slot s ends at d = e + bias. Each distinct
-    64-bit chunk of slots is decoded once, to its (s, d) with d != bias;
-    the sorted used (s, d) index the table, so keys keep the sort_key order.
+    The chars' terms are convolved on packed ints (_packed) in one k-fold
+    pass. Slots start at B = 2**(w-1), so slot s ends at d = e + B. With
+    dominant set, the pass is an exact branch and bound: rise[k] packs how
+    far the chars from k on can still raise each exponent, the sum of their
+    largest positive exponents there. A slot of x + rise[k] holds
+    e + B + rise < 2B, so x survives iff every top bit (the mask high) is
+    set, each e can still reach 0. rise is 0 after the last char: exactly
+    the dominant terms remain, and only they decode. Each distinct 64-bit
+    chunk of slots is decoded once, to its (s, d) with d != B; the sorted
+    used (s, d) index the table, so keys keep the sort_key order.
     """
-    slots, w, bias, packed = _packed(chars)
+    slots, w, packed = _packed(chars)
     n, per = len(slots), max(1, 64 // w)
-    mask, top, cols = (1 << w) - 1, (1 << w * per) - 1, []
-    acc = _fold({bias * ((1 << w * n) - 1) // mask: 1}, packed, repeat(0), 0)
+    half, mask, top, cols = 1 << w - 1, (1 << w) - 1, (1 << w * per) - 1, []
+    high = half * ((1 << w * n) - 1) // mask
+    rise, need = repeat(0), 0
+    if dominant:  # a segment's last factor in a sorted table has its largest e
+        ups = [sum([e << w * slots[s] for s, e in dict(q._factors).items() if e > 0])
+               for q in chars[:0:-1]]
+        rise, need = list(accumulate(ups, initial=0))[::-1], high
+    acc = _fold({high: 1}, packed, rise, need)
     for lo in range(0, w * n, w * per):
         chunks = [v >> lo & top for v in acc]
         found = {x: [(s, d) for s in range(lo // w, min(lo // w + per, n))
-                     if (d := x >> w * s - lo & mask) != bias] for x in set(chunks)}
+                     if (d := x >> w * s - lo & mask) != half] for x in set(chunks)}
         cols.append((chunks, found))
     used = sorted({f for _, found in cols for fs in found.values() for f in fs})
     index, segs, keys = {f: r for r, f in enumerate(used)}, list(slots), repeat(())
     for chunks, found in cols:
         decoded = {x: tuple(map(index.__getitem__, fs)) for x, fs in found.items()}
         keys = map(add, keys, map(decoded.__getitem__, chunks))
-    factors = [(segs[s], d - bias) for s, d in used]
+    factors = [(segs[s], d - half) for s, d in used]
     return QChar._of(factors, dict(zip(keys, acc.values())))
 
 
@@ -243,11 +254,14 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
     [j-d, j+u]. A run of downs starting at down k > 0 gives the minimum
     after (k, u_(k-1)) and the maximum after (k, u_k); the first run gives
     the maximum after (0, u_0) if u_0 > 0, and the last run ends in the
-    minimum after (L, u_(L-1)) if u_(L-1) < U. The factor ([j-d, j+u], e)
-    has index (L-d) * 2(U+1) + 2u + (e > 0), which is sorted order, so a
-    key lists the corners from the last down back to the first. Keys are
-    extended one down at a time from the last, sharing the part so far
-    between paths; distinct paths have distinct weights.
+    minimum after (L, u_(L-1)) if u_(L-1) < U. The table lists these
+    corners in sorted order, each used by some path: the minima with u < U
+    at d = L (index u); for 0 < d < L, with b = U(2(L-d) - 1), the maximum
+    for u > 0 (index b + 2u - 1) and the minimum for u < U (index b + 2u);
+    the maxima with u > 0 at d = 0 (index U(2L-1) - 1 + u). So a key lists
+    the corners from the last down back to the first. Keys are extended one
+    down at a time from the last, sharing the part so far between paths;
+    distinct paths have distinct weights.
     """
     if not 1 <= seg.length <= rank:
         raise InvalidSegment(
@@ -255,23 +269,23 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
             f" at rank {rank}"
         )
     length, ups = seg.length, rank + 1 - seg.length
-    width = 2 * (ups + 1)
-    factors = [(s, e) for a in range(length + 1) for u in range(ups + 1)
-               for s in (Segment(seg.i + a, seg.j + u),) for e in (-1, 1)]
+    factors = [(Segment(seg.i + a, seg.j + u), e) for a in range(length + 1)
+               for u in range(ups + 1) for e in (-1, 1)
+               if ((0 < a and 0 < u) if e < 0 else (a < length and u < ups))]
     # heads[u]: keys so far of the paths whose latest down chosen has u ups before it
-    heads = [[(2 * u + 1,)] for u in range(ups)] + [[()]]
+    heads = [[(u,)] for u in range(ups)] + [[()]]
     for k in range(length - 1, 0, -1):
-        base = (length - k) * width
+        b = ups * (2 * (length - k) - 1)
         nxt: list[list[tuple]] = [[] for _ in heads]
         for u, keys in enumerate(heads):
             nxt[u] += keys
             for v in range(u):
-                pair = (base + 2 * v + 1, base + 2 * u)  # the minimum, the maximum
+                pair = (b + 2 * v, b + 2 * u - 1)  # the minimum, the maximum
                 nxt[v] += map(tuple.__add__, keys, repeat(pair))
         heads = nxt
-    keys = heads[0]
+    keys, last = heads[0], ups * (2 * length - 1) - 1
     for u in range(1, ups + 1):
-        keys += map(tuple.__add__, heads[u], repeat((length * width + 2 * u,)))
+        keys += map(tuple.__add__, heads[u], repeat((last + u,)))
     return QChar._of(factors, dict.fromkeys(keys, 1))
 
 
@@ -283,37 +297,20 @@ def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
     return _convolve(chars) if len(chars) > 1 else chars[0] if chars else QChar.one()
 
 
-def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
-    """weyl_qchar(ms, rank).dominant_part(), without the full product.
-
-    An exact branch and bound over the fundamental characters of the
-    non-degenerate parts, convolved one at a time on packed ints (_packed)
-    with equal partial products merged. Slots start at B = 2**(w-1), and
-    rise[k] packs how far the factors from k on can still raise each
-    exponent: the sum of their largest positive exponents there. A slot of
-    v + rise[k] holds e + B + rise < 2B, so v survives iff every top bit
-    (the mask high) is set, each e can still reach 0. rise is 0 after the
-    last factor: exactly the dominant terms remain, and only they decode.
-    """
+def _dominant(ms: Multisegment, rank: int) -> QChar:
+    """weyl_qchar(ms, rank)'s dominant terms, without the full product."""
     for p in ms:
         check_valid(p, rank)
     # The product commutes; taking parts with the highest centre i + j
     # first makes partial products fail sooner.
     chars = [fundamental_qchar(p, rank) for p in sorted(
         (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j))]
-    slots, w, _, packed = _packed(chars)
-    rise = [0]
-    for q in chars[:0:-1]:
-        # a segment's last used factor in sorted order has its largest e
-        used = sorted(set(chain.from_iterable(q._keys)))
-        top = dict(map(q._factors.__getitem__, used)).items()
-        rise.append(rise[-1] + sum([e << w * slots[s] for s, e in top if e > 0]))
-    half, mask, out = 1 << w - 1, (1 << w) - 1, {}
-    high = half * ((1 << w * len(slots)) - 1) // mask
-    for v, m in _fold({high: 1}, packed, rise[::-1], high).items():
-        exp = zip(slots, [(v >> w * n & mask) - half for n in range(len(slots))])
-        out[LWeight._wrap({s: e for s, e in exp if e})] = m
-    return out
+    return _convolve(chars, dominant=True)
+
+
+def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:
+    """weyl_qchar(ms, rank).dominant_part(), by the pruned search of _convolve."""
+    return _dominant(ms, rank).terms()
 
 
 def pair_simple_qchar(ms: Multisegment, rank: int) -> QChar:
@@ -341,7 +338,7 @@ def pair_simple_qchar(ms: Multisegment, rank: int) -> QChar:
             if all(x > y for x, y in zip(g1, g2)):
                 w = w1 * w2
                 acc[w] = acc.get(w, 0) + 1
-    return QChar._of(*_ranked(acc))
+    return QChar(acc)
 
 
 def soclehom_weight(ms: Multisegment, rank: int) -> LWeight:

@@ -36,8 +36,7 @@ def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
     Members are weighed as int keys into a factor table (see _weight_keys),
     and one LWeight is built per distinct key.
     """
-    factors, keys = _weight_keys(sort_plus(ms), rank)
-    return {LWeight._wrap(dict(map(factors.__getitem__, k))) for k in keys}
+    return _weight_keys(sort_plus(ms), rank).support()
 
 
 def hom_dim(src: Multisegment, dst: Multisegment, rank: int) -> int:
@@ -107,16 +106,13 @@ class ExtCertificate:
 def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertificate:
     """Disjoint dominant supports force Ext vanishing; overlap decides nothing.
 
-    The supports are compared as keys of _weight_keys, ms2's rewritten in
-    ms1's factor table; LWeights are built for the shared weights only.
+    The supports are compared as keys of _weight_keys (QChar._shared);
+    LWeights are built for the shared weights only.
     """
     plus = sort_plus(ms1), sort_plus(ms2)
-    factors, keys = _weight_keys(plus[0], rank)
-    if plus[1] != plus[0]:  # the support depends on the plus-sorted tuple alone
-        other, theirs = _weight_keys(plus[1], rank)
-        at = {f: r for r, f in enumerate(factors)}  # None for a factor it lacks
-        keys = keys.keys() & {tuple([at.get(other[r]) for r in k]) for k in theirs}
-    shared = [LWeight._wrap(dict(map(factors.__getitem__, k))) for k in sorted(keys)]
+    ours = _weight_keys(plus[0], rank)
+    # the support depends on the plus-sorted tuple alone
+    shared = ours._shared(ours if plus[1] == plus[0] else _weight_keys(plus[1], rank))
     verdict = ExtVerdict.INCONCLUSIVE if shared else ExtVerdict.VANISHES
     return ExtCertificate(verdict, tuple(shared))
 

@@ -34,7 +34,6 @@ from weylcalc import (
     InvalidSegment,
     LWeight,
     Multisegment,
-    QChar,
     Segment,
     SocleSummand,
     closure,
@@ -230,9 +229,10 @@ def test_weight_keys_render_as_the_sorted_member_weights():
     squares = 0
     for _ in range(300):
         ms, rank = random_seed(rng)
-        factors, keys = _weight_keys(sort_plus(ms), rank)
+        q = _weight_keys(sort_plus(ms), rank)
+        keys = q._keys
         assert set(keys.values()) == {1}
-        rows = QChar._of(factors, keys)._rows(LWeight._factor.__mod__)
+        rows = q._rows(LWeight._factor.__mod__)
         text = "\n".join([" * ".join(fs) or "1" for fs, _ in rows])
         weights = by_sort_key(member_weights(ms, rank))
         assert text == "\n".join(map(str, weights)), (ms, rank)
@@ -273,7 +273,7 @@ def test_ext_vanishing_shares_the_intersection_of_member_weights():
         if 0 < len(shared) < len(ours | theirs):
             seen["overlaps"] += 1
             seen["squares"] += any(2 in w.exponents().values() for w in shared)
-            tables = (_weight_keys(sort_plus(t), rank)[0] for t in (ms, other))
+            tables = (_weight_keys(sort_plus(t), rank)._factors for t in (ms, other))
             seen["other tables"] += next(tables) != next(tables)
     assert seen["vanishes"] > 30 and seen["overlaps"] > 50, seen
     assert seen["squares"] > 5 and seen["other tables"] > 25, seen

@@ -36,7 +36,6 @@ from weylcalc.cli import (  # noqa: E402
     parse_lweight,
     parse_multisegment,
 )
-from weylcalc.qchars import _ranked  # noqa: E402
 from helpers import passes_bounds  # noqa: E402
 
 PROPERTY = settings(
@@ -160,7 +159,7 @@ def test_qchar_renders_each_term_from_its_sort_key(terms):
 def run_with_dominant_weights(weights, *flags):
     """cli stdout for dominant-weights when the keyed weigher returns weights."""
     out = io.StringIO()
-    keyed = _ranked(dict.fromkeys(weights, 1))
+    keyed = QChar(dict.fromkeys(weights, 1))
     with patch.object(cli, "_weight_keys", lambda ms, rank: keyed):
         with redirect_stdout(out):
             assert cli.run(["dominant-weights", "--rank", "1", "[0,1]", *flags]) == 0

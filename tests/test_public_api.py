@@ -55,3 +55,25 @@ def test_src_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_the_ranked_format_has_one_owner():
+    # QChar's (factor table, keys) form is read in qchars.py alone, built
+    # there and in closures._weight_keys, and turned into LWeights without
+    # a copy only by the modules that own LWeight and QChar
+    owners = {"_factors": {"qchars.py"}, "_keys": {"qchars.py"},
+              "QChar._of": {"qchars.py", "closures.py"},
+              "LWeight._wrap": {"lweights.py", "qchars.py"}}
+    seen = {name: set() for name in owners}
+    for path in sorted(Path(weylcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in ("_factors", "_keys"):
+                seen[node.attr].add(path.name)
+            elif isinstance(node.value, ast.Name):
+                name = f"{node.value.id}.{node.attr}"
+                if name in seen:
+                    seen[name].add(path.name)
+    for name, files in seen.items():
+        assert files <= owners[name], (name, sorted(files - owners[name]))

@@ -171,6 +171,10 @@ def check_product_against_paths(ms, rank):
     return q
 
 
+def dominant_terms(terms):
+    return {wt: m for wt, m in terms.items() if wt.is_dominant}
+
+
 def interacting_tuples(rng, count):
     """(ms, rank) whose parts start close together, so that they interact.
 
@@ -254,6 +258,18 @@ class TestNoWeightPerPath:
         with counted_lweights() as calls:
             part = weyl_dominant_part(M(*pairs), rank)
             assert len(calls) == len(part) == size
+
+    def test_cli_dominant_builds_no_lweight(self):
+        argv = ["dominant", "--rank", "4", "[0,2][1,3][2,4][3,5][4,6]"]
+        part = weyl_dominant_part(M((0, 2), (1, 3), (2, 4), (3, 5), (4, 6)), 4)
+        out = io.StringIO()
+        with counted_lweights() as calls:
+            with redirect_stdout(out):
+                assert cli.run(argv) == 0
+                assert cli.run(argv + ["--json"]) == 0
+            assert calls == []
+        text, records = rendered(part)
+        assert out.getvalue() == f"{text}\n{json.dumps({'terms': records})}\n"
 
 
 class TestProductAgainstPaths:
@@ -378,6 +394,19 @@ class TestFundamentalAgainstPaths:
     def test_largest_benchmark_shape(self):
         check_against_paths(Segment(0, 7), 14)
 
+    def test_tables_list_only_used_factors_in_sorted_order(self):
+        # no degenerate [j,j] or [i,i+rank+1] slot and no corner a path lacks
+        for rank in range(1, 10):
+            for ln in range(1, rank + 1):
+                seg = Segment(1, 1 + ln)
+                q = fundamental_qchar(seg, rank)
+                used = {r for k in q._keys for r in k}
+                assert used == set(range(len(q._factors))), (seg, rank)
+                assert q._factors == sorted(q._factors), (seg, rank)
+                assert q.terms() == {
+                    path_weight(g, rank): 1 for g in enumerate_paths(seg, rank)
+                }
+
     def test_one_part_weyl_character_is_the_fundamental_one(self):
         for rank in range(1, 6):
             for ln in range(1, rank + 1):
@@ -439,6 +468,28 @@ class TestWeylDominantPart:
         part = weyl_dominant_part(ms, 4)
         assert (len(part), sum(part.values()), max(part.values())) == (46, 67, 3)
         assert part[weight_of(ms, 4)] == 1
+
+    def test_criterion2_corpus_against_paths(self):
+        # an oracle that shares no code with _convolve
+        for ms, rank in criterion2_instances():
+            expected = dominant_terms(path_product(ms, rank))
+            assert weyl_dominant_part(ms, rank) == expected, (ms, rank)
+
+    def test_random_tuples_against_paths(self):
+        for ms, rank in interacting_tuples(random.Random(67), 150):
+            expected = dominant_terms(path_product(ms, rank))
+            assert weyl_dominant_part(ms, rank) == expected, (ms, rank)
+
+    def test_a_130_fold_power_needs_two_byte_slots(self):
+        assert weyl_dominant_part(M(*[(0, 1)] * 130), 1) == {w(0, 1, 130): 1}
+
+    def test_wide_slots_against_paths(self):
+        # [0,1] and [1,2] at rank 1 each reach |e| = 65: two-byte slots
+        ms = M(*[(0, 1)] * 65, *[(1, 2)] * 65)
+        part = weyl_dominant_part(ms, 1)
+        assert part == {w(0, 1, k) * w(1, 2, k): math.comb(65, k) for k in range(66)}
+        assert (len(part), sum(part.values())) == (66, 2 ** 65)
+        assert part == dominant_terms(path_product(ms, 1))
 
     def test_all_degenerate_parts_give_the_identity(self):
         assert weyl_dominant_part(M((0, 0), (2, 5), (3, 3)), 2) == {
