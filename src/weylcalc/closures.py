@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
 
@@ -20,8 +19,32 @@ from .qchars import QChar
 from .segments import Segment, check_valid
 
 
-@dataclass(frozen=True)
-class ClosureSet:
+class _Record:
+    """A frozen dataclass's repr, == and hash over _shown; attributes read-only."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._shown])
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._shown])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ClosureSet(_Record):
     """The saturation of a seed tuple at a fixed rank.
 
     Every member sets a permutation of the seed's left endpoints against
@@ -34,11 +57,11 @@ class ClosureSet:
     need none of them.
     """
 
-    rank: int
-    seed: Multisegment
-    js: tuple[int, ...]
-    lefts: tuple[tuple[int, ...], ...]
-    _closed: set | None = field(default=None, repr=False, compare=False)
+    _shown = ("rank", "seed", "js", "lefts")
+    __match_args__ = (*_shown, "_closed")
+
+    def __init__(self, rank, seed, js, lefts, _closed=None):
+        self.__dict__.update(rank=rank, seed=seed, js=js, lefts=lefts, _closed=_closed)
 
     def _build(self, lefts) -> tuple[Multisegment, ...]:
         # One shared Segment per (left, j) pair. A move keeps every part valid

@@ -101,17 +101,16 @@ class QChar:
             return NotImplemented
         return self.terms() == other.terms()
 
-    def _shared(self, other: "QChar") -> list[LWeight]:
-        """The weights of self's terms that other also has, by sort_key.
+    def _common(self, other: "QChar") -> set:
+        """self's keys that other also has, once rewritten in self's table."""
+        at = {f: r for r, f in enumerate(self._factors)}
+        return self._keys.keys() & {tuple([at.get(other._factors[r]) for r in k])
+                                    for k in other._keys}
 
-        other's keys are rewritten in self's table (None for a factor it lacks).
-        """
-        keys, get = self._keys.keys(), self._factors.__getitem__
-        if other is not self:
-            at = {f: r for r, f in enumerate(self._factors)}
-            keys = keys & {tuple([at.get(other._factors[r]) for r in k])
-                           for k in other._keys}
-        return [LWeight._wrap(dict(map(get, k))) for k in sorted(keys)]
+    def _shared(self, other: "QChar") -> tuple[LWeight, ...]:
+        """The weights of self's terms that other also has, by sort_key."""
+        get, keys = self._factors.__getitem__, sorted(self._common(other))
+        return tuple([LWeight._wrap(dict(map(get, k))) for k in keys])
 
     def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
         """(join of the rendered factors, multiplicity) per term, by sort_key."""

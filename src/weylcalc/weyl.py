@@ -7,23 +7,17 @@ closure and q-character layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .closures import (
-    _has_member_weighing, _weight_keys, canonical_closed, closed_elements,
-    dominant_ancestor, is_closed,
+    _has_member_weighing, _Record, _weight_keys, canonical_closed,
+    closed_elements, dominant_ancestor, is_closed,
 )
 from .errors import NotDominant
 from .lweights import LWeight
 from .multisegments import (
-    Multisegment,
-    connected,
-    normal_form,
-    sort_plus,
-    span,
-    weight_of,
+    Multisegment, connected, normal_form, sort_plus, span, weight_of,
 )
 from .segments import check_valid
 
@@ -95,26 +89,54 @@ class ExtVerdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class ExtCertificate:
-    """Verdict plus the shared dominant weights that block a vanishing claim."""
+class ExtCertificate(_Record):
+    """Verdict plus the shared dominant weights that block a vanishing claim.
 
-    verdict: ExtVerdict
-    shared_weights: tuple[LWeight, ...]
+    A frozen dataclass in behaviour; given _build, shared_weights is _build()
+    on first use (see ext_vanishing).
+    """
+
+    __slots__ = ("verdict", "_weights", "_build")
+    _shown = __match_args__ = ("verdict", "shared_weights")
+
+    def __init__(self, verdict: ExtVerdict, shared_weights: tuple, _build=None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "_weights", shared_weights)
+        object.__setattr__(self, "_build", _build)
+
+    @property
+    def shared_weights(self) -> tuple[LWeight, ...]:
+        if self._build is not None:
+            object.__setattr__(self, "_weights", self._build())
+            object.__setattr__(self, "_build", None)
+        return self._weights
+
+
+def _shared(plus: tuple[Multisegment, ...], rank: int) -> tuple[LWeight, ...]:
+    """The shared weights of two plus forms' closures, by sort_key."""
+    ours = _weight_keys(plus[0], rank)  # a support depends on the plus form alone
+    return ours._shared(ours if plus[1] == plus[0] else _weight_keys(plus[1], rank))
 
 
 def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertificate:
     """Disjoint dominant supports force Ext vanishing; overlap decides nothing.
 
-    The supports are compared as keys of _weight_keys (QChar._shared);
-    LWeights are built for the shared weights only.
+    Each closure holds its seed, so each support holds its own tuple's
+    weight: equal weights (the plus forms' non-degenerate parts agree) are
+    INCONCLUSIVE with no closure built. Other pairs, and any pair with an
+    invalid part, go to _weight_keys, which checks every part, plus[0]'s
+    first; the verdict is whether their keys meet (QChar._common). The
+    shared weights are built on first use.
     """
     plus = sort_plus(ms1), sort_plus(ms2)
-    ours = _weight_keys(plus[0], rank)
-    # the support depends on the plus-sorted tuple alone
-    shared = ours._shared(ours if plus[1] == plus[0] else _weight_keys(plus[1], rank))
-    verdict = ExtVerdict.INCONCLUSIVE if shared else ExtVerdict.VANISHES
-    return ExtCertificate(verdict, tuple(shared))
+    # a part is a pair i <= j: degenerate at length 0 or rank + 1, invalid above
+    kept = [[p for p in t if 0 < p[1] - p[0] <= rank] for t in plus]
+    if kept[0] == kept[1] and max([p[1] - p[0] for p in plus[0] + plus[1]]) <= rank + 1:
+        return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: _shared(plus, rank))
+    ours, theirs = _weight_keys(plus[0], rank), _weight_keys(plus[1], rank)
+    if not ours._common(theirs):
+        return ExtCertificate(ExtVerdict.VANISHES, ())
+    return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: ours._shared(theirs))
 
 
 def subcategory_membership(base: Multisegment, w: LWeight, rank: int) -> bool:

@@ -9,8 +9,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from contextlib import contextmanager
+from unittest.mock import patch
 
 from weylcalc import (
+    ExtVerdict,
     LWeight,
     Multisegment,
     RootVector,
@@ -267,6 +270,26 @@ def path_product(ms, rank):
     return dict(acc)
 
 
+@contextmanager
+def counted_lweights():
+    """Within the block, every LWeight built appends to the list it yields."""
+    calls = []
+    wrap, init = LWeight._wrap.__func__, LWeight.__init__
+
+    def counted_wrap(cls, exp):
+        calls.append("_wrap")
+        return wrap(cls, exp)
+
+    def counted_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
+
+    with patch.object(LWeight, "_wrap", classmethod(counted_wrap)), \
+            patch.object(LWeight, "__init__", counted_init):
+        yield calls
+    assert "_wrap" not in vars(LWeight) and "__init__" not in vars(LWeight)
+
+
 def box_tuples(max_rank, window, parts):
     """(ms, rank) for every tuple of the box, ranks 1..max_rank.
 
@@ -302,11 +325,14 @@ def certify_box(max_rank, window, parts):
       of the closure's;
     - render and closed: str(cs) is the members one per line, and
       closed_members are the members that pass is_closed, in member order;
-    - ext: ext_vanishing's shared weights, for the tuple with itself and
-      with up to two earlier tuples of the box that share a weight with it
-      at the rank, are the intersection of their weyl_dominant_weights
-      sorted by sort_key ("ext overlap" counts the pairs with some but not
-      all weights shared).
+    - ext and ext verdict: ext_vanishing's shared weights, for the tuple
+      with itself, with its parts reversed, with up to two earlier tuples
+      of the box that share a weight with it at the rank and with the
+      tuple before it at the rank, are the intersection of their
+      weyl_dominant_weights sorted by sort_key, and the verdict is VANISHES
+      iff that is empty ("ext overlap" counts the pairs with some but not
+      all weights shared, "ext equal weights" those whose own weights are
+      equal, "ext vanishes" those with none shared).
     The cases also count the tuples whose closure was listed with no search
     ("closure by generator": doubly sorted at rank >= span) and those that
     were searched ("closure by search"), so a sweep shows both were checked.
@@ -320,6 +346,7 @@ def certify_box(max_rank, window, parts):
             failures.append((name, ms, rank))
 
     holder = {}  # (rank, weight) -> (ms, weights) of the latest tuple with it
+    previous = {}  # rank -> (ms, weights) of the latest tuple at the rank
     for ms, rank in box_tuples(max_rank, window, parts):
         cases["tuples"] += 1
         cs = closure(ms, rank)
@@ -327,11 +354,20 @@ def certify_box(max_rank, window, parts):
         weights = weyl_dominant_weights(ms, rank)
         earlier = {holder[rank, w][0]: holder[rank, w] for w in weights
                    if (rank, w) in holder}
-        for other, theirs in [(ms, weights), *list(earlier.values())[:2]]:
+        pairs = [(ms, weights), (Multisegment(reversed(ms)), weights),
+                 *list(earlier.values())[:2]]
+        if rank in previous:
+            pairs.append(previous[rank])
+        for other, theirs in pairs:
             shared = sorted(weights & theirs, key=LWeight.sort_key)
-            check("ext", list(ext_vanishing(ms, other, rank).shared_weights) == shared)
+            cert = ext_vanishing(ms, other, rank)
+            check("ext verdict", (cert.verdict is ExtVerdict.VANISHES) == (not shared))
+            check("ext", list(cert.shared_weights) == shared)
             cases["ext overlap"] += 0 < len(shared) < max(len(weights), len(theirs))
+            cases["ext equal weights"] += weight_of(ms, rank) == weight_of(other, rank)
+            cases["ext vanishes"] += not shared
         holder.update(((rank, w), (ms, weights)) for w in weights)
+        previous[rank] = ms, weights
         check("members", set(cs.members) == move_saturate(ms, rank))
         check("render", str(cs) == "\n".join(map(str, cs.members)))
         check("closed", list(cs.closed_members)

@@ -80,6 +80,12 @@ INPUTS = [
     ("ext-check", 6, ["[2,6][0,7][1,8]", "[0,6][2,7][1,8]"], [], None),
     # supports of 3 weights each, 2 of them shared, over different lefts
     ("ext-check", 3, ["[3,5][3,4][2,3]", "[3,5][2,5][1,4][3,3]"], [], None),
+    # the second argument's parts are checked too; between two bad tuples
+    # the first argument's plus order names the part
+    ("ext-check", 2, ["[0,1]", "[0,5]"], [], None),
+    ("ext-check", 2, ["[0,5][1,9]", "[1,9][0,5]"], [], None),
+    # equal weights, a degenerate part on one side only: shared weights in JSON
+    ("ext-check", 2, ["[0,1][2,3]", "[2,3][0,1][4,4]"], [], None),
     ("subcat", 1, ["[2,3][1,2][0,1]", "w[1,3]^1"], [], None),
     ("subcat", 1, ["[2,3][1,2][0,1]", "w[0,3]^1"], [], None),
     # a base part too long for the rank is an error, as in every subcommand

@@ -173,6 +173,20 @@ def test_the_packed_products_import_nothing():
     assert done.stdout.splitlines()[-1] == "[] []"
 
 
+def test_the_cli_imports_no_dataclasses():
+    # ClosureSet and ExtCertificate are plain classes: dataclasses would
+    # bring inspect, ast, dis and tokenize into every cold start
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import weylcalc.cli\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in set(sys.modules) - before])\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_python_m_reads_sys_argv_through_the_reader():
     done = _python("-m", "weylcalc", "closed", "--rank", "2", "[0,1]")
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")

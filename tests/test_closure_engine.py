@@ -97,7 +97,9 @@ def test_every_tuple_of_a_small_box_passes_the_certificate():
     assert cases["hom near miss"] == 420
     assert cases["closure by generator"] == 591
     assert cases["closure by search"] == 568
-    assert cases["ext"] == 2241 and cases["ext overlap"] == 326
+    assert cases["ext"] == cases["ext verdict"] == 4556
+    assert cases["ext overlap"] == 326 and cases["ext vanishes"] == 1010
+    assert cases["ext equal weights"] == 3220
 
 
 def check_generated_closure(ms, rank):

@@ -2,10 +2,16 @@
 
 import ast
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
+import pytest
+
 import weylcalc
-from weylcalc import cli
+from weylcalc import (
+    ClosureSet, ExtCertificate, ExtVerdict, Multisegment, closure, cli,
+    ext_vanishing,
+)
 
 EXPORTS = [
     "ClosureSet", "ExtCertificate", "ExtVerdict", "IndexOutOfRange",
@@ -77,3 +83,90 @@ def test_the_ranked_format_has_one_owner():
                     seen[name].add(path.name)
     for name, files in seen.items():
         assert files <= owners[name], (name, sorted(files - owners[name]))
+
+
+ms = cli.parse_multisegment
+
+
+@dataclass(frozen=True)
+class ExtTwin:
+    verdict: ExtVerdict
+    shared_weights: tuple
+
+
+@dataclass(frozen=True)
+class ClosureTwin:
+    rank: int
+    seed: Multisegment
+    js: tuple
+    lefts: tuple
+    _closed: set | None = field(default=None, repr=False, compare=False)
+
+
+def _certificates():
+    """(name, make) pairs: make() gives a fresh certificate, eager or deferred."""
+    a, b = ms("[0,2][1,3]"), ms("[1,3][0,2][4,4]")
+    far = ms("[5,6]")
+    shared = ext_vanishing(a, b, 2).shared_weights
+    yield "eager", lambda: ExtCertificate(ExtVerdict.INCONCLUSIVE, shared)
+    yield "deferred, equal weights", lambda: ext_vanishing(a, b, 2)
+    yield "deferred, other weights", lambda: ext_vanishing(
+        ms("[3,5][3,4][2,3]"), ms("[3,5][2,5][1,4][3,3]"), 3)
+    yield "vanishing", lambda: ext_vanishing(a, far, 2)
+    yield "deferred by hand", lambda: ExtCertificate(
+        ExtVerdict.INCONCLUSIVE, (), lambda: shared)
+
+
+def _closure_sets():
+    for text, rank in [("[0,6][2,7][1,8]", 6), ("[2,3][1,2][0,1]", 1), ("[0,1]", 2)]:
+        cs = closure(ms(text), rank)
+        yield f"{text} at rank {rank}", lambda cs=cs: cs
+        yield f"{text} without its closed set", lambda cs=cs: ClosureSet(
+            cs.rank, cs.seed, cs.js, cs.lefts)
+
+
+def _twin_of(x):
+    if isinstance(x, ExtCertificate):
+        return ExtTwin(x.verdict, x.shared_weights)
+    return ClosureTwin(x.rank, x.seed, x.js, x.lefts, x._closed)
+
+
+@pytest.mark.parametrize("cls, twin, makers", [
+    (ExtCertificate, ExtTwin, list(_certificates())),
+    (ClosureSet, ClosureTwin, list(_closure_sets())),
+])
+def test_records_behave_as_frozen_dataclasses(cls, twin, makers):
+    # ExtCertificate and ClosureSet are plain classes, so that importing
+    # the package needs no dataclasses; each must act as its twin here
+    assert cls.__match_args__ == twin.__match_args__
+    for name, make in makers:
+        x = make()
+        t = _twin_of(make())
+        assert repr(make()) == repr(t).replace(twin.__name__, cls.__name__), name
+        assert hash(make()) == hash(t), name
+        for other_name, other_make in makers:
+            y, u = other_make(), _twin_of(other_make())
+            assert (make() == y) is (t == u), (name, other_name)
+            assert (make() != y) is (t != u), (name, other_name)
+        for other in (None, 1, (x.__match_args__[0],), t):
+            assert (x == other) is False and (x != other) is True, (name, other)
+            assert x.__eq__(other) is NotImplemented
+        for field_name in (*x.__match_args__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, field_name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, field_name)
+        assert repr(x) == repr(make()), name
+
+
+def test_records_unpack_by_position():
+    match ext_vanishing(ms("[0,1]"), ms("[0,1]"), 2):
+        case ExtCertificate(ExtVerdict.INCONCLUSIVE, (w,)):
+            assert str(w) == "w[0,1]^1"
+        case _:
+            pytest.fail("no match")
+    match closure(ms("[0,1]"), 2):
+        case ClosureSet(2, seed, js, lefts, None):
+            assert (str(seed), js, lefts) == ("[0,1]", (1,), ((0,),))
+        case _:
+            pytest.fail("no match")

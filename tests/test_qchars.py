@@ -3,12 +3,12 @@ import json
 import math
 import random
 from collections import Counter
-from contextlib import contextmanager, redirect_stdout
-from unittest.mock import patch
+from contextlib import redirect_stdout
 
 import pytest
 
 from helpers import (
+    counted_lweights,
     criterion2_instances,
     path_product,
     random_connected_pair,
@@ -193,26 +193,6 @@ def interacting_tuples(rng, count):
                 length = rng.randint(1, rank)
             parts.append(Segment(i, i + length))
         yield (Multisegment(parts) if parts else ()), rank
-
-
-@contextmanager
-def counted_lweights():
-    """Within the block, every LWeight built appends to the list it yields."""
-    calls = []
-    wrap, init = LWeight._wrap.__func__, LWeight.__init__
-
-    def counted_wrap(cls, exp):
-        calls.append("_wrap")
-        return wrap(cls, exp)
-
-    def counted_init(self, *args):
-        calls.append("__init__")
-        init(self, *args)
-
-    with patch.object(LWeight, "_wrap", classmethod(counted_wrap)), \
-            patch.object(LWeight, "__init__", counted_init):
-        yield calls
-    assert "_wrap" not in vars(LWeight) and "__init__" not in vars(LWeight)
 
 
 class TestNoWeightPerPath:

@@ -1,10 +1,15 @@
+import io
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
-from helpers import random_doubly_sorted, random_multisegment
+from helpers import counted_lweights, random_doubly_sorted, random_multisegment
 
 from weylcalc import (
+    cli,
+    closures,
     ExtVerdict,
     InvalidSegment,
     LWeight,
@@ -159,6 +164,76 @@ class TestExt:
             a = random_multisegment(rng, rank)
             b = random_multisegment(rng, rank)
             assert ext_vanishing(a, b, rank).verdict is ext_vanishing(b, a, rank).verdict
+
+    @pytest.mark.parametrize("rank, texts", [
+        (4, ["[0,2][1,3][2,4][3,5][4,6][5,7]", "[5,7][3,5][0,2][4,6][1,3][2,4]"]),
+        # plus forms that differ by degenerate parts only
+        (2, ["[0,2][1,3][4,4]", "[1,3][0,2][2,5]"]),
+    ])
+    def test_equal_weights_build_no_closure_and_no_weight(self, monkeypatch, rank, texts):
+        # a tuple against a rearrangement of it: the verdict needs neither
+        # a closure nor an LWeight, and text mode prints only it
+        searched = []
+        left_closure = closures._left_closure
+        monkeypatch.setattr(closures, "_left_closure",
+                            lambda *a: searched.append(a) or left_closure(*a))
+        out = io.StringIO()
+        with counted_lweights() as built, redirect_stdout(out):
+            assert cli.run(["ext-check", "--rank", str(rank), *texts]) == 0
+            cert = ext_vanishing(*map(cli.parse_multisegment, texts), rank)
+            assert cert.verdict is ExtVerdict.INCONCLUSIVE
+        assert (out.getvalue(), built, searched) == ("INCONCLUSIVE\n", [], [])
+        a, b = (weyl_dominant_weights(cli.parse_multisegment(t), rank) for t in texts)
+        assert cert.shared_weights == tuple(sorted(a & b, key=LWeight.sort_key))
+        assert len(a & b) > 1 and searched
+        done = len(searched)
+        assert cert.shared_weights is cert.shared_weights and len(searched) == done
+
+    def test_verdicts_and_errors_match_the_supports(self):
+        rng = random.Random(2020)
+        seen = Counter()
+        for _ in range(600):
+            rank = rng.randint(1, 4)
+            a = random_multisegment(rng, rank, parts=rng.randint(1, 4))
+            kind = rng.choice(["random", "rearranged", "degenerate", "invalid"])
+            if kind == "random":
+                b = random_multisegment(rng, rank, parts=rng.randint(1, 4))
+            else:
+                parts = list(a)
+                if kind == "degenerate":
+                    # equal weights, plus forms differing by degenerate parts
+                    parts = [p for p in parts if 0 < p.length <= rank]
+                    for _ in range(rng.randint(int(parts in (list(a), [])), 2)):
+                        i = rng.randint(-3, 6)
+                        parts.append(Segment(i, i + rng.choice([0, rank + 1])))
+                elif kind == "invalid":
+                    i = rng.randint(-3, 6)
+                    parts.insert(rng.randint(0, len(parts)), Segment(i, i + rank + 2))
+                rng.shuffle(parts)
+                b = Multisegment(parts)
+                if kind == "invalid" and rng.random() < 0.3:
+                    # both invalid: the first one's plus order names the part
+                    a = Multisegment([*a, Segment(i, i + rank + 3)])
+                if kind == "invalid" and rng.random() < 0.5:
+                    a, b = b, a
+            try:
+                mine = ext_vanishing(a, b, rank)
+            except InvalidSegment as err:
+                mine = str(err)
+            try:
+                ours, theirs = weyl_dominant_weights(a, rank), weyl_dominant_weights(b, rank)
+            except InvalidSegment as err:
+                assert mine == str(err), (a, b, rank)
+                seen["error"] += 1
+                continue
+            shared = tuple(sorted(ours & theirs, key=LWeight.sort_key))
+            verdict = ExtVerdict.INCONCLUSIVE if shared else ExtVerdict.VANISHES
+            assert (mine.verdict, mine.shared_weights) == (verdict, shared), (a, b, rank)
+            seen[verdict] += 1
+            if weight_of(a, rank) == weight_of(b, rank):
+                seen["equal weights"] += 1
+                seen["other plus forms"] += sort_plus(a) != sort_plus(b)
+        assert min(seen.values()) >= 50, seen
 
 
 class TestSubcategory:
