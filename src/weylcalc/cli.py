@@ -18,9 +18,9 @@ from __future__ import annotations
 import re
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .closures import _weight_keys, closure
+from .closures import closure
 from .errors import (
     NotInRootLattice,
     ParseError,
@@ -38,7 +38,7 @@ from .multisegments import (
     sort_plus,
     weight_of,
 )
-from .qchars import QChar, _dominant, weyl_qchar
+from .qchars import QChar, _dominant, _weight_keys, weyl_qchar
 from .segments import Segment
 from .weyl import (
     ext_vanishing,
@@ -108,9 +108,8 @@ def json_lweight(w) -> list[dict]:
     return list(map(_json_factor, w.sort_key()))
 
 
-def json_qchar_terms(terms: Union[QChar, dict[LWeight, int]]) -> list[dict]:
-    """Terms of a QChar or a weight map by sort_key, one record per distinct factor."""
-    q = terms if isinstance(terms, QChar) else QChar(terms)
+def json_qchar_terms(q: QChar) -> list[dict]:
+    """Terms of a QChar by sort_key, one record per distinct factor."""
     return [{"weight": fs, "mult": m} for fs, m in q._rows(_json_factor)]
 
 

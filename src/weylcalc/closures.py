@@ -15,7 +15,6 @@ from .multisegments import (
     span,
     sort_plus,
 )
-from .qchars import QChar
 from .segments import Segment, check_valid
 
 
@@ -37,6 +36,9 @@ class _Record:
     def __repr__(self) -> str:
         shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._shown])
         return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # pickle and copy rebuild from the positional fields
+        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -197,30 +199,6 @@ def _left_closure(seed: Multisegment, rank: int):
     return js, order, closed
 
 
-def _weight_keys(seed: Multisegment, rank: int) -> QChar:
-    """The weights of closure(seed)'s members, each once, as a ranked QChar.
-
-    Its table lists the (segment, e) that a member can hold, sorted: the
-    non-degenerate (left, j) pairs of the seed, e up to the copies of both.
-    Each member's key, mapped to 1, is the ascending tuple of its factors'
-    indices, so keys sort as sort_keys do. cols[k] indexes (left, j_k) at
-    e = 1; a pair held c times takes c - 1 more. With distinct js none repeats.
-    """
-    js, order, _ = _left_closure(seed, rank)
-    factors, cols = [], {j: {} for j in js}
-    for i, j in sorted({(i, j) for i in order[0] for j in js if 0 < j - i <= rank}):
-        cols[j][i] = len(factors)
-        e = min(order[0].count(i), js.count(j))
-        factors += [(Segment(i, j), c) for c in range(1, e + 1)]
-    cols = [cols[j] for j in js]
-    if len(set(js)) == len(js):
-        keys = ([r for r in map(dict.get, cols, a) if r is not None] for a in order)
-    else:
-        keys = ([r + c - 1 for r, c in Counter(map(dict.get, cols, a)).items()
-                 if r is not None] for a in order)
-    return QChar._of(factors, {tuple(sorted(k)): 1 for k in keys})
-
-
 def _below(seed: Multisegment, lefts) -> bool:
     """Test (b) on a rearrangement lefts of plus-sorted seed's left endpoints.
 
@@ -228,8 +206,10 @@ def _below(seed: Multisegment, lefts) -> bool:
     closure iff (a) every part [lefts[k], j_k] is valid at the rank and
     (b) at the end of each block of equal j, and for every a, the prefix
     of lefts has no more entries >= a than that of the seed: a pointwise
-    bound on the sorted entries. This matches the breadth-first search on
-    every case tried; it is not proved.
+    bound on the sorted entries. (b) is necessary: a crossing move on h, k
+    with j_h > j_k puts the larger left endpoint at the later position, so
+    no prefix count of entries >= a ever rises; equal-j swaps leave block
+    ends alone. Sufficiency is unproved; it matches the search on all cases.
 
     The counts run across blocks. With the values taken in decreasing
     order, net[k] is how many more seed entries than lefts entries equal
@@ -271,7 +251,11 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
     increasing j, block j must take every unused j - rank - 1, which no
     later block can, then copies of j. Test (b) decides that one candidate;
     a short or overfull block means no member, and so does any part of want
-    left unplaced, since then some block runs out of left endpoints.
+    left unplaced, since then some block runs out of left endpoints. As (b)
+    is necessary, False is proved. A doubly sorted seed at rank >= span
+    passes (b) in every arrangement, its prefixes holding its largest left
+    endpoints, so _left_closure's proof gives True there from (a) alone;
+    any other True rests on the unproved sufficiency of (b).
     """
     for p in seed:
         check_valid(p, rank)

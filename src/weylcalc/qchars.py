@@ -10,10 +10,12 @@ corner at position r contributes the segment
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate, combinations, count, repeat
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
+from .closures import _left_closure
 from .errors import InvalidSegment, PreconditionViolated
 from .lweights import LWeight, lweight_of_segment
 from .multisegments import Multisegment, connected, is_doubly_sorted
@@ -27,7 +29,7 @@ class QChar:
     """A finite multiset of l-weights with positive multiplicities.
 
     Stored ranked: `_factors` is a sorted table of distinct (Segment, e)
-    factors, each used by some term except in closures._weight_keys' tables,
+    factors, each used by some term except in _weight_keys' tables (below),
     and `_keys` maps each term, an ascending tuple of factor indices, to its
     multiplicity, so the keys sort as the terms' sort_keys do. `str` and the
     JSON renderer sort the keys and render each factor of the table once;
@@ -107,10 +109,10 @@ class QChar:
         return self._keys.keys() & {tuple([at.get(other._factors[r]) for r in k])
                                     for k in other._keys}
 
-    def _shared(self, other: "QChar") -> tuple[LWeight, ...]:
-        """The weights of self's terms that other also has, by sort_key."""
-        get, keys = self._factors.__getitem__, sorted(self._common(other))
-        return tuple([LWeight._wrap(dict(map(get, k))) for k in keys])
+    def _shared(self, keys: set) -> tuple[LWeight, ...]:
+        """The weights of keys, a subset of self's (as _common gives), by sort_key."""
+        get = self._factors.__getitem__
+        return tuple([LWeight._wrap(dict(map(get, k))) for k in sorted(keys)])
 
     def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
         """(join of the rendered factors, multiplicity) per term, by sort_key."""
@@ -239,9 +241,7 @@ def path_weight(g: Path, rank: int) -> LWeight:
     corners are distinct and none of them is degenerate.
     """
     plus, minus = corners(g)
-    exp = dict.fromkeys(plus, 1)
-    exp.update(dict.fromkeys(minus, -1))
-    return LWeight(exp)
+    return LWeight({**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)})
 
 
 def fundamental_qchar(seg: Segment, rank: int) -> QChar:
@@ -305,6 +305,30 @@ def _dominant(ms: Multisegment, rank: int) -> QChar:
     chars = [fundamental_qchar(p, rank) for p in sorted(
         (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j))]
     return _convolve(chars, dominant=True)
+
+
+def _weight_keys(seed: Multisegment, rank: int) -> QChar:
+    """The weights of closure(seed)'s members, each once, as a ranked QChar.
+
+    Its table lists the (segment, e) that a member can hold, sorted: the
+    non-degenerate (left, j) pairs of the seed, e up to the copies of both.
+    Each member's key, mapped to 1, is the ascending tuple of its factors'
+    indices, so keys sort as sort_keys do. cols[k] indexes (left, j_k) at
+    e = 1; a pair held c times takes c - 1 more. With distinct js none repeats.
+    """
+    js, order, _ = _left_closure(seed, rank)
+    factors, cols = [], {j: {} for j in js}
+    for i, j in sorted({(i, j) for i in order[0] for j in js if 0 < j - i <= rank}):
+        cols[j][i] = len(factors)
+        e = min(order[0].count(i), js.count(j))
+        factors += [(Segment(i, j), c) for c in range(1, e + 1)]
+    cols = [cols[j] for j in js]
+    if len(set(js)) == len(js):
+        keys = ([r for r in map(dict.get, cols, a) if r is not None] for a in order)
+    else:
+        keys = ([r + c - 1 for r, c in Counter(map(dict.get, cols, a)).items()
+                 if r is not None] for a in order)
+    return QChar._of(factors, {tuple(sorted(k)): 1 for k in keys})
 
 
 def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:

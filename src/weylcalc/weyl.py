@@ -8,17 +8,20 @@ closure and q-character layers.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 from .closures import (
-    _has_member_weighing, _Record, _weight_keys, canonical_closed,
-    closed_elements, dominant_ancestor, is_closed,
+    _has_member_weighing, _Record, canonical_closed, closed_elements,
+    dominant_ancestor, is_closed,
 )
 from .errors import NotDominant
 from .lweights import LWeight
 from .multisegments import (
     Multisegment, connected, normal_form, sort_plus, span, weight_of,
 )
+from .qchars import _weight_keys
 from .segments import check_valid
 
 
@@ -51,8 +54,9 @@ def socle(ms: Multisegment, rank: int) -> list[SocleSummand]:
     """Socle summands: one weight per closed orbit of the closure.
 
     At rank >= span every part is valid. Reordering ms reorders its closure,
-    and sort_plus(ms) lies in the closure of its dominant ancestor, whose one
-    closed orbit is that of the canonical closed element.
+    and sort_plus(ms) lies in the closure of its dominant ancestor, whose
+    one closed orbit, that of the canonical closed element, is checked (by
+    criterion 3 of tests/test_acceptance.py and the box certificate), not proved.
     """
     if rank >= span(ms):
         anc = dominant_ancestor(sort_plus(ms), rank)
@@ -75,13 +79,8 @@ def weylpermute_check(ms: Multisegment, rank: int) -> bool:
     True iff every connected ordered pair (p < s) satisfies
     i_p + j_p >= i_s + j_s.
     """
-    r = len(ms)
-    for p in range(r):
-        for s in range(p + 1, r):
-            a, b = ms[p], ms[s]
-            if connected(a, b, rank) and a.i + a.j < b.i + b.j:
-                return False
-    return True
+    return not any(connected(a, b, rank) and a.i + a.j < b.i + b.j
+                   for a, b in combinations(ms, 2))
 
 
 class ExtVerdict(Enum):
@@ -93,29 +92,25 @@ class ExtCertificate(_Record):
     """Verdict plus the shared dominant weights that block a vanishing claim.
 
     A frozen dataclass in behaviour; given _build, shared_weights is _build()
-    on first use (see ext_vanishing).
+    on first use (see ext_vanishing), and the builder is dropped.
     """
 
-    __slots__ = ("verdict", "_weights", "_build")
     _shown = __match_args__ = ("verdict", "shared_weights")
 
     def __init__(self, verdict: ExtVerdict, shared_weights: tuple, _build=None):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "_weights", shared_weights)
-        object.__setattr__(self, "_build", _build)
+        kept = {"_build": _build} if _build else {"shared_weights": shared_weights}
+        self.__dict__.update(kept, verdict=verdict)
 
-    @property
+    @cached_property
     def shared_weights(self) -> tuple[LWeight, ...]:
-        if self._build is not None:
-            object.__setattr__(self, "_weights", self._build())
-            object.__setattr__(self, "_build", None)
-        return self._weights
+        return self.__dict__.pop("_build")()
 
 
 def _shared(plus: tuple[Multisegment, ...], rank: int) -> tuple[LWeight, ...]:
     """The shared weights of two plus forms' closures, by sort_key."""
     ours = _weight_keys(plus[0], rank)  # a support depends on the plus form alone
-    return ours._shared(ours if plus[1] == plus[0] else _weight_keys(plus[1], rank))
+    theirs = ours if plus[1] == plus[0] else _weight_keys(plus[1], rank)
+    return ours._shared(ours._common(theirs))
 
 
 def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertificate:
@@ -126,7 +121,7 @@ def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertifi
     INCONCLUSIVE with no closure built. Other pairs, and any pair with an
     invalid part, go to _weight_keys, which checks every part, plus[0]'s
     first; the verdict is whether their keys meet (QChar._common). The
-    shared weights are built on first use.
+    shared weights are built from those keys on first use.
     """
     plus = sort_plus(ms1), sort_plus(ms2)
     # a part is a pair i <= j: degenerate at length 0 or rank + 1, invalid above
@@ -134,9 +129,9 @@ def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertifi
     if kept[0] == kept[1] and max([p[1] - p[0] for p in plus[0] + plus[1]]) <= rank + 1:
         return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: _shared(plus, rank))
     ours, theirs = _weight_keys(plus[0], rank), _weight_keys(plus[1], rank)
-    if not ours._common(theirs):
+    if not (keys := ours._common(theirs)):
         return ExtCertificate(ExtVerdict.VANISHES, ())
-    return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: ours._shared(theirs))
+    return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: ours._shared(keys))
 
 
 def subcategory_membership(base: Multisegment, w: LWeight, rank: int) -> bool:

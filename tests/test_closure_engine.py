@@ -9,7 +9,7 @@ plus-sorted and unsorted, with ties in i and in j, at ranks below and
 above the span; and on every tuple of a small box (`helpers.certify_box`).
 The closure itself lists a doubly sorted seed at rank >= span with no
 search; that listing is compared with `helpers.move_saturate` here too.
-The weigher's int keys (`closures._weight_keys`) are compared with the
+The weigher's int keys (`qchars._weight_keys`) are compared with the
 weights of the members, rendered and intersected as `LWeight`s.
 """
 
@@ -47,7 +47,8 @@ from weylcalc import (
     weyl_dominant_weights,
 )
 from weylcalc import cli
-from weylcalc.closures import _below, _weight_keys
+from weylcalc.closures import _below
+from weylcalc.qchars import _weight_keys
 
 
 def M(*pairs):

@@ -149,11 +149,11 @@ def test_qchar_renders_each_term_from_its_sort_key(terms):
     ordered = sorted(q.terms().items(), key=lambda kv: segment_order_key(kv[0]))
     assert all(w.sort_key() == segment_order_key(w) for w, _ in ordered)
     assert str(q) == "\n".join(f"{m} * {render_by_segment(w)}" for w, m in ordered)
-    assert json_qchar_terms(q.terms()) == [
+    assert json_qchar_terms(QChar(q.terms())) == [
         {"weight": json_lweight(w), "mult": m} for w, m in ordered
     ]
     if not terms:
-        assert (str(q), json_qchar_terms(q.terms())) == ("", [])
+        assert (str(q), json_qchar_terms(QChar(q.terms()))) == ("", [])
 
 
 def run_with_dominant_weights(weights, *flags):

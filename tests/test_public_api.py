@@ -1,6 +1,8 @@
 """Pin the public names, the CLI entry points and the runtime dependencies."""
 
 import ast
+import copy
+import pickle
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,11 +66,11 @@ def test_src_imports_only_the_standard_library():
 
 
 def test_the_ranked_format_has_one_owner():
-    # QChar's (factor table, keys) form is read in qchars.py alone, built
-    # there and in closures._weight_keys, and turned into LWeights without
-    # a copy only by the modules that own LWeight and QChar
+    # QChar's (factor table, keys) form is read and built in qchars.py
+    # alone, and turned into LWeights without a copy only by the modules
+    # that own LWeight and QChar
     owners = {"_factors": {"qchars.py"}, "_keys": {"qchars.py"},
-              "QChar._of": {"qchars.py", "closures.py"},
+              "QChar._of": {"qchars.py"},
               "LWeight._wrap": {"lweights.py", "qchars.py"}}
     seen = {name: set() for name in owners}
     for path in sorted(Path(weylcalc.__file__).parent.glob("*.py")):
@@ -83,6 +85,17 @@ def test_the_ranked_format_has_one_owner():
                     seen[name].add(path.name)
     for name, files in seen.items():
         assert files <= owners[name], (name, sorted(files - owners[name]))
+
+
+def test_modules_import_only_lower_layers():
+    # closures weighs nothing, qchars weighs closures, weyl decides on both
+    # and cli fronts them all; no module imports one above it
+    above = {"closures": {"qchars", "weyl", "cli"}, "qchars": {"weyl", "cli"},
+             "weyl": {"cli"}}
+    for path in sorted(Path(weylcalc.__file__).parent.glob("*.py")):
+        imported = {node.module for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert not imported & above.get(path.stem, set()), path.name
 
 
 ms = cli.parse_multisegment
@@ -157,6 +170,13 @@ def test_records_behave_as_frozen_dataclasses(cls, twin, makers):
             with pytest.raises(AttributeError):
                 delattr(x, field_name)
         assert repr(x) == repr(make()), name
+        for how, clone in [("pickle", lambda x: pickle.loads(pickle.dumps(x))),
+                           ("copy", copy.copy), ("deepcopy", copy.deepcopy)]:
+            x, y = make(), clone(make())  # y's source was never read before
+            assert type(y) is cls and y == x and repr(y) == repr(x), (name, how)
+            assert clone(_twin_of(x)) == _twin_of(x), (name, how)
+            if cls is ClosureSet:
+                assert (y._closed, y.closed_lefts) == (x._closed, x.closed_lefts)
 
 
 def test_records_unpack_by_position():

@@ -129,7 +129,7 @@ class TestQCharAlgebra:
         assert str(q) == "\n".join(
             f"{m} * {LWeight._format(key)}" for key, m in ordered
         )
-        assert json_qchar_terms(q.terms()) == [
+        assert json_qchar_terms(QChar(q.terms())) == [
             {"weight": [{"segment": [i, j], "exp": e} for i, j, e in key], "mult": m}
             for key, m in ordered
         ]

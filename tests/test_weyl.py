@@ -9,7 +9,7 @@ from helpers import counted_lweights, random_doubly_sorted, random_multisegment
 
 from weylcalc import (
     cli,
-    closures,
+    qchars,
     ExtVerdict,
     InvalidSegment,
     LWeight,
@@ -174,8 +174,8 @@ class TestExt:
         # a tuple against a rearrangement of it: the verdict needs neither
         # a closure nor an LWeight, and text mode prints only it
         searched = []
-        left_closure = closures._left_closure
-        monkeypatch.setattr(closures, "_left_closure",
+        left_closure = qchars._left_closure
+        monkeypatch.setattr(qchars, "_left_closure",
                             lambda *a: searched.append(a) or left_closure(*a))
         out = io.StringIO()
         with counted_lweights() as built, redirect_stdout(out):
@@ -188,6 +188,20 @@ class TestExt:
         assert len(a & b) > 1 and searched
         done = len(searched)
         assert cert.shared_weights is cert.shared_weights and len(searched) == done
+
+    def test_shared_weights_reuse_the_verdicts_key_set(self, monkeypatch):
+        # an INCONCLUSIVE pair of different weights meets its keys once:
+        # reading shared_weights sorts the key set that decided the verdict
+        calls = []
+        common = qchars.QChar._common
+        monkeypatch.setattr(qchars.QChar, "_common",
+                            lambda *a: calls.append(a) or common(*a))
+        a, b = M((3, 5), (3, 4), (2, 3)), M((3, 5), (2, 5), (1, 4), (3, 3))
+        cert = ext_vanishing(a, b, 3)
+        assert cert.verdict is ExtVerdict.INCONCLUSIVE and len(calls) == 1
+        shared = weyl_dominant_weights(a, 3) & weyl_dominant_weights(b, 3)
+        assert cert.shared_weights == tuple(sorted(shared, key=LWeight.sort_key))
+        assert len(calls) == 1 and len(shared) > 1
 
     def test_verdicts_and_errors_match_the_supports(self):
         rng = random.Random(2020)
