@@ -19,12 +19,12 @@ from .segments import Segment, check_valid
 
 
 class _Record:
-    """A frozen dataclass's repr, == and hash over _shown; attributes read-only."""
+    """A frozen dataclass's repr, ==, hash and pickle over __match_args__."""
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._shown])
+        return tuple([getattr(self, f) for f in self.__match_args__])
 
     def __eq__(self, other) -> bool:
         same = other.__class__ is self.__class__
@@ -34,11 +34,11 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._shown])
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):  # pickle and copy rebuild from the positional fields
-        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+        return type(self), self._values()
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -52,18 +52,17 @@ class ClosureSet(_Record):
     Every member sets a permutation of the seed's left endpoints against
     its right endpoints js, so the closure is held as left tuples: lefts
     sorted (the members' lexicographic order). closed_lefts, those with no
-    connected pair, are the search's closed states when there was one, or
-    the lefts that hit no window of _windows. closed_lefts, members,
-    closed_members and orbit_representatives (the distinct sort_plus forms
-    of the closed members, sorted) are built on first use; len and str
-    need none of them.
+    connected pair, are the lefts that hit no pair's window of _windows.
+    closed_lefts, members, closed_members and orbit_representatives (the
+    distinct sort_plus forms of the closed members, sorted) are built on
+    first use; len and str need none of them, and pickle keeps only the
+    four fields.
     """
 
-    _shown = ("rank", "seed", "js", "lefts")
-    __match_args__ = (*_shown, "_closed")
+    __match_args__ = ("rank", "seed", "js", "lefts")
 
-    def __init__(self, rank, seed, js, lefts, _closed=None):
-        self.__dict__.update(rank=rank, seed=seed, js=js, lefts=lefts, _closed=_closed)
+    def __init__(self, rank, seed, js, lefts):
+        self.__dict__.update(rank=rank, seed=seed, js=js, lefts=lefts)
 
     def _build(self, lefts) -> tuple[Multisegment, ...]:
         # One shared Segment per (left, j) pair. A move keeps every part valid
@@ -78,13 +77,10 @@ class ClosureSet(_Record):
 
     @cached_property
     def closed_lefts(self) -> tuple[tuple[int, ...], ...]:
-        if self._closed is not None:
-            return tuple(sorted(self._closed))
-        windows, _ = _windows(self.js, self.rank)
-        return tuple(
-            a for a in self.lefts
-            if not any(lo <= a[k] < a[h] <= hi for h, k, lo, hi in windows)
-        )
+        keep = self.lefts
+        for h, k, lo, hi in _windows(self.js, self.rank)[0]:
+            keep = [a for a in keep if not lo <= a[k] < a[h] <= hi]
+        return tuple(keep)
 
     @cached_property
     def members(self) -> tuple[Multisegment, ...]:
@@ -140,7 +136,7 @@ def _windows(js, rank):
 
 
 def _left_closure(seed: Multisegment, rank: int):
-    """(js, left tuples, closed left tuples or None) of the closure.
+    """(js, left tuples) of the closure.
 
     Both moves swap the left endpoints of two parts: tau_{m,l} when they
     are connected, a swap when j_m == j_l. So every state is a permutation
@@ -156,7 +152,7 @@ def _left_closure(seed: Multisegment, rank: int):
     equal-j swaps reach from the seed. So no search: positions take, by
     increasing j, any distinct unused left endpoint <= j (never none, the
     seed being valid); once the unused ones are distinct and <= the next
-    j, each of their orders completes a member. The closed set is None.
+    j, each of their orders completes a member.
 
     Any other seed is searched breadth first; see _windows.
     """
@@ -180,15 +176,12 @@ def _left_closure(seed: Multisegment, rank: int):
                     if not x or pool[x - 1] != v:
                         nxt.append(((v,) + suffix, pool[:x] + pool[x + 1:]))
             level = nxt
-        return js, out, None
+        return js, out
     windows, ties = _windows(js, rank)
     seen = {start}
     order = [start]
-    closed = set()
     for cur in order:  # breadth first: order grows while it is walked
         moves = [(h, k) for h, k, lo, hi in windows if lo <= cur[k] < cur[h] <= hi]
-        if not moves:
-            closed.add(cur)
         for m, l in moves + ties:
             nxt = list(cur)
             nxt[m], nxt[l] = cur[l], cur[m]
@@ -196,7 +189,7 @@ def _left_closure(seed: Multisegment, rank: int):
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
-    return js, order, closed
+    return js, order
 
 
 def _below(seed: Multisegment, lefts) -> bool:
@@ -279,8 +272,8 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
 def closure(ms: Multisegment, rank: int) -> ClosureSet:
     """Saturation under all crossing moves and equal-j swaps; see _left_closure."""
     seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
-    js, order, closed = _left_closure(seed, rank)
-    return ClosureSet(rank, seed, js, tuple(sorted(order)), closed)
+    js, order = _left_closure(seed, rank)
+    return ClosureSet(rank, seed, js, tuple(sorted(order)))
 
 
 def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:

@@ -38,18 +38,16 @@ class _SparseVector:
     joined by ` * `, or `1` for the empty vector.
     """
 
-    __slots__ = ("_exp", "_hash")
+    __slots__ = ("_exp",)
 
     def __init__(self, exponents: ExponentSource = ()):
         self._exp = _accumulate(exponents)
-        self._hash = None
 
     @classmethod
     def _wrap(cls, exp: dict[Segment, int]):
         """An instance over an already zero-pruned map, taken without a copy."""
         v = cls.__new__(cls)
         v._exp = exp
-        v._hash = None
         return v
 
     def support(self) -> set[Segment]:
@@ -70,9 +68,7 @@ class _SparseVector:
         return self._exp == other._exp
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._exp.items()))
-        return self._hash
+        return hash(frozenset(self._exp.items()))
 
     def __str__(self) -> str:
         return self._format(self.sort_key())

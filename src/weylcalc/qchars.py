@@ -316,7 +316,7 @@ def _weight_keys(seed: Multisegment, rank: int) -> QChar:
     indices, so keys sort as sort_keys do. cols[k] indexes (left, j_k) at
     e = 1; a pair held c times takes c - 1 more. With distinct js none repeats.
     """
-    js, order, _ = _left_closure(seed, rank)
+    js, order = _left_closure(seed, rank)
     factors, cols = [], {j: {} for j in js}
     for i, j in sorted({(i, j) for i in order[0] for j in js if 0 < j - i <= rank}):
         cols[j][i] = len(factors)

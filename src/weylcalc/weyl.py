@@ -95,7 +95,7 @@ class ExtCertificate(_Record):
     on first use (see ext_vanishing), and the builder is dropped.
     """
 
-    _shown = __match_args__ = ("verdict", "shared_weights")
+    __match_args__ = ("verdict", "shared_weights")
 
     def __init__(self, verdict: ExtVerdict, shared_weights: tuple, _build=None):
         kept = {"_build": _build} if _build else {"shared_weights": shared_weights}

@@ -23,6 +23,7 @@ from weylcalc import (
     ext_vanishing,
     hom_dim,
     is_closed,
+    is_doubly_sorted,
     path_weight,
     socle,
     sort_plus,
@@ -350,7 +351,8 @@ def certify_box(max_rank, window, parts):
     for ms, rank in box_tuples(max_rank, window, parts):
         cases["tuples"] += 1
         cs = closure(ms, rank)
-        cases["closure by generator" if cs._closed is None else "closure by search"] += 1
+        listed = is_doubly_sorted(ms) and rank >= span(ms)
+        cases["closure by generator" if listed else "closure by search"] += 1
         weights = weyl_dominant_weights(ms, rank)
         earlier = {holder[rank, w][0]: holder[rank, w] for w in weights
                    if (rank, w) in holder}

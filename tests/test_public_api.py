@@ -4,7 +4,7 @@ import ast
 import copy
 import pickle
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -113,7 +113,6 @@ class ClosureTwin:
     seed: Multisegment
     js: tuple
     lefts: tuple
-    _closed: set | None = field(default=None, repr=False, compare=False)
 
 
 def _certificates():
@@ -134,14 +133,14 @@ def _closure_sets():
     for text, rank in [("[0,6][2,7][1,8]", 6), ("[2,3][1,2][0,1]", 1), ("[0,1]", 2)]:
         cs = closure(ms(text), rank)
         yield f"{text} at rank {rank}", lambda cs=cs: cs
-        yield f"{text} without its closed set", lambda cs=cs: ClosureSet(
+        yield f"{text} rebuilt from its four fields", lambda cs=cs: ClosureSet(
             cs.rank, cs.seed, cs.js, cs.lefts)
 
 
 def _twin_of(x):
     if isinstance(x, ExtCertificate):
         return ExtTwin(x.verdict, x.shared_weights)
-    return ClosureTwin(x.rank, x.seed, x.js, x.lefts, x._closed)
+    return ClosureTwin(x.rank, x.seed, x.js, x.lefts)
 
 
 @pytest.mark.parametrize("cls, twin, makers", [
@@ -176,7 +175,8 @@ def test_records_behave_as_frozen_dataclasses(cls, twin, makers):
             assert type(y) is cls and y == x and repr(y) == repr(x), (name, how)
             assert clone(_twin_of(x)) == _twin_of(x), (name, how)
             if cls is ClosureSet:
-                assert (y._closed, y.closed_lefts) == (x._closed, x.closed_lefts)
+                assert y.closed_lefts == x.closed_lefts, (name, how)
+                assert x.__reduce__()[1] == (x.rank, x.seed, x.js, x.lefts), name
 
 
 def test_records_unpack_by_position():
@@ -186,7 +186,7 @@ def test_records_unpack_by_position():
         case _:
             pytest.fail("no match")
     match closure(ms("[0,1]"), 2):
-        case ClosureSet(2, seed, js, lefts, None):
+        case ClosureSet(2, seed, js, lefts):
             assert (str(seed), js, lefts) == ("[0,1]", (1,), ((0,),))
         case _:
             pytest.fail("no match")
