@@ -135,6 +135,11 @@ def _windows(js, rank):
     return windows, ties
 
 
+def _listed(seed: Multisegment, rank: int) -> bool:
+    """Whether _left_closure lists seed's closure: doubly sorted, rank >= span."""
+    return seed[0][1] - seed[-1][0] <= rank + 1 and is_doubly_sorted(seed)
+
+
 def _left_closure(seed: Multisegment, rank: int):
     """(js, left tuples) of the closure.
 
@@ -158,10 +163,8 @@ def _left_closure(seed: Multisegment, rank: int):
     """
     for p in seed:
         check_valid(p, rank)
-    js = tuple(p.j for p in seed)
-    start = tuple(p.i for p in seed)
-    if (js[0] - start[-1] <= rank + 1 and list(js) == sorted(js, reverse=True)
-            and list(start) == sorted(start, reverse=True)):
+    start, js = zip(*seed)
+    if _listed(seed, rank):
         out = []
         level = [((), start[::-1])]  # (suffix, unused lefts ascending)
         for j in reversed(js):

@@ -11,11 +11,11 @@ corner at position r contributes the segment
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, combinations, count, repeat
+from itertools import accumulate, combinations, count, repeat, starmap
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
-from .closures import _left_closure
+from .closures import _left_closure, _listed
 from .errors import InvalidSegment, PreconditionViolated
 from .lweights import LWeight, lweight_of_segment
 from .multisegments import Multisegment, connected, is_doubly_sorted
@@ -33,8 +33,8 @@ class QChar:
     and `_keys` maps each term, an ascending tuple of factor indices, to its
     multiplicity, so the keys sort as the terms' sort_keys do. `str` and the
     JSON renderer sort the keys and render each factor of the table once;
-    LWeights are built only when asked for. fundamental_qchar writes its
-    keys as ints straight from the paths.
+    LWeights are built only when asked for. fundamental_qchar builds its int
+    keys from the paths, _weight_keys a listed seed's from its matchings.
     """
 
     __slots__ = ("_factors", "_keys")
@@ -310,25 +310,52 @@ def _dominant(ms: Multisegment, rank: int) -> QChar:
 def _weight_keys(seed: Multisegment, rank: int) -> QChar:
     """The weights of closure(seed)'s members, each once, as a ranked QChar.
 
-    Its table lists the (segment, e) that a member can hold, sorted: the
-    non-degenerate (left, j) pairs of the seed, e up to the copies of both.
-    Each member's key, mapped to 1, is the ascending tuple of its factors'
-    indices, so keys sort as sort_keys do. cols[k] indexes (left, j_k) at
-    e = 1; a pair held c times takes c - 1 more. With distinct js none repeats.
+    The table lists the (segment, e) a member can hold, sorted: the seed's
+    non-degenerate (left, j) pairs, e up to the copies of both; at[left, j]
+    is its e = 1 index. A key, mapped to 1, is a weight's ascending indices.
+    A listed seed's parts are valid, and its members are the matchings of
+    lefts to js with left <= j (_left_closure), so none is built: by
+    decreasing v, the c copies of a left v take c unused js >= v (never
+    none: larger lefts took js >= v only). Keys sharing a set of used js get
+    v's piece, the index of (v, j, m) per j taken m times, in front in bulk,
+    so they come out ascending. Searched seeds are weighed one by one (_weigh).
     """
-    js, order = _left_closure(seed, rank)
-    factors, cols = [], {j: {} for j in js}
-    for i, j in sorted({(i, j) for i in order[0] for j in js if 0 < j - i <= rank}):
-        cols[j][i] = len(factors)
-        e = min(order[0].count(i), js.count(j))
-        factors += [(Segment(i, j), c) for c in range(1, e + 1)]
-    cols = [cols[j] for j in js]
+    ls, js = map(sorted, zip(*seed))
+    vs, ws, n = dict.fromkeys(ls), dict.fromkeys(js), len(js)
+    pairs = [(i, j) for i in vs for j in ws if 0 < j - i <= rank]
+    at = dict(zip(pairs, count()))
+    factors = list(zip(map(tuple.__new__, repeat(Segment), pairs), repeat(1)))
+    if len(vs) < n > len(ws):  # a pair may be held more than once
+        factors = sorted(factors + [(s, e) for s, _ in factors for e in
+                                    range(2, min(ls.count(s[0]), js.count(s[1])) + 1)])
+        at = {s: r for r, (s, e) in enumerate(factors) if e == 1}
+    if not _listed(seed, rank):
+        return QChar._of(factors, _weigh(at, *_left_closure(seed, rank)))
+    groups = {0: [()]}  # keys by mask of used js; equal js are taken lowest first
+    for v in reversed(vs):
+        opts = [(1 << x, 1 << x - 1 if x and js[x - 1] == j else 0, (at[v, j],)
+                 if (v, j) in at else ()) for x, j in enumerate(js) if j >= v]
+        if (c := ls.count(v)) > 1:  # c at once; a pair taken m times has e = m
+            opts = [(sum(b), sum(t) & ~sum(b), tuple([r + m - 1 for r, m in
+                     Counter(sum(p, ())).items()])) for b, t, p in
+                    starmap(zip, combinations(opts, c))]
+        nxt: dict[int, list] = {}
+        for mask, keys in groups.items():
+            for b, t, piece in opts:
+                if mask & (b | t) == t:
+                    nxt.setdefault(mask | b, []).extend(map(add, repeat(piece), keys))
+        groups = nxt
+    return QChar._of(factors, dict.fromkeys(groups[(1 << n) - 1], 1))
+
+
+def _weigh(at: dict, js: tuple, order) -> dict[tuple, int]:
+    """The key of each left tuple of order against js, mapped to 1; see _weight_keys."""
     if len(set(js)) == len(js):
-        keys = ([r for r in map(dict.get, cols, a) if r is not None] for a in order)
+        keys = ([r for r in map(at.get, zip(a, js)) if r is not None] for a in order)
     else:
-        keys = ([r + c - 1 for r, c in Counter(map(dict.get, cols, a)).items()
+        keys = ([r + c - 1 for r, c in Counter(map(at.get, zip(a, js))).items()
                  if r is not None] for a in order)
-    return QChar._of(factors, {tuple(sorted(k)): 1 for k in keys})
+    return {tuple(sorted(k)): 1 for k in keys}
 
 
 def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:

@@ -28,10 +28,10 @@ from .segments import check_valid
 def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
     """Dominant l-weight support of the standard module attached to ms.
 
-    Computed as the weights of the closure of the plus-sorted tuple;
-    invariant under permuting ms since sorting normalizes the order.
-    Members are weighed as int keys into a factor table (see _weight_keys),
-    and one LWeight is built per distinct key.
+    The weights of the closure of the plus-sorted tuple, so permuting ms
+    changes nothing. _weight_keys gives them as int keys into a factor
+    table, built from the matchings of a listed seed (no member is built)
+    and weighed member by member for a searched one; one LWeight per key.
     """
     return _weight_keys(sort_plus(ms), rank).support()
 

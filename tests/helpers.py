@@ -6,10 +6,13 @@ own seed and stays reproducible in isolation; a fixed corpus seeds its own.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 from unittest.mock import patch
 
 from weylcalc import (
@@ -23,7 +26,6 @@ from weylcalc import (
     ext_vanishing,
     hom_dim,
     is_closed,
-    is_doubly_sorted,
     path_weight,
     socle,
     sort_plus,
@@ -34,7 +36,7 @@ from weylcalc import (
     weyl_dominant_part,
     weyl_dominant_weights,
 )
-from weylcalc.closures import _below
+from weylcalc.closures import _below, _left_closure, _listed
 
 
 def random_segment(rng, rank, lo=-3, hi=6):
@@ -271,6 +273,38 @@ def path_product(ms, rank):
     return dict(acc)
 
 
+def weigh_each(seed, rank):
+    """(table, keys) of the weights of closure(seed)'s members, weighed one by one.
+
+    The reference for qchars._weight_keys: every left tuple that
+    _left_closure lists or searches is weighed against the table of the
+    seed's non-degenerate (left, j) pairs, e up to the copies of both, and
+    its key is the sorted tuple of its factors' indices, a pair held c
+    times taking the index of e = c.
+    """
+    js, order = _left_closure(seed, rank)
+    factors, cols = [], {j: {} for j in js}
+    for i, j in sorted({(i, j) for i in order[0] for j in js if 0 < j - i <= rank}):
+        cols[j][i] = len(factors)
+        e = min(order[0].count(i), js.count(j))
+        factors += [(Segment(i, j), c) for c in range(1, e + 1)]
+    cols = [cols[j] for j in js]
+    keys = (Counter(map(dict.get, cols, a)).items() for a in order)
+    return factors, {tuple(sorted(r + c - 1 for r, c in k if r is not None)): 1
+                     for k in keys}
+
+
+def perfbench_corpus():
+    """The benchmark's corpus module, perfbench/corpus.py, loaded by path."""
+    name = "perfbench_corpus"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 @contextmanager
 def counted_lweights():
     """Within the block, every LWeight built appends to the list it yields."""
@@ -335,8 +369,9 @@ def certify_box(max_rank, window, parts):
       all weights shared, "ext equal weights" those whose own weights are
       equal, "ext vanishes" those with none shared).
     The cases also count the tuples whose closure was listed with no search
-    ("closure by generator": doubly sorted at rank >= span) and those that
-    were searched ("closure by search"), so a sweep shows both were checked.
+    ("closure by generator": closures._listed, doubly sorted at rank >=
+    span) and those that were searched ("closure by search"), so a sweep
+    shows both were checked.
     A failure is recorded as (check, ms, rank).
     """
     cases, failures = Counter(), []
@@ -351,7 +386,7 @@ def certify_box(max_rank, window, parts):
     for ms, rank in box_tuples(max_rank, window, parts):
         cases["tuples"] += 1
         cs = closure(ms, rank)
-        listed = is_doubly_sorted(ms) and rank >= span(ms)
+        listed = _listed(ms, rank)
         cases["closure by generator" if listed else "closure by search"] += 1
         weights = weyl_dominant_weights(ms, rank)
         earlier = {holder[rank, w][0]: holder[rank, w] for w in weights

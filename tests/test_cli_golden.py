@@ -6,13 +6,13 @@ by make_cli_golden.py; they cover every subcommand in text and JSON mode,
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from make_cli_golden import cases, invoke
+from make_cli_golden import GOLDEN as SHARED
+from make_cli_golden import SHARED_VERSIONS, cases, invoke, load_golden
 
-GOLDEN = json.loads((Path(__file__).with_name("data") / "cli_golden.json").read_text())
+GOLDEN = load_golden()
 
 
 def _id(case):
@@ -38,3 +38,14 @@ def test_golden_covers_every_subcommand_in_both_modes():
 
 def test_golden_file_matches_its_generator():
     assert [(c["argv"], c["stdin"]) for c in GOLDEN] == cases()
+
+
+@pytest.mark.parametrize("path", sorted(SHARED.parent.glob("cli_golden_*.json")),
+                         ids=lambda p: p.name)
+def test_version_records_only_replace_shared_ones(path):
+    # a minor version's own file holds only records whose bytes differ from
+    # the shared file, each for a case the shared file has
+    shared = {(tuple(c["argv"]), c["stdin"]): c
+              for c in load_golden(min(SHARED_VERSIONS))}
+    own = json.loads(path.read_text())
+    assert own and all(shared[tuple(r["argv"]), r["stdin"]] != r for r in own)

@@ -23,10 +23,13 @@ from unittest.mock import patch
 import pytest
 from helpers import (
     below_by_sorting,
+    box_tuples,
     certify_box,
     move_saturate,
     passes_bounds,
+    perfbench_corpus,
     random_doubly_sorted,
+    weigh_each,
 )
 
 from weylcalc import (
@@ -46,8 +49,8 @@ from weylcalc import (
     weight_of,
     weyl_dominant_weights,
 )
-from weylcalc import cli, closures
-from weylcalc.closures import _below
+from weylcalc import cli, closures, qchars
+from weylcalc.closures import _below, _left_closure, _listed
 from weylcalc.qchars import _weight_keys
 
 
@@ -300,6 +303,108 @@ def test_cli_weighs_without_hashing_lweights():
             with redirect_stdout(io.StringIO()) as out:
                 assert cli.run(argv) == 0, argv
             assert out.getvalue().strip(), argv
+
+
+def check_bulk_keys(seed, rank):
+    """A listed seed's keys, built from its matchings, against weighing each member.
+
+    The table and the key dict must equal those of helpers.weigh_each, the
+    per-member reference over _left_closure's listing, and of qchars._weigh
+    on that listing; no key may need sorting. Returns the number of keys.
+    """
+    assert _listed(seed, rank), (seed, rank)
+    weighed = AssertionError("weighed member by member")
+    with patch.object(qchars, "_weigh", side_effect=weighed):
+        q = _weight_keys(seed, rank)
+    factors, keys = weigh_each(seed, rank)
+    assert q._factors == factors and q._keys == keys, (seed, rank)
+    assert all(type(s) is Segment for s, _ in q._factors)
+    assert all(list(k) == sorted(set(k)) for k in q._keys), (seed, rank)
+    at = {s: r for r, (s, e) in enumerate(factors) if e == 1}
+    assert qchars._weigh(at, *_left_closure(seed, rank)) == keys, (seed, rank)
+    return len(keys)
+
+
+def test_bulk_keys_match_the_member_weigher_on_every_listed_box_tuple():
+    # the listed tuples of the Tier-1 box certificate (R = 3, W = 4, P = 3)
+    seen = Counter()
+    for ms, rank in box_tuples(3, 4, 3):
+        if _listed(ms, rank):
+            seen["listed"] += 1
+            seen["keys"] += check_bulk_keys(ms, rank)
+            lefts, js = zip(*ms)
+            seen["repeated lefts"] += len(set(lefts)) < len(ms)
+            seen["repeated js"] += len(set(js)) < len(ms)
+            seen["both repeated"] += len(set(lefts)) < len(ms) > len(set(js))
+            seen["degenerate"] += any(p.length in (0, rank + 1) for p in ms)
+    assert seen == {"listed": 591, "keys": 796, "repeated lefts": 371,
+                    "repeated js": 371, "both repeated": 262, "degenerate": 426}
+
+
+def test_bulk_keys_match_the_member_weigher_on_the_decide_corpus():
+    # every listed seed of the decide ops of corpus seeds 0-3, plus forms
+    # as the weigher sees them; every dominant-weights seed is listed
+    corpus, seen = perfbench_corpus(), Counter()
+    for corpus_seed in range(4):
+        for op in corpus.build("decide", corpus_seed):
+            rank = int(op.argv[op.argv.index("--rank") + 1])
+            for text in op.argv[3:]:
+                seed = sort_plus(cli.parse_multisegment(text))
+                if not _listed(seed, rank):
+                    assert op.argv[0] not in ("dominant-weights", "ext-check"), op
+                    continue
+                seen[op.argv[0]] += 1
+                seen["largest"] = max(seen["largest"], check_bulk_keys(seed, rank))
+    assert seen["dominant-weights"] == 4 * 23 and seen["ext-check"] == 8 * 23, seen
+    assert seen["largest"] == 720, seen
+
+
+def test_bulk_keys_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def listed(draw):
+        # equal lefts, or equal js, put a part of length rank + 1 at rank = span
+        r = draw(st.integers(1, 6))
+        lefts = sorted(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)),
+                       reverse=True)
+        shape = draw(st.sampled_from(["free", "equal lefts", "equal js"]))
+        if shape == "equal lefts":
+            lefts = [lefts[0]] * r
+        js = []  # from the smallest left up, each j >= its left and the last j
+        for i in reversed(lefts):
+            js.append(max([i] + js[-1:]) + draw(st.integers(0, 2)))
+        if shape == "equal js":
+            js = [js[-1]] * r
+        ms = M(*zip(lefts, reversed(js)))
+        return ms, max(span(ms), 1) + draw(st.integers(0, 2))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(listed())
+    @hyp.example((M((0, 3), (0, 3), (0, 0)), 2))  # lengths rank + 1 and 0, held twice
+    @hyp.example((M((2, 4), (1, 4), (1, 2), (0, 2)), 3))
+    def check(case):
+        check_bulk_keys(*case)
+
+    check()
+
+
+@pytest.mark.parametrize("text, rank", [
+    ("[20,26][19,24][17,23][15,22]", 12),
+    ("[39,46][37,45][34,44][31,43][28,41][26,40]", 19),  # the 720-member decide seed
+])
+def test_dominant_weights_of_a_listed_seed_weigh_no_member(text, rank):
+    # the per-member weigher refuses to run, and the output is that of the
+    # per-member path, taken when the seed does not count as listed
+    argv = ["dominant-weights", "--rank", str(rank), text]
+    with patch.object(qchars, "_listed", return_value=False), \
+            redirect_stdout(io.StringIO()) as weighed:
+        assert cli.run(argv) == 0
+    with patch.object(qchars, "_weigh", side_effect=AssertionError("weighed")), \
+            redirect_stdout(io.StringIO()) as built:
+        assert cli.run(argv) == 0
+    assert built.getvalue() == weighed.getvalue() and built.getvalue().count("\n") > 20
 
 
 def test_dense_seeds_decide_without_the_closure():

@@ -172,11 +172,13 @@ class TestExt:
     ])
     def test_equal_weights_build_no_closure_and_no_weight(self, monkeypatch, rank, texts):
         # a tuple against a rearrangement of it: the verdict needs neither
-        # a closure nor an LWeight, and text mode prints only it
+        # a closure nor an LWeight, and text mode prints only it. Every
+        # closure listing, built from matchings or searched, asks
+        # qchars._listed first, so that is where listings are counted.
         searched = []
-        left_closure = qchars._left_closure
-        monkeypatch.setattr(qchars, "_left_closure",
-                            lambda *a: searched.append(a) or left_closure(*a))
+        listed = qchars._listed
+        monkeypatch.setattr(qchars, "_listed",
+                            lambda *a: searched.append(a) or listed(*a))
         out = io.StringIO()
         with counted_lweights() as built, redirect_stdout(out):
             assert cli.run(["ext-check", "--rank", str(rank), *texts]) == 0
