@@ -8,7 +8,6 @@ left to it.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -21,6 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from helpers import perfbench_corpus  # noqa: E402
 from make_cli_golden import FALLBACK_SHAPES  # noqa: E402
 from weylcalc import cli  # noqa: E402
 
@@ -29,16 +29,7 @@ GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text())
 PARSER = cli.build_parser()
 
 
-def _load_corpus():
-    path = ROOT / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod
-    spec.loader.exec_module(mod)
-    return mod
-
-
-CORPUS = {w: [list(op.argv) for op in _load_corpus().build(w, 0)]
+CORPUS = {w: [list(op.argv) for op in perfbench_corpus().build(w, 0)]
           for w in ("enumerate", "decide", "cli-mix")}
 
 
