@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import ge
 
 from .errors import PreconditionViolated
 from .multisegments import (
@@ -205,34 +207,15 @@ def _below(seed: Multisegment, lefts) -> bool:
     bound on the sorted entries. (b) is necessary: a crossing move on h, k
     with j_h > j_k puts the larger left endpoint at the later position, so
     no prefix count of entries >= a ever rises; equal-j swaps leave block
-    ends alone. Sufficiency is unproved; it matches the search on all cases.
-
-    The counts run across blocks. With the values taken in decreasing
-    order, net[k] is how many more seed entries than lefts entries equal
-    the k-th value, so the prefix sums of net are the slacks of (b) at
-    each threshold. A tree of (sum, least prefix sum) pairs over net keeps
-    the least slack, and each entry updates it in O(log r).
+    ends alone. Sufficiency is unproved. Both prefixes are kept sorted and
+    negated, so the bound reads >= entry by entry at each block end: O(r).
     """
-    values = sorted({p.i for p in seed} | set(lefts), reverse=True)
-    pos = {a: k for k, a in enumerate(values)}
-    size = 1 << len(values).bit_length()
-    tot, low = [0] * (2 * size), [0] * (2 * size)
-
-    def add(a, v):
-        i = size + pos[a]
-        tot[i] += v
-        low[i] = min(0, tot[i])
-        while i > 1:
-            i >>= 1
-            tot[i] = tot[2 * i] + tot[2 * i + 1]
-            low[i] = min(low[2 * i], tot[2 * i] + low[2 * i + 1])
-
-    r = len(seed)
+    mine, theirs, r = [], [], len(seed)
     for t in range(r):
-        if lefts[t] != seed[t].i:
-            add(seed[t].i, 1)
-            add(lefts[t], -1)
-        if (t == r - 1 or seed[t + 1].j != seed[t].j) and low[1] < 0:
+        insort(mine, -lefts[t])
+        insort(theirs, -seed[t].i)
+        end = t == r - 1 or seed[t + 1].j != seed[t].j
+        if end and not all(map(ge, mine, theirs)):
             return False
     return True
 
@@ -245,13 +228,14 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
     block j is want's parts ending at j, filled up with degenerate parts
     [j, j] and [j - rank - 1, j]. The fillers are forced: taken by
     increasing j, block j must take every unused j - rank - 1, which no
-    later block can, then copies of j. Test (b) decides that one candidate;
-    a short or overfull block means no member, and so does any part of want
-    left unplaced, since then some block runs out of left endpoints. As (b)
-    is necessary, False is proved. A doubly sorted seed at rank >= span
-    passes (b) in every arrangement, its prefixes holding its largest left
-    endpoints, so _left_closure's proof gives True there from (a) alone;
-    any other True rests on the unproved sufficiency of (b).
+    later block can, then copies of j. A short or overfull block means no
+    member, and so does any part of want left unplaced, since then some
+    block runs out of left endpoints. A listed seed passes test (b) of
+    _below in every arrangement (its prefixes hold its largest left
+    endpoints), so _left_closure's proof makes the valid candidate a member
+    and (b) is not run. On a searched seed (b) decides, at O(r^2): False is
+    proved, as (b) is necessary; True rests on its unproved sufficiency,
+    which the box certificate checks.
     """
     for p in seed:
         check_valid(p, rank)
@@ -269,7 +253,8 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
             return False
         block[j] += [lo] * pool[lo] + [j] * free
         pool[lo], pool[j] = 0, pool[j] - free
-    return _below(seed, [i for j in sorted(size, reverse=True) for i in block[j]])
+    return _listed(seed, rank) or _below(
+        seed, [i for j in sorted(size, reverse=True) for i in block[j]])
 
 
 def closure(ms: Multisegment, rank: int) -> ClosureSet:

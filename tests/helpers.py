@@ -223,7 +223,8 @@ def passes_bounds(seed, cand, rank):
 def below_by_sorting(seed, lefts):
     """Test (b) as first written: sort both prefixes at every block end.
 
-    The oracle for closures._below, which keeps its counts across blocks.
+    The oracle for closures._below, which inserts each entry into its
+    sorted prefix as it goes instead of sorting again at every block end.
     """
     r = len(seed)
     return all(
@@ -389,7 +390,8 @@ def certify_box(max_rank, window, parts):
         listed = _listed(ms, rank)
         cases["closure by generator" if listed else "closure by search"] += 1
         weights = weyl_dominant_weights(ms, rank)
-        earlier = {holder[rank, w][0]: holder[rank, w] for w in weights
+        ordered = sorted(weights, key=LWeight.sort_key)  # not the set's order
+        earlier = {holder[rank, w][0]: holder[rank, w] for w in ordered
                    if (rank, w) in holder}
         pairs = [(ms, weights), (Multisegment(reversed(ms)), weights),
                  *list(earlier.values())[:2]]

@@ -433,6 +433,31 @@ def test_below_matches_sorting_every_prefix():
     assert min(verdicts.values()) > 300, verdicts
 
 
+def test_hom_runs_test_b_only_on_searched_targets():
+    # a listed target's candidate is a member by _left_closure's proof, so
+    # (b) never runs: every hom of the decide corpus, seeds 0-3, and the
+    # 3,000-part chain at rank 3000
+    corpus, parse = perfbench_corpus(), cli.parse_multisegment
+    chain = M(*((k - 1, k) for k in range(3000, 0, -1)))
+    cases = [(chain, chain, 3000)]
+    for corpus_seed in range(4):
+        cases += [(parse(op.argv[3]), parse(op.argv[4]), int(op.argv[2]))
+                  for op in corpus.build("decide", corpus_seed) if op.argv[0] == "hom"]
+    assert len(cases) == 1 + 4 * 23
+    assert all(_listed(sort_plus(dst), rank) for _, dst, rank in cases)
+    ran = AssertionError("test (b) ran on a listed target")
+    with patch.object(closures, "_below", side_effect=ran):
+        answers = Counter(hom_dim(src, dst, rank) for src, dst, rank in cases)
+    assert answers == {1: len(cases)}, answers  # every decide hom is a yes
+    # a searched target whose forced candidate fails (b): hom is 0, by (b)
+    src, dst = M((1, 2), (0, 1)), M((0, 2), (1, 1))
+    assert not _listed(dst, 1)
+    with patch.object(closures, "_below", wraps=_below) as below:
+        assert hom_dim(src, dst, 1) == 0
+    assert below.call_count == 1 and not _below(*below.call_args.args)
+    assert weight_of(src, 1) not in weyl_dominant_weights(dst, 1)
+
+
 class TestErrorsUnchanged:
     def test_hom_weighs_the_source_first(self):
         with pytest.raises(InvalidSegment, match=r"\[0,5\]"):
