@@ -1,8 +1,8 @@
 """Command-line front end with stable text and JSON output.
 
 Each subcommand is one `Command` row of `COMMANDS`. `run` reads canonical
-argv from the table itself and any other through the argparse parser that
-`build_parser` makes from it, so argparse words every message. It then
+argv from the table itself and any other through a fresh argparse parser
+from `build_parser`, so argparse words every message. It then
 parses the positionals in order (`-` reads stdin, at most once, just before
 its parse), computes, and calls only the renderer that `--json` selects.
 Rows look library functions up as module globals at call time, so wrappers
@@ -95,10 +95,6 @@ def parse_lweight(text: str) -> LWeight:
     return LWeight((Segment(int(m[1]), int(m[2])), int(m[3])) for m in found)
 
 
-def json_multisegment(ms: Multisegment) -> list[list[int]]:
-    return [[p.i, p.j] for p in ms]
-
-
 def _json_factor(f: tuple) -> dict:
     return {"segment": [f[0], f[1]], "exp": f[2]}
 
@@ -145,10 +141,10 @@ def _truth(key: str) -> tuple:
 def _closure_json(cs) -> dict:
     return {
         "rank": cs.rank,
-        "seed": json_multisegment(cs.seed),
-        "members": [json_multisegment(t) for t in cs.members],
-        "closed": [json_multisegment(t) for t in cs.closed_members],
-        "orbit_reps": [json_multisegment(t) for t in cs.orbit_representatives],
+        "seed": cs.seed,
+        "members": cs.members,
+        "closed": cs.closed_members,
+        "orbit_reps": cs.orbit_representatives,
     }
 
 
@@ -165,7 +161,7 @@ def _weighed_normal_form(args, ms):
 
 
 _QCHAR = (str, lambda q: {"terms": json_qchar_terms(q)})
-_RESULT = (str, lambda ms: {"result": json_multisegment(ms)})
+_RESULT = (str, lambda ms: {"result": ms})
 
 COMMANDS = (
     Command("closure", "saturate a tuple; members one per line", _ONE_MS,
@@ -176,7 +172,7 @@ COMMANDS = (
             lambda a, ms: socle(ms, a.rank),
             (lambda ss: _lines(f"{s.weight}\t{s.representative}" for s in ss),
              lambda ss: {"summands": [{"weight": json_lweight(s.weight),
-                                       "rep": json_multisegment(s.representative)}
+                                       "rep": s.representative}
                                       for s in ss]})),
     Command("hom", "dim Hom between two standard modules",
             (("source", "ms", "multisegment of the source module"),
@@ -208,7 +204,7 @@ COMMANDS = (
             _RESULT, ("--sign", "--at")),
     Command("normalform", "full ordering pass", _ONE_MS, _weighed_normal_form,
             (lambda r: str(r[0]),
-             lambda r: {"result": json_multisegment(r[0]),
+             lambda r: {"result": r[0],
                         "weight": json_lweight(r[1])}),
             ("--sign",)),
     Command("ext-check", "Ext vanishing certificate",
@@ -287,17 +283,9 @@ def _read(argv) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**out)
 
 
-# built on first fallback and reused: parse_args keeps no state between calls
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def run(argv: Optional[list[str]] = None) -> int:
-    global _parser
-    args = _read(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        if _parser is None:
-            _parser = build_parser()
-        args = _parser.parse_args(argv)
+    args = (_read(sys.argv[1:] if argv is None else argv)
+            or build_parser().parse_args(argv))
     cmd = args.spec
     try:
         if args.rank < 1:
@@ -321,7 +309,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except WeylcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - internal invariant failures
+    except Exception as exc:  # internal invariant failures
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     print(out)

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .closures import _left_closure, _listed
 from .errors import InvalidSegment, PreconditionViolated
-from .lweights import LWeight, lweight_of_segment
-from .multisegments import Multisegment, connected, is_doubly_sorted
+from .lweights import LWeight
+from .multisegments import Multisegment, connected, is_doubly_sorted, weight_of
 from .segments import Segment, check_valid, is_degenerate
 
 Path = tuple[int, ...]
@@ -350,11 +350,8 @@ def _weight_keys(seed: Multisegment, rank: int) -> QChar:
 
 def _weigh(at: dict, js: tuple, order) -> dict[tuple, int]:
     """The key of each left tuple of order against js, mapped to 1; see _weight_keys."""
-    if len(set(js)) == len(js):
-        keys = ([r for r in map(at.get, zip(a, js)) if r is not None] for a in order)
-    else:
-        keys = ([r + c - 1 for r, c in Counter(map(at.get, zip(a, js))).items()
-                 if r is not None] for a in order)
+    keys = ([r + c - 1 for r, c in Counter(map(at.get, zip(a, js))).items()
+             if r is not None] for a in order)
     return {tuple(sorted(k)): 1 for k in keys}
 
 
@@ -401,8 +398,5 @@ def soclehom_weight(ms: Multisegment, rank: int) -> LWeight:
     if not is_doubly_sorted(ms):
         raise PreconditionViolated("soclehom_weight needs a doubly sorted tuple")
     top = ms[0].j + 1
-    w = LWeight.identity()
-    for p in ms:
-        w = w * lweight_of_segment(Segment(p.i, top), rank)
-        w = w * lweight_of_segment(Segment(p.j, top), rank).inverse()
-    return w
+    lefts, rights = (Multisegment(Segment(e, top) for e in ends) for ends in zip(*ms))
+    return weight_of(lefts, rank) * weight_of(rights, rank).inverse()

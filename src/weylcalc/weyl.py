@@ -21,7 +21,7 @@ from .lweights import LWeight
 from .multisegments import (
     Multisegment, connected, normal_form, sort_plus, span, weight_of,
 )
-from .qchars import _weight_keys
+from .qchars import QChar, _weight_keys
 from .segments import check_valid
 
 
@@ -106,11 +106,11 @@ class ExtCertificate(_Record):
         return self.__dict__.pop("_build")()
 
 
-def _shared(plus: tuple[Multisegment, ...], rank: int) -> tuple[LWeight, ...]:
-    """The shared weights of two plus forms' closures, by sort_key."""
+def _meet(plus: tuple[Multisegment, ...], rank: int) -> tuple[QChar, set]:
+    """plus[0]'s weight keys and those of them that plus[1]'s closure shares."""
     ours = _weight_keys(plus[0], rank)  # a support depends on the plus form alone
     theirs = ours if plus[1] == plus[0] else _weight_keys(plus[1], rank)
-    return ours._shared(ours._common(theirs))
+    return ours, ours._common(theirs)
 
 
 def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertificate:
@@ -127,9 +127,10 @@ def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertifi
     # a part is a pair i <= j: degenerate at length 0 or rank + 1, invalid above
     kept = [[p for p in t if 0 < p[1] - p[0] <= rank] for t in plus]
     if kept[0] == kept[1] and max([p[1] - p[0] for p in plus[0] + plus[1]]) <= rank + 1:
-        return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: _shared(plus, rank))
-    ours, theirs = _weight_keys(plus[0], rank), _weight_keys(plus[1], rank)
-    if not (keys := ours._common(theirs)):
+        return ExtCertificate(ExtVerdict.INCONCLUSIVE, (),
+                              lambda: QChar._shared(*_meet(plus, rank)))
+    ours, keys = _meet(plus, rank)
+    if not keys:
         return ExtCertificate(ExtVerdict.VANISHES, ())
     return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: ours._shared(keys))
 

@@ -247,8 +247,16 @@ class TestErrors:
         with pytest.raises(SystemExit):
             run(["closure", "[0,1]"])
 
+    def test_internal_error_exits_1(self, capsys, monkeypatch):
+        def boom(ms, rank):
+            raise RuntimeError("boom")
 
-class TestParserReuse:
+        monkeypatch.setattr(cli, "closure", boom)
+        assert run(["closure", "--rank", "2", "[0,1]"]) == 1
+        assert capsys.readouterr() == ("", "internal error: boom\n")
+
+
+class TestParserOnlyOnFallback:
     def test_one_parser_serves_every_outcome(self, capsys, monkeypatch):
         built = []
         build = cli.build_parser
@@ -257,7 +265,6 @@ class TestParserReuse:
             built.append(1)
             return build()
 
-        monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "build_parser", counting_build)
         ok = ["dominant", "--rank", "4", "--json", "[0,2][1,3][2,4]"]
         assert run(ok) == 0
@@ -284,19 +291,6 @@ class TestParserReuse:
         assert run(ok) == 0
         assert capsys.readouterr().out == first
         assert built == [1]
-
-    @pytest.mark.parametrize("prefix", [[], ["dominant"], ["iota"]])
-    def test_help_is_unchanged(self, capsys, prefix):
-        run(["closed", "--rank", "2", "[0,1]"])
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as reused:
-            run([*prefix, "--help"])
-        got = capsys.readouterr().out
-        with pytest.raises(SystemExit) as fresh:
-            cli.build_parser().parse_args([*prefix, "--help"])
-        assert reused.value.code == fresh.value.code == 0
-        assert got == capsys.readouterr().out
-        assert got.startswith("usage: weylcalc")
 
 
 def test_main_returns_int(capsys):

@@ -218,6 +218,9 @@ class TestDominantAncestor:
     def test_requires_plus_order(self):
         with pytest.raises(PreconditionViolated):
             dominant_ancestor(M((0, 1), (1, 2)), 5)
+        with pytest.raises(PreconditionViolated,
+                           match="^dominant_ancestor needs rank >= span = 5, got 2$"):
+            dominant_ancestor(M((5, 6), (0, 1)), 2)
 
     def test_ancestor_contains_input_in_its_closure(self):
         rng = random.Random(56)

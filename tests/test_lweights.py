@@ -27,6 +27,11 @@ class TestLWeightGroup:
         assert one.is_identity
         assert str(one) == "1"
         assert one * w(0, 1) == w(0, 1)
+        assert LWeight.generator(Segment(0, 1)) == w(0, 1)
+        with pytest.raises(TypeError):
+            one * 2
+        with pytest.raises(TypeError, match="expected Segment key, got tuple"):
+            LWeight({(0, 1): 1})
 
     def test_cancellation(self):
         assert (w(0, 1) * w(0, 1, -1)).is_identity
@@ -88,6 +93,7 @@ def test_root_vector_basics():
     assert str(rv) == "a[0,1]^2 * a[1,2]^-1"
     assert rv.coefficient(Segment(0, 1)) == 2
     assert rv.coefficient(Segment(4, 5)) == 0
+    assert rv.coefficients() == {Segment(0, 1): 2, Segment(1, 2): -1}
     assert not rv.in_positive_cone
     assert RootVector({Segment(0, 1): 2}).in_positive_cone
     assert RootVector().is_zero

@@ -51,6 +51,8 @@ def test_multisegment_is_an_ordered_tuple():
 def test_multisegment_must_be_nonempty():
     with pytest.raises(Exception):
         Multisegment([])
+    with pytest.raises(TypeError, match="expected Segment part, got tuple"):
+        Multisegment([(0, 1)])
 
 
 class TestWeight:

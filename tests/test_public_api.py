@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import importlib
 import pickle
 import sys
 from dataclasses import dataclass
@@ -46,6 +47,17 @@ def test_cli_entry_points_exist():
     # pyproject's console script binds main; the benchmark tracer wraps the rest
     for name in ("run", "main", "build_parser", "parse_multisegment", "parse_lweight"):
         assert callable(getattr(cli, name)), name
+
+
+def test_console_script_runs_main(capsys):
+    tomllib = pytest.importorskip("tomllib")  # 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["weylcalc"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main
+    assert entry(["closure", "--rank", "6", "[0,6][2,7][1,8]"]) == 0
+    assert capsys.readouterr().out == "[0,6][2,7][1,8]\n[2,6][0,7][1,8]\n"
 
 
 def test_src_imports_only_the_standard_library():

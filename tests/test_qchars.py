@@ -102,6 +102,10 @@ class TestQCharAlgebra:
         one = QChar.one()
         assert one.total_mass() == 1
         assert one.multiplicity(LWeight.identity()) == 1
+        assert repr(one) == "QChar(1 terms, mass 1)"
+        assert (one == 1) is False
+        with pytest.raises(TypeError):
+            one * 2
 
     def test_convolution(self):
         a = fundamental_qchar(Segment(0, 1), 2)
