@@ -57,8 +57,9 @@ class ClosureSet(_Record):
     connected pair, are the lefts that hit no pair's window of _windows.
     closed_lefts, members, closed_members and orbit_representatives (the
     distinct sort_plus forms of the closed members, sorted) are built on
-    first use; len and str need none of them, and pickle keeps only the
-    four fields.
+    first use. len needs none of them, nor does str, which formats each
+    (left, j) piece once and joins the rows column by column; pickle keeps
+    only the four fields.
     """
 
     __match_args__ = ("rank", "seed", "js", "lefts")
@@ -107,8 +108,10 @@ class ClosureSet(_Record):
         return len(self.lefts)
 
     def __str__(self) -> str:
-        row = "".join(f"[%d,{j}]" for j in self.js)
-        return "\n".join(map(row.__mod__, self.lefts))
+        vs = set(self.lefts[0])  # every member's lefts are these, permuted
+        cols = [map({v: f"[{v},{j}]" for v in vs}.__getitem__, col)
+                for col, j in zip(zip(*self.lefts), self.js)]
+        return "\n".join(map("".join, zip(*cols)))
 
 
 def is_closed(ms: Multisegment, rank: int) -> bool:

@@ -34,7 +34,8 @@ class QChar:
     multiplicity, so the keys sort as the terms' sort_keys do. `str` and the
     JSON renderer sort the keys and render each factor of the table once;
     LWeights are built only when asked for. fundamental_qchar builds its int
-    keys from the paths, _weight_keys a listed seed's from its matchings.
+    keys from the paths, _weight_keys a listed seed's from its matchings,
+    both ascending, so that the sort is one linear pass.
     """
 
     __slots__ = ("_factors", "_keys")
@@ -258,9 +259,10 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
     at d = L (index u); for 0 < d < L, with b = U(2(L-d) - 1), the maximum
     for u > 0 (index b + 2u - 1) and the minimum for u < U (index b + 2u);
     the maxima with u > 0 at d = 0 (index U(2L-1) - 1 + u). So a key lists
-    the corners from the last down back to the first. Keys are extended one
-    down at a time from the last, sharing the part so far between paths;
-    distinct paths have distinct weights.
+    the corners from the last down back to the first. Keys are built from
+    the back, one down at a time from the first, sharing their ends between
+    paths; a down's indices, put in front, are below all placed so far, so
+    the keys come out ascending. Distinct paths have distinct weights.
     """
     if not 1 <= seg.length <= rank:
         raise InvalidSegment(
@@ -271,21 +273,21 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
     factors = [(Segment(seg.i + a, seg.j + u), e) for a in range(length + 1)
                for u in range(ups + 1) for e in (-1, 1)
                if ((0 < a and 0 < u) if e < 0 else (a < length and u < ups))]
-    # heads[u]: keys so far of the paths whose latest down chosen has u ups before it
-    heads = [[(u,)] for u in range(ups)] + [[()]]
-    for k in range(length - 1, 0, -1):
+    last = ups * (2 * length - 1) - 1
+    # tails[u]: key ends, ascending, of the paths whose latest down placed has u ups
+    tails = [[()]] + [[(last + u,)] for u in range(1, ups + 1)]
+    for k in range(1, length):
         b = ups * (2 * (length - k) - 1)
-        nxt: list[list[tuple]] = [[] for _ in heads]
-        for u, keys in enumerate(heads):
-            nxt[u] += keys
-            for v in range(u):
-                pair = (b + 2 * v, b + 2 * u - 1)  # the minimum, the maximum
-                nxt[v] += map(tuple.__add__, keys, repeat(pair))
-        heads = nxt
-    keys, last = heads[0], ups * (2 * length - 1) - 1
-    for u in range(1, ups + 1):
-        keys += map(tuple.__add__, heads[u], repeat((last + u,)))
-    return QChar._of(factors, dict.fromkeys(keys, 1))
+        nxt: list[list[tuple]] = [[] for _ in tails]
+        for u, keys in enumerate(nxt):
+            for v in range(u):  # the minimum, the maximum
+                keys += map(add, repeat((b + 2 * v, b + 2 * u - 1)), tails[v])
+            keys += tails[u]
+        tails = nxt
+    keys = []
+    for u in range(ups):
+        keys += map(add, repeat((u,)), tails[u])
+    return QChar._of(factors, dict.fromkeys(keys + tails[ups], 1))
 
 
 def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
