@@ -89,9 +89,13 @@ class TestClosureSetApi:
     def test_text_and_len_build_no_member(self):
         cs = closure(M((-2, 0), (-3, -1), (1, 1)), 3)
         assert str(cs) == "[-3,0][-2,-1][1,1]\n[-2,0][-3,-1][1,1]"
-        assert len(cs) == 2
-        assert "members" not in vars(cs)
-        assert str(cs) == "\n".join(map(str, cs.members))
+        # seven lefts all below seven js at rank >= span: every order is a member
+        large = closure(M(*[(16 - k, 23 - k) for k in range(7)]), 12)
+        for cs, size in ((cs, 2), (large, 5040)):
+            text = str(cs)
+            assert len(cs) == size
+            assert "members" not in vars(cs)
+            assert text == "\n".join(map(str, cs.members))
 
     def test_members_sorted_and_consistent(self):
         rng = random.Random(51)

@@ -27,6 +27,7 @@ from weylcalc import (  # noqa: E402
     dual_left,
     dual_right,
     fundamental_qchar,
+    span,
     tau,
 )
 from weylcalc import cli  # noqa: E402
@@ -94,6 +95,31 @@ def test_tau_exchanges_two_left_endpoints(case, data):
     lefts = [p.i for p in ms]
     lefts[m - 1], lefts[l - 1] = lefts[l - 1], lefts[m - 1]
     assert out == Multisegment(Segment(i, p.j) for i, p in zip(lefts, ms))
+
+
+@st.composite
+def closure_seeds(draw):
+    """(ms, rank) with negative or multi-digit endpoints, repeated lefts
+    and equal js: doubly sorted at rank >= span (listed) or in any order."""
+    rank, base = draw(st.integers(1, 7)), draw(st.sampled_from((-23, -4, 0, 9, 98)))
+    n = draw(st.integers(1, 5))
+    parts = [(base + i, base + i + draw(st.integers(0, rank + 1)))
+             for i in draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))]
+    if draw(st.booleans()):  # pair the lefts and the js, each sorted descending
+        parts = list(zip(*[sorted(c, reverse=True) for c in zip(*parts)]))
+        rank = max(rank, span(Multisegment(Segment(*p) for p in parts)))
+    return Multisegment(Segment(*p) for p in parts), rank
+
+
+@PROPERTY
+@given(closure_seeds())
+@example((Multisegment([Segment(-12, -3)]), 9))  # one part
+@example((Multisegment([Segment(10, 11), Segment(-5, -4)]), 3))  # one member
+@example((Multisegment([Segment(-10, 12), Segment(-10, 12), Segment(-11, 10)]), 22))
+def test_closure_text_is_its_members_one_per_line(case):
+    ms, rank = case
+    cs = closure(ms, rank)
+    assert str(cs) == "\n".join(map(str, cs.members))
 
 
 @PROPERTY

@@ -378,6 +378,15 @@ class TestFundamentalAgainstPaths:
     def test_largest_benchmark_shape(self):
         check_against_paths(Segment(0, 7), 14)
 
+    def test_keys_are_built_in_ascending_order(self):
+        # the renderers' sort is then a linear pass; check_against_paths
+        # is the oracle for the keys' content
+        for rank in range(1, 11):
+            for ln in range(1, rank + 1):
+                keys = list(fundamental_qchar(Segment(-2, -2 + ln), rank)._keys)
+                assert keys == sorted(keys), (ln, rank)
+                assert all(a < b for k in keys for a, b in zip(k, k[1:])), (ln, rank)
+
     def test_tables_list_only_used_factors_in_sorted_order(self):
         # no degenerate [j,j] or [i,i+rank+1] slot and no corner a path lacks
         for rank in range(1, 10):
