@@ -5,8 +5,8 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, permutations
-from operator import ge
+from itertools import accumulate, combinations, permutations
+from operator import ge, itemgetter, le
 
 from .errors import PreconditionViolated
 from .multisegments import (
@@ -81,7 +81,7 @@ class ClosureSet(_Record):
     @cached_property
     def closed_lefts(self) -> tuple[tuple[int, ...], ...]:
         keep = self.lefts
-        for h, k, lo, hi in _windows(self.js, self.rank)[0]:
+        for h, k, lo, hi in _windows(self.js, self.rank):
             keep = [a for a in keep if not lo <= a[k] < a[h] <= hi]
         return tuple(keep)
 
@@ -122,95 +122,100 @@ def is_closed(ms: Multisegment, rank: int) -> bool:
 
 
 def _windows(js, rank):
-    """(windows, ties) of the pairs of parts with right endpoints js.
+    """The windows of the pairs of parts with right endpoints js.
 
     A pair h, k with j_h > j_k crosses iff its left endpoints fall in the
     window j_h - rank - 1 <= i_k < i_h <= j_k (see connected), listed as
     (h, k, j_h - rank - 1, j_k); a pair whose js are rank + 1 or more
-    apart never does. ties are the pairs with equal j. A state is closed
-    iff it hits no window; its moves are the windows it hits and the ties.
+    apart never does. A member is closed iff it hits no window.
     """
-    windows, ties = [], []
-    for m, l in combinations(range(len(js)), 2):
-        h, k = (m, l) if js[m] > js[l] else (l, m)
-        if js[m] == js[l]:
-            ties.append((m, l))
-        elif js[h] - js[k] <= rank:
-            windows.append((h, k, js[h] - rank - 1, js[k]))
-    return windows, ties
+    return [(h, k, js[h] - rank - 1, js[k]) for h, k in permutations(range(len(js)), 2)
+            if 0 < js[h] - js[k] <= rank]
 
 
 def _listed(seed: Multisegment, rank: int) -> bool:
-    """Whether _left_closure lists seed's closure: doubly sorted, rank >= span."""
+    """Doubly sorted at rank >= span, as the bulk weigher and hom read it.
+
+    Then its prefixes hold its largest left endpoints, so every arrangement
+    passes (b), and (a) is A_k <= j_k, as max j - rank - 1 <= min i.
+    """
     return seed[0][1] - seed[-1][0] <= rank + 1 and is_doubly_sorted(seed)
 
 
 def _left_closure(seed: Multisegment, rank: int):
-    """(js, left tuples) of the closure.
+    """(js, left tuples) of the closure, each once, in seed order.
 
     Both moves swap the left endpoints of two parts: tau_{m,l} when they
-    are connected, a swap when j_m == j_l. So every state is a permutation
-    A of the seed's left endpoints set against its fixed right endpoints.
-
-    If the seed is doubly sorted and rank >= span, the closure is every A
-    with A_k <= j_k for all k. Moves keep parts valid, and [A_k, j_k] is
-    valid iff A_k <= j_k, as j_k - A_k <= max j - min i <= rank + 1.
-    Conversely, if j_h > j_k and A_h < A_k, swapping the pair gives a valid
-    B, and B -> A is the crossing move on h, k: its window j_h - rank - 1
-    <= A_h < A_k <= j_k holds, as min i >= max j - rank - 1. Sum A_k * j_k
-    rises from A to B, so such swaps end at an A with no such pair, which
-    equal-j swaps reach from the seed. So no search: positions take, by
-    increasing j, any distinct unused left endpoint <= j (never none, the
-    seed being valid); once the unused ones are distinct and <= the next
-    j, each of their orders completes a member.
-
-    Any other seed is searched breadth first; see _windows.
+    are connected, a swap when j_m == j_l. So the members are arrangements
+    A of the seed's left endpoints against its js; with positions in plus
+    order (j weakly decreasing), they are those with (a) j_k - rank - 1 <=
+    A_k <= j_k for all k and (b) of _below, where necessity is shown.
+    Sufficiency, for positions h < k with j_h > j_k:
+    1. The crossing move on h, k applies iff A_k < A_h and the swap has
+       (a): connected's window j_h - rank - 1 <= A_k < A_h <= j_k is that,
+       the other two bounds following from j_k < j_h.
+    2. So if A has (a) and A_h < A_k, the swap B has (a), and B moves to A.
+    3. Let B have (a) and (b), with blocks (of equal j) whose multisets are
+       not the seed's. At the first block end where the prefix multisets
+       differ, let N(a) and S(a) count the entries >= a in B's and the
+       seed's prefix, a* be the largest a with N(a) < S(a), x, at h, the
+       largest entry below a* in B's block ending there (one exists, the
+       earlier blocks agreeing), and k the first later position whose entry
+       y is in (x, a*] (one exists: N(a* + 1) = S(a* + 1), so a* is short
+       in B's prefix). Swapping x and y gives B' with (a) by 2, which moves
+       to B. Only counts for a in (x, y] change, by +1 at the block ends
+       from here up to k. Here they were strict: N(a*) < S(a*), and in [a,
+       a*) B's prefix holds only entries of the earlier blocks. Later, no
+       entry in (x, a*] came between, so (b) at a* + 1 keeps them strict.
+       So B' has (b), and Sum A_k * j_k rose by (y - x)(j_h - j_k) > 0, so
+       lifting reaches the seed's block multisets, hence the seed by swaps.
+    The walk lists these: by increasing j, a position takes each distinct
+    unused left endpoint in its window. Where the seed's prefix before a
+    block is not its largest lefts, the unused ones (that prefix's
+    complement) must be bounded entry by entry by its sorted entries. A
+    state whose least unused left fits no part left is dropped. Past every
+    such bound, once the unused lefts are distinct and fit every remaining
+    window, each of their orders completes a member.
     """
     for p in seed:
         check_valid(p, rank)
     start, js = zip(*seed)
-    if _listed(seed, rank):
-        out = []
-        level = [((), start[::-1])]  # (suffix, unused lefts ascending)
-        for j in reversed(js):
-            nxt = []
-            for suffix, pool in level:
-                if pool[-1] <= j and len(set(pool)) == len(pool):
-                    out += [a + suffix for a in permutations(pool)]
+    at = sorted(range(len(js)), key=js.__getitem__, reverse=True)  # plus order
+    ls, jp = [start[k] for k in at], [js[k] for k in at]
+    top = list(accumulate(sorted(ls, reverse=True)))  # sums of the t largest
+    bounds = {t: sorted(ls[:t]) for t, s in enumerate(accumulate(ls[:-1]), 1)
+              if jp[t - 1] != jp[t] and s < top[t - 1]}
+    first, low = min(bounds, default=len(ls)), jp[0] - rank - 1
+    out, level = [], [((), tuple(sorted(ls)))]  # (suffix, unused lefts ascending)
+    for t in range(len(ls) - 1, -1, -1):
+        j, lo, bound, nxt = jp[t], jp[t - 1] - rank - 1, bounds.get(t), []
+        for suffix, pool in level:
+            if t < first and low <= pool[0] <= pool[-1] <= j and len(set(pool)) > t:
+                out += [a + suffix for a in permutations(pool)]
+                continue
+            for x, v in enumerate(pool):
+                if v > j:
+                    break
+                if x and pool[x - 1] == v:
                     continue
-                for x, v in enumerate(pool):
-                    if v > j:
-                        break
-                    if not x or pool[x - 1] != v:
-                        nxt.append(((v,) + suffix, pool[:x] + pool[x + 1:]))
-            level = nxt
-        return js, out
-    windows, ties = _windows(js, rank)
-    seen = {start}
-    order = [start]
-    for cur in order:  # breadth first: order grows while it is walked
-        moves = [(h, k) for h, k, lo, hi in windows if lo <= cur[k] < cur[h] <= hi]
-        for m, l in moves + ties:
-            nxt = list(cur)
-            nxt[m], nxt[l] = cur[l], cur[m]
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    return js, order
+                rest = pool[:x] + pool[x + 1:]
+                if lo <= rest[0] and (bound is None or all(map(le, rest, bound))):
+                    nxt.append(((v,) + suffix, rest))
+        level = nxt
+    if at != sorted(at):
+        out = list(map(itemgetter(*sorted(range(len(at)), key=at.__getitem__)), out))
+    return js, out
 
 
 def _below(seed: Multisegment, lefts) -> bool:
     """Test (b) on a rearrangement lefts of plus-sorted seed's left endpoints.
 
-    lefts, set against the seed's right endpoints, is a member of the
-    closure iff (a) every part [lefts[k], j_k] is valid at the rank and
-    (b) at the end of each block of equal j, and for every a, the prefix
-    of lefts has no more entries >= a than that of the seed: a pointwise
-    bound on the sorted entries. (b) is necessary: a crossing move on h, k
-    with j_h > j_k puts the larger left endpoint at the later position, so
-    no prefix count of entries >= a ever rises; equal-j swaps leave block
-    ends alone. Sufficiency is unproved. Both prefixes are kept sorted and
+    (b): at the end of each block of equal j, and for every a, the prefix
+    of lefts has no more entries >= a than the seed's, a pointwise bound on
+    the sorted entries. With (a) it decides membership (_left_closure). It
+    is necessary: a crossing move on h, k with j_h > j_k puts the larger
+    left endpoint at the later position, so no such count rises; equal-j
+    swaps leave block ends alone. Both prefixes are kept sorted and
     negated, so the bound reads >= entry by entry at each block end: O(r).
     """
     mine, theirs, r = [], [], len(seed)
@@ -233,12 +238,9 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
     increasing j, block j must take every unused j - rank - 1, which no
     later block can, then copies of j. A short or overfull block means no
     member, and so does any part of want left unplaced, since then some
-    block runs out of left endpoints. A listed seed passes test (b) of
-    _below in every arrangement (its prefixes hold its largest left
-    endpoints), so _left_closure's proof makes the valid candidate a member
-    and (b) is not run. On a searched seed (b) decides, at O(r^2): False is
-    proved, as (b) is necessary; True rests on its unproved sufficiency,
-    which the box certificate checks.
+    block runs out of left endpoints. The candidate so built has (a), so it
+    is a member iff it passes (b) (_left_closure), as a listed seed does in
+    every arrangement; other seeds run _below, at O(r^2).
     """
     for p in seed:
         check_valid(p, rank)
@@ -275,14 +277,11 @@ def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:
 def canonical_closed(ms: Multisegment, rank: int) -> Multisegment:
     """The closed element reachable from a doubly sorted tuple.
 
-    At rank >= span the lower end of connected's window never binds, so
-    parts h, k with j_h > j_k are connected iff i_k < i_h <= j_k. Taken by
-    increasing j, each right endpoint takes the largest unused left
-    endpoint <= j: the top of a stack onto which the left endpoints are
-    pushed in increasing order once they are <= j. A later part never gets
-    a left endpoint in (i_k, j_k], since k would have taken it, so the
-    result is closed. Requires rank >= span(ms) and both endpoint
-    sequences weakly decreasing.
+    Taken by increasing j, each right endpoint takes the largest unused
+    left endpoint <= j: the top of a stack onto which the left endpoints
+    are pushed in increasing order once they are <= j. These are the
+    blocks of the one closed orbit (weyl.socle). Requires rank >= span(ms)
+    and both endpoint sequences weakly decreasing.
     """
     if not is_doubly_sorted(ms):
         raise PreconditionViolated("canonical_closed needs a doubly sorted tuple")
@@ -301,11 +300,9 @@ def canonical_closed(ms: Multisegment, rank: int) -> Multisegment:
 def dominant_ancestor(ms: Multisegment, rank: int) -> Multisegment:
     """A tuple whose closure contains ms, with the same right endpoints.
 
-    Peeling the minimal left endpoint and re-splicing, applied
-    recursively, amounts to sorting the left endpoints descending
-    against the unchanged right-endpoint sequence; pairing is valid
-    because right endpoints weakly decrease. Requires ms in plus order
-    and rank >= span(ms).
+    Its left endpoints are ms's, sorted descending: its prefixes hold the
+    largest, so every valid arrangement passes (b) (_left_closure).
+    Requires ms in plus order and rank >= span(ms).
     """
     if not in_plus_order(ms):
         raise PreconditionViolated(

@@ -320,7 +320,7 @@ def _weight_keys(seed: Multisegment, rank: int) -> QChar:
     decreasing v, the c copies of a left v take c unused js >= v (never
     none: larger lefts took js >= v only). Keys sharing a set of used js get
     v's piece, the index of (v, j, m) per j taken m times, in front in bulk,
-    so they come out ascending. Searched seeds are weighed one by one (_weigh).
+    so they come out ascending. Other seeds are weighed one by one (_weigh).
     """
     ls, js = map(sorted, zip(*seed))
     vs, ws, n = dict.fromkeys(ls), dict.fromkeys(js), len(js)

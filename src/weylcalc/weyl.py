@@ -53,10 +53,13 @@ class SocleSummand(NamedTuple):
 def socle(ms: Multisegment, rank: int) -> list[SocleSummand]:
     """Socle summands: one weight per closed orbit of the closure.
 
-    At rank >= span every part is valid. Reordering ms reorders its closure,
-    and sort_plus(ms) lies in the closure of its dominant ancestor, whose
-    one closed orbit, that of the canonical closed element, is checked (by
-    criterion 3 of tests/test_acceptance.py and the box certificate), not proved.
+    At rank >= span the closed members are one orbit under equal-j swaps.
+    No window's lower end binds there, so A is closed iff, for j_h > j_k,
+    A_h <= A_k or A_h > j_k: iff, by increasing j, each block of equal j
+    holds the largest unused left endpoints <= j. A member minimising Sum
+    A_k * j_k admits no crossing move, so the closure meets that orbit and,
+    by equal-j swaps, holds it. The canonical closed element of
+    sort_plus(ms)'s dominant ancestor, valid and closed, lies in it.
     """
     if rank >= span(ms):
         anc = dominant_ancestor(sort_plus(ms), rank)

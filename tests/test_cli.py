@@ -114,7 +114,7 @@ class TestRun:
         assert run(["socle", "--rank", "3000", t]) == 0
         closed = "[0,3000]" + "".join(f"[{k},{k}]" for k in range(2999, 0, -1))
         assert capsys.readouterr().out == f"w[0,3000]^1\t{closed}\n"
-        # at rank 5 a 1,000-part chain is searched, and (b) runs at each of
+        # at rank 5 a 1,000-part chain is not listed, and (b) runs at each of
         # its 1,000 block ends; a tuple is in its own closure
         searched = "".join(f"[{k - 1},{k}]" for k in range(1000, 0, -1))
         assert run(["hom", "--rank", "5", searched, searched]) == 0

@@ -1,16 +1,18 @@
-"""Differential tests of the closure-free decisions against the closure.
+"""Differential tests of the closure engine and the closure-free decisions.
 
-The membership test (a)+(b) of `closures._below`, the hom decision by one
-forced candidate member, the socle above the span (`canonical_closed` of
-the dominant ancestor) and the integer weigher of `weyl_dominant_weights`
-each rest on a conjecture checked by search. Here they are compared with
-forms built from `closure(...).members`, on seeded random seeds:
-plus-sorted and unsorted, with ties in i and in j, at ranks below and
-above the span; and on every tuple of a small box (`helpers.certify_box`).
-The closure itself lists a doubly sorted seed at rank >= span with no
-search; that listing is compared with `helpers.move_saturate` here too.
-The weigher's int keys (`qchars._weight_keys`) are compared with the
-weights of the members, rendered and intersected as `LWeight`s.
+The closure lists the arrangements of the seed's left endpoints that pass
+tests (a) and (b) of `closures._below`, which `closures._left_closure`
+proves exact; here it is compared with `helpers.search_closure`, the
+breadth-first search it replaced, and with `helpers.move_saturate`. The
+hom decision by one forced candidate member, the socle above the span
+(`canonical_closed` of the dominant ancestor; one closed orbit, proved in
+`weyl.socle`) and the integer weigher of `weyl_dominant_weights` are
+compared with forms built from `closure(...).members`, on seeded random
+seeds: plus-sorted and unsorted, with ties in i and in j, at ranks below
+and above the span; and on every tuple of a small box
+(`helpers.certify_box`). The weigher's int keys (`qchars._weight_keys`)
+are compared with the weights of the members, rendered and intersected as
+`LWeight`s.
 """
 
 import io
@@ -29,6 +31,7 @@ from helpers import (
     passes_bounds,
     perfbench_corpus,
     random_doubly_sorted,
+    search_closure,
     weigh_each,
 )
 
@@ -42,7 +45,9 @@ from weylcalc import (
     closure,
     ext_vanishing,
     hom_dim,
+    in_plus_order,
     is_closed,
+    is_doubly_sorted,
     socle,
     sort_plus,
     span,
@@ -77,14 +82,14 @@ def member_weights(ms, rank):
 
 
 def test_membership_test_matches_closure_members():
+    # against move_saturate, since the closure lists what passes (b) itself
     rng = random.Random(6001)
     below = above = 0
     for _ in range(250):
         ms, rank = random_seed(rng, max_parts=5)
         below += rank < span(ms)
         above += rank >= span(ms)
-        cs = closure(ms, rank)
-        members = set(cs.members)
+        members = move_saturate(ms, rank)
         for lefts in set(permutations(p.i for p in ms)):
             # plain pairs, since some rearrangements are not segments
             cand = tuple((a, p.j) for a, p in zip(lefts, ms))
@@ -99,17 +104,14 @@ def test_every_tuple_of_a_small_box_passes_the_certificate():
     assert failures == []
     assert cases["tuples"] == 1159 and cases["one orbit"] == 796
     assert cases["hom near miss"] == 420
-    assert cases["closure by generator"] == 591
-    assert cases["closure by search"] == 568
+    assert cases["listed"] == 591 and cases["not listed"] == 568
     assert cases["ext"] == cases["ext verdict"] == 4556
     assert cases["ext overlap"] == 326 and cases["ext vanishes"] == 1010
     assert cases["ext equal weights"] == 3220
 
 
 def check_generated_closure(ms, rank):
-    searched = AssertionError("listed with no search")  # the search reads _windows
-    with patch.object(closures, "_windows", side_effect=searched):
-        cs = closure(ms, rank)
+    cs = closure(ms, rank)
     saturated = move_saturate(ms, rank)
     assert len(cs) == len(saturated) and set(cs.members) == saturated, (ms, rank)
     assert list(cs.closed_members) == [t for t in cs.members if is_closed(t, rank)]
@@ -126,6 +128,41 @@ def test_generated_closure_matches_move_saturation():
         for rank in range(max(span(ms), 1), span(ms) + 4):
             sizes.append(len(check_generated_closure(ms, rank)))
     assert max(sizes) > 100 and sizes.count(1) > 20
+
+
+def test_closure_lists_what_the_search_reaches():
+    # seeds in any order, with ties in i and j, at ranks span - 3 .. span + 2:
+    # the same js and left tuples as the breadth-first search, each once
+    rng = random.Random(6009)
+    seen = Counter()
+    for _ in range(300):
+        ms, _ = random_seed(rng)
+        for rank in range(max(span(ms) - 3, 1), span(ms) + 3):
+            if any(p.length > rank + 1 for p in ms):
+                continue
+            cs = closure(ms, rank)
+            js, lefts = search_closure(ms, rank)
+            assert cs.js == js and cs.lefts == tuple(sorted(lefts)), (ms, rank)
+            assert len(set(cs.lefts)) == len(cs), (ms, rank)
+            seen["below the span" if rank < span(ms) else "at or above"] += 1
+            seen["not in plus order"] += not in_plus_order(ms)
+            seen["not listed"] += not _listed(ms, rank)
+            seen["members"] += len(cs)
+    assert min(seen.values()) > 400, seen
+
+
+@pytest.mark.parametrize("ms, rank, size", [
+    (M(*((6 - k, 13 - k) for k in range(7))), 10, 3000),
+    (M(*((6 - k, 13 - k) for k in range(7))), 11, 4320),
+    (sort_plus(M((0, 6), (3, 7), (1, 8), (2, 9), (4, 10), (5, 11), (6, 12))), 11, 4320),
+    (M(*((k, k + 8) for k in range(7, -1, -1))), 12, 25920),
+])
+def test_dense_seeds_that_are_not_listed(ms, rank, size):
+    # below the span, or at it but not doubly sorted: the search's members
+    assert not _listed(ms, rank)
+    cs = closure(ms, rank)
+    assert len(cs) == size
+    assert cs.lefts == tuple(sorted(search_closure(ms, rank)[1]))
 
 
 def test_generated_closure_property():
@@ -212,6 +249,43 @@ def test_socle_above_the_span_matches_closure_orbits():
         ms, _ = random_seed(rng)
         for rank in range(max(span(ms), 1), max(span(ms), 1) + 3):
             assert socle(ms, rank) == closure_socle(ms, rank), (ms, rank)
+
+
+def greedy_blocks(ms):
+    """{j: lefts ascending} that the stack greedy puts in each block of equal j.
+
+    By increasing j, each block takes the largest unused left endpoints <= j.
+    """
+    pool, out = sorted(p.i for p in ms), {}
+    for j, n in sorted(Counter(p.j for p in ms).items()):
+        out[j] = [v for v in pool if v <= j][-n:]
+        for v in out[j]:
+            pool.remove(v)
+    return out
+
+
+def blocks(lefts, js):
+    return {j: sorted(v for v, k in zip(lefts, js) if k == j) for j in js}
+
+
+def test_closed_members_above_the_span_are_the_greedy_blocks():
+    # weyl.socle's one closed orbit, on seeds that are not doubly sorted
+    rng = random.Random(6010)
+    seen = Counter()
+    for _ in range(400):
+        ms, _ = random_seed(rng)
+        if is_doubly_sorted(sort_plus(ms)):
+            continue
+        greedy = greedy_blocks(ms)
+        for rank in range(max(span(ms), 1), span(ms) + 3):
+            cs = closure(ms, rank)
+            assert [blocks(a, cs.js) for a in cs.closed_lefts] == \
+                [greedy] * len(cs.closed_lefts), (ms, rank)
+            rep = socle(ms, rank)[0].representative
+            assert blocks([p.i for p in rep], [p.j for p in rep]) == greedy
+            seen["seeds"] += 1
+            seen["orbit > 1"] += len(cs.closed_lefts) > 1
+    assert seen["seeds"] > 300 and seen["orbit > 1"] > 50, seen
 
 
 def test_socle_below_the_span_keeps_every_orbit():
@@ -449,7 +523,7 @@ def test_hom_runs_test_b_only_on_searched_targets():
     with patch.object(closures, "_below", side_effect=ran):
         answers = Counter(hom_dim(src, dst, rank) for src, dst, rank in cases)
     assert answers == {1: len(cases)}, answers  # every decide hom is a yes
-    # a searched target whose forced candidate fails (b): hom is 0, by (b)
+    # a target not listed whose forced candidate fails (b): hom is 0, by (b)
     src, dst = M((1, 2), (0, 1)), M((0, 2), (1, 1))
     assert not _listed(dst, 1)
     with patch.object(closures, "_below", wraps=_below) as below:

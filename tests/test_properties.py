@@ -37,7 +37,7 @@ from weylcalc.cli import (  # noqa: E402
     parse_lweight,
     parse_multisegment,
 )
-from helpers import passes_bounds  # noqa: E402
+from helpers import move_saturate, passes_bounds  # noqa: E402
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -72,9 +72,11 @@ def test_closure_keeps_right_endpoints_and_left_multiset(case):
 @given(ranked_multisegments(max_parts=6))
 def test_membership_test_is_exactly_the_member_set(case):
     # every member passes test (a)+(b), and every rearrangement of the
-    # left endpoints that passes it is a member
+    # left endpoints that passes it is a member; the members are
+    # move_saturate's, since the closure lists what passes (b) itself
     ms, rank = case
-    members = set(closure(ms, rank).members)
+    members = move_saturate(ms, rank)
+    assert set(closure(ms, rank).members) == members
     assert all(passes_bounds(ms, t, rank) for t in members)
     for lefts in set(permutations(p.i for p in ms)):
         cand = tuple((a, p.j) for a, p in zip(lefts, ms))

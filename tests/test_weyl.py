@@ -173,7 +173,7 @@ class TestExt:
     def test_equal_weights_build_no_closure_and_no_weight(self, monkeypatch, rank, texts):
         # a tuple against a rearrangement of it: the verdict needs neither
         # a closure nor an LWeight, and text mode prints only it. Every
-        # closure listing, built from matchings or searched, asks
+        # key build, from matchings or member by member, asks
         # qchars._listed first, so that is where listings are counted.
         searched = []
         listed = qchars._listed
