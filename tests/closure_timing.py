@@ -25,26 +25,15 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
-from helpers import perfbench_corpus, search_closure
+from helpers import dense_seeds, perfbench_corpus, search_closure
 
-from weylcalc import Multisegment, Segment, cli, closures, qchars, sort_plus
-
-
-def M(*pairs):
-    return Multisegment(Segment(i, j) for i, j in pairs)
+from weylcalc import Multisegment, Segment, cli, closures, qchars
 
 
 def named_cases():
-    dense = M(*((6 - k, 13 - k) for k in range(7)))
-    return [
-        ("[6,13]...[0,7]", dense, 10),
-        ("[6,13]...[0,7]", dense, 11),
-        ("sort_plus([0,6][3,7]...[6,12])",
-         sort_plus(M((0, 6), (3, 7), (1, 8), (2, 9), (4, 10), (5, 11), (6, 12))), 11),
-        ("[7,15]...[0,8]", M(*((k, k + 8) for k in range(7, -1, -1))), 12),
-        ("[3597,3598]...[0,1], 1,200 parts",
-         M(*((3 * k, 3 * k + 1) for k in range(1199, -1, -1))), 3600),
-    ]
+    chain = Multisegment(Segment(3 * k, 3 * k + 1) for k in range(1199, -1, -1))
+    return [(label, ms, rank) for label, ms, rank, _ in dense_seeds()] + [
+        ("[3597,3598]...[0,1], 1,200 parts", chain, 3600)]
 
 
 def corpus_seeds(workload, seed):

@@ -208,6 +208,25 @@ def search_closure(seed, rank):
     return js, order
 
 
+def dense_seeds():
+    """(label, ms, rank, members) of four dense seeds that closures._listed rejects.
+
+    Seven or eight parts, below the span or at it but not doubly sorted,
+    with thousands of members each.
+    """
+    def M(*pairs):
+        return Multisegment(Segment(i, j) for i, j in pairs)
+
+    dense = M(*((6 - k, 13 - k) for k in range(7)))
+    spread = M((0, 6), (3, 7), (1, 8), (2, 9), (4, 10), (5, 11), (6, 12))
+    return [
+        ("[6,13]...[0,7]", dense, 10, 3000),
+        ("[6,13]...[0,7]", dense, 11, 4320),
+        ("sort_plus([0,6][3,7]...[6,12])", sort_plus(spread), 11, 4320),
+        ("[7,15]...[0,8]", M(*((k, k + 8) for k in range(7, -1, -1))), 12, 25920),
+    ]
+
+
 def block_permutations(ms):
     """All reorderings that permute parts within runs of equal right endpoint.
 
