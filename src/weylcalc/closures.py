@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, combinations, permutations
-from operator import ge, itemgetter, le
+from operator import itemgetter, le
 
 from .errors import PreconditionViolated
 from .multisegments import (
@@ -57,9 +56,9 @@ class ClosureSet(_Record):
     connected pair, are the lefts that hit no pair's window of _windows.
     closed_lefts, members, closed_members and orbit_representatives (the
     distinct sort_plus forms of the closed members, sorted) are built on
-    first use. len needs none of them, nor does str, which formats each
-    (left, j) piece once and joins the rows column by column; pickle keeps
-    only the four fields.
+    first use. len needs none of them, nor does in, which tests (a) and (b)
+    (_left_closure), nor str, which formats each (left, j) piece once and
+    joins the rows column by column; pickle keeps only the four fields.
     """
 
     __match_args__ = ("rank", "seed", "js", "lefts")
@@ -97,12 +96,18 @@ class ClosureSet(_Record):
     def orbit_representatives(self) -> tuple[Multisegment, ...]:
         return tuple(sorted({sort_plus(t) for t in self.closed_members}))
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
-
     def __contains__(self, ms) -> bool:
-        return ms in self._member_set
+        hash(ms)  # an unhashable ms raises TypeError, as in a set of members
+        if not (isinstance(ms, tuple) and len(ms) == len(self.js)
+                and all(isinstance(p, tuple) and len(p) == 2 for p in ms)):
+            return False
+        ls, js = zip(*ms)  # a member: the seed's js in place, its lefts permuted
+        if js != self.js or Counter(ls) != Counter(self.lefts[0]) or not all(
+                0 <= j - i <= self.rank + 1 for i, j in ms):
+            return False
+        plus = [i for i, _ in sorted(ms, key=itemgetter(1), reverse=True)]
+        bounds = _bounds(*zip(*sort_plus(self.seed)))  # block ends see no order inside
+        return all(all(map(le, sorted(plus[:t]), b)) for t, b in bounds.items())
 
     def __len__(self) -> int:
         return len(self.lefts)
@@ -133,13 +138,21 @@ def _windows(js, rank):
             if 0 < js[h] - js[k] <= rank]
 
 
-def _listed(seed: Multisegment, rank: int) -> bool:
-    """Doubly sorted at rank >= span, as the bulk weigher and hom read it.
+def _bounds(ls, jp) -> dict[int, list]:
+    """Test (b)'s table: {t: sorted(ls[:t])} at each block end t where it binds.
 
-    Then its prefixes hold its largest left endpoints, so every arrangement
-    passes (b), and (a) is A_k <= j_k, as max j - rank - 1 <= min i.
+    ls and jp are a seed's left endpoints and js in plus order. (b): at the
+    end t of each block of equal j, and for every a, the first t entries of
+    an arrangement hold no more entries >= a than ls[:t], a bound entry by
+    entry on the sorted prefixes. It is necessary: a crossing move on h, k
+    with j_h > j_k puts the larger left at the later position, so no such
+    count rises; equal-j swaps leave block ends alone. No arrangement fails
+    it where ls[:t] holds the t largest lefts, so a doubly sorted seed's
+    table is empty.
     """
-    return seed[0][1] - seed[-1][0] <= rank + 1 and is_doubly_sorted(seed)
+    top = list(accumulate(sorted(ls, reverse=True)))  # sums of the t largest
+    return {t: sorted(ls[:t]) for t, s in enumerate(accumulate(ls[:-1]), 1)
+            if jp[t - 1] != jp[t] and s < top[t - 1]}
 
 
 def _left_closure(seed: Multisegment, rank: int):
@@ -149,7 +162,7 @@ def _left_closure(seed: Multisegment, rank: int):
     are connected, a swap when j_m == j_l. So the members are arrangements
     A of the seed's left endpoints against its js; with positions in plus
     order (j weakly decreasing), they are those with (a) j_k - rank - 1 <=
-    A_k <= j_k for all k and (b) of _below, where necessity is shown.
+    A_k <= j_k for all k and (b) of _bounds, where necessity is shown.
     Sufficiency, for positions h < k with j_h > j_k:
     1. The crossing move on h, k applies iff A_k < A_h and the swap has
        (a): connected's window j_h - rank - 1 <= A_k < A_h <= j_k is that,
@@ -170,21 +183,19 @@ def _left_closure(seed: Multisegment, rank: int):
        So B' has (b), and Sum A_k * j_k rose by (y - x)(j_h - j_k) > 0, so
        lifting reaches the seed's block multisets, hence the seed by swaps.
     The walk lists these: by increasing j, a position takes each distinct
-    unused left endpoint in its window. Where the seed's prefix before a
-    block is not its largest lefts, the unused ones (that prefix's
-    complement) must be bounded entry by entry by its sorted entries. A
-    state whose least unused left fits no part left is dropped. Past every
-    such bound, once the unused lefts are distinct and fit every remaining
-    window, each of their orders completes a member.
+    unused left endpoint in its window. At a block start t of _bounds'
+    table, the unused ones (the prefix before t) must be bounded entry by
+    entry by its sorted entries. A state whose least unused left fits no
+    part left is dropped. Past every such bound, once the unused lefts are
+    distinct and fit every remaining window, each of their orders
+    completes a member.
     """
     for p in seed:
         check_valid(p, rank)
     start, js = zip(*seed)
     at = sorted(range(len(js)), key=js.__getitem__, reverse=True)  # plus order
     ls, jp = [start[k] for k in at], [js[k] for k in at]
-    top = list(accumulate(sorted(ls, reverse=True)))  # sums of the t largest
-    bounds = {t: sorted(ls[:t]) for t, s in enumerate(accumulate(ls[:-1]), 1)
-              if jp[t - 1] != jp[t] and s < top[t - 1]}
+    bounds = _bounds(ls, jp)
     first, low = min(bounds, default=len(ls)), jp[0] - rank - 1
     out, level = [], [((), tuple(sorted(ls)))]  # (suffix, unused lefts ascending)
     for t in range(len(ls) - 1, -1, -1):
@@ -207,27 +218,6 @@ def _left_closure(seed: Multisegment, rank: int):
     return js, out
 
 
-def _below(seed: Multisegment, lefts) -> bool:
-    """Test (b) on a rearrangement lefts of plus-sorted seed's left endpoints.
-
-    (b): at the end of each block of equal j, and for every a, the prefix
-    of lefts has no more entries >= a than the seed's, a pointwise bound on
-    the sorted entries. With (a) it decides membership (_left_closure). It
-    is necessary: a crossing move on h, k with j_h > j_k puts the larger
-    left endpoint at the later position, so no such count rises; equal-j
-    swaps leave block ends alone. Both prefixes are kept sorted and
-    negated, so the bound reads >= entry by entry at each block end: O(r).
-    """
-    mine, theirs, r = [], [], len(seed)
-    for t in range(r):
-        insort(mine, -lefts[t])
-        insort(theirs, -seed[t].i)
-        end = t == r - 1 or seed[t + 1].j != seed[t].j
-        if end and not all(map(ge, mine, theirs)):
-            return False
-    return True
-
-
 def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
     """Whether a member of closure(seed) weighs want; seed is plus-sorted.
 
@@ -239,8 +229,8 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
     later block can, then copies of j. A short or overfull block means no
     member, and so does any part of want left unplaced, since then some
     block runs out of left endpoints. The candidate so built has (a), so it
-    is a member iff it passes (b) (_left_closure), as a listed seed does in
-    every arrangement; other seeds run _below, at O(r^2).
+    is a member iff it passes (b) (_left_closure) at every t of _bounds'
+    table, which is empty for a doubly sorted seed: O(r^2 log r) at most.
     """
     for p in seed:
         check_valid(p, rank)
@@ -258,8 +248,9 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
             return False
         block[j] += [lo] * pool[lo] + [j] * free
         pool[lo], pool[j] = 0, pool[j] - free
-    return _listed(seed, rank) or _below(
-        seed, [i for j in sorted(size, reverse=True) for i in block[j]])
+    cand = [i for j in sorted(size, reverse=True) for i in block[j]]
+    bounds = _bounds(*zip(*seed))
+    return all(all(map(le, sorted(cand[:t]), b)) for t, b in bounds.items())
 
 
 def closure(ms: Multisegment, rank: int) -> ClosureSet:

@@ -10,12 +10,13 @@ corner at position r contributes the segment
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, combinations, count, repeat, starmap
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
-from .closures import _left_closure, _listed
+from .closures import _bounds
 from .errors import InvalidSegment, PreconditionViolated
 from .lweights import LWeight
 from .multisegments import Multisegment, connected, is_doubly_sorted, weight_of
@@ -34,8 +35,8 @@ class QChar:
     multiplicity, so the keys sort as the terms' sort_keys do. `str` and the
     JSON renderer sort the keys and render each factor of the table once;
     LWeights are built only when asked for. fundamental_qchar builds its int
-    keys from the paths, _weight_keys a listed seed's from its matchings,
-    both ascending, so that the sort is one linear pass.
+    keys from the paths, _weight_keys from the matchings of a closure's
+    lefts to js, both ascending, so that the sort is one linear pass.
     """
 
     __slots__ = ("_factors", "_keys")
@@ -314,29 +315,33 @@ def _weight_keys(seed: Multisegment, rank: int) -> QChar:
 
     The table lists the (segment, e) a member can hold, sorted: the seed's
     non-degenerate (left, j) pairs, e up to the copies of both; at[left, j]
-    is its e = 1 index. A key, mapped to 1, is a weight's ascending indices.
-    A listed seed's parts are valid, and its members are the matchings of
-    lefts to js with left <= j (_left_closure), so none is built: by
-    decreasing v, the c copies of a left v take c unused js >= v (never
-    none: larger lefts took js >= v only). Keys sharing a set of used js get
-    v's piece, the index of (v, j, m) per j taken m times, in front in bulk,
-    so they come out ascending. Other seeds are weighed one by one (_weigh).
+    is (its e = 1 index,). A key, mapped to 1, is a weight's ascending indices.
+    A plus-sorted seed's members are the matchings of lefts to js with (a)
+    and (b) (_left_closure), so none is built: by decreasing v, the c copies
+    of a left v take c unused js in [v, v + rank + 1]. Keys sharing a set of
+    used js get v's piece, the index of (v, j, m) per j taken m times, in
+    front in bulk, so they come out ascending. (b) caps the lefts >= v that
+    the t largest js may hold, at each t of _bounds' table.
     """
+    for p in seed:
+        check_valid(p, rank)
     ls, js = map(sorted, zip(*seed))
     vs, ws, n = dict.fromkeys(ls), dict.fromkeys(js), len(js)
     pairs = [(i, j) for i in vs for j in ws if 0 < j - i <= rank]
-    at = dict(zip(pairs, count()))
+    at = {p: (r,) for r, p in enumerate(pairs)}
     factors = list(zip(map(tuple.__new__, repeat(Segment), pairs), repeat(1)))
     if len(vs) < n > len(ws):  # a pair may be held more than once
         factors = sorted(factors + [(s, e) for s, _ in factors for e in
                                     range(2, min(ls.count(s[0]), js.count(s[1])) + 1)])
-        at = {s: r for r, (s, e) in enumerate(factors) if e == 1}
-    if not _listed(seed, rank):
-        return QChar._of(factors, _weigh(at, *_left_closure(seed, rank)))
+        at = {s: (r,) for r, (s, e) in enumerate(factors) if e == 1}
+    bounds = _bounds(*zip(*seed))
+    caps = {v: [((1 << t) - 1 << n - t, k) for t, b in bounds.items()
+                if (k := t - bisect_left(b, v)) < min(t, n - bisect_left(ls, v))]
+            for v in vs} if bounds else {}  # (mask of the t largest js, k) that bind
     groups = {0: [()]}  # keys by mask of used js; equal js are taken lowest first
     for v in reversed(vs):
-        opts = [(1 << x, 1 << x - 1 if x and js[x - 1] == j else 0, (at[v, j],)
-                 if (v, j) in at else ()) for x, j in enumerate(js) if j >= v]
+        opts = [(1 << x, 1 << x - 1 if x and js[x - 1] == j else 0, at.get((v, j), ()))
+                for x, j in enumerate(js) if 0 <= j - v <= rank + 1]
         if (c := ls.count(v)) > 1:  # c at once; a pair taken m times has e = m
             opts = [(sum(b), sum(t) & ~sum(b), tuple([r + m - 1 for r, m in
                      Counter(sum(p, ())).items()])) for b, t, p in
@@ -346,15 +351,9 @@ def _weight_keys(seed: Multisegment, rank: int) -> QChar:
             for b, t, piece in opts:
                 if mask & (b | t) == t:
                     nxt.setdefault(mask | b, []).extend(map(add, repeat(piece), keys))
-        groups = nxt
+        groups = {m: keys for m, keys in nxt.items() if all(
+            (m & top).bit_count() <= k for top, k in caps[v])} if caps.get(v) else nxt
     return QChar._of(factors, dict.fromkeys(groups[(1 << n) - 1], 1))
-
-
-def _weigh(at: dict, js: tuple, order) -> dict[tuple, int]:
-    """The key of each left tuple of order against js, mapped to 1; see _weight_keys."""
-    keys = ([r + c - 1 for r, c in Counter(map(at.get, zip(a, js))).items()
-             if r is not None] for a in order)
-    return {tuple(sorted(k)): 1 for k in keys}
 
 
 def weyl_dominant_part(ms: Multisegment, rank: int) -> dict[LWeight, int]:

@@ -30,8 +30,8 @@ def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
 
     The weights of the closure of the plus-sorted tuple, so permuting ms
     changes nothing. _weight_keys gives them as int keys into a factor
-    table, built from the matchings of a listed seed (no member is built)
-    and weighed member by member for a searched one; one LWeight per key.
+    table, built from the matchings of lefts to js that pass tests (a) and
+    (b), with no member built; one LWeight per key.
     """
     return _weight_keys(sort_plus(ms), rank).support()
 

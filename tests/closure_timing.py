@@ -1,19 +1,24 @@
-"""Time the closure engine against the breadth-first search it replaced.
+"""Time the closure engine and the weigher against the references they replaced.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python tests/closure_timing.py --seed 0 --repeat 9
 
-Each case times closures._left_closure (the walk over arrangements that
-pass tests (a) and (b)) and helpers.search_closure (the reference: the
+The first table times closures._left_closure (the walk over arrangements
+that pass tests (a) and (b)) and helpers.search_closure (the reference: the
 listing for doubly sorted seeds at rank >= span, a breadth-first search
-for every other seed) in turn, in process, and keeps the best of --repeat
-runs of each. The cases are four dense seven- and eight-part seeds, a
-1,200-part doubly sorted chain, and every seed that the enumerate and
-cli-mix ops of perfbench/corpus.py hand to _left_closure (recorded while
-the op runs through cli.run), summed per workload. Both engines must list
-the same left tuples. The name does not start with `test_`, so pytest does
-not collect this script.
+for every other seed). The second times qchars._weight_keys (the dominant
+weight keys, from the matchings of lefts to js that pass (a) and (b), with
+no member built) and helpers.weigh_each (every member of _left_closure's
+listing weighed in turn). Each pair runs in turn, in process, and keeps the
+best of --repeat runs of each; both sides must give the same left tuples,
+or the same factor table and keys. The cases are four dense seven- and
+eight-part seeds, a 1,200-part doubly sorted chain (first table only), and
+every seed that the ops of perfbench/corpus.py hand to the function timed
+(recorded while the op runs through cli.run), summed per workload: the
+enumerate and cli-mix ops for the engine, the decide and cli-mix ops for
+the weigher. The name does not start with `test_`, so pytest does not
+collect this script.
 """
 
 from __future__ import annotations
@@ -22,12 +27,12 @@ import argparse
 import io
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
-from helpers import dense_seeds, perfbench_corpus, search_closure
+from helpers import dense_seeds, perfbench_corpus, search_closure, weigh_each
 
-from weylcalc import Multisegment, Segment, cli, closures, qchars
+from weylcalc import Multisegment, Segment, cli, closures, qchars, sort_plus, weyl
 
 
 def named_cases():
@@ -36,16 +41,21 @@ def named_cases():
         ("[3597,3598]...[0,1], 1,200 parts", chain, 3600)]
 
 
-def corpus_seeds(workload, seed):
-    """(ms, rank) of every _left_closure call made by the workload's ops."""
-    calls, engine = [], closures._left_closure
+def corpus_seeds(workload, seed, name, modules):
+    """(ms, rank) of every call of the function name that the workload's ops make.
+
+    modules are those that bind name; each binding is wrapped while the
+    ops run.
+    """
+    calls, timed = [], getattr(modules[0], name)
 
     def record(ms, rank):
         calls.append((ms, rank))
-        return engine(ms, rank)
+        return timed(ms, rank)
 
-    with patch.object(closures, "_left_closure", record), \
-            patch.object(qchars, "_left_closure", record):
+    with ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(patch.object(module, name, record))
         for op in perfbench_corpus().build(workload, seed):
             with patch.object(sys, "stdin", io.StringIO(op.stdin or "")), \
                     redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -53,16 +63,40 @@ def corpus_seeds(workload, seed):
     return calls
 
 
-def best_pair(ms, rank, repeat):
-    """Best seconds of the engine and of the search, run in turn."""
-    best, lefts = [float("inf")] * 2, [None] * 2
+def listed(ms, rank):
+    return sorted(closures._left_closure(ms, rank)[1])
+
+
+def searched(ms, rank):
+    return sorted(search_closure(ms, rank)[1])
+
+
+def keyed(ms, rank):
+    q = qchars._weight_keys(ms, rank)
+    return q._factors, q._keys
+
+
+def best_pair(new, old, ms, rank, repeat):
+    """Best seconds of new and of old, run in turn, and the size of the result."""
+    best, got = [float("inf")] * 2, [None] * 2
     for _ in range(repeat):
-        for k, f in enumerate((closures._left_closure, search_closure)):
+        for k, f in enumerate((new, old)):
             start = time.perf_counter()
-            lefts[k] = f(ms, rank)[1]
+            got[k] = f(ms, rank)
             best[k] = min(best[k], time.perf_counter() - start)
-    assert sorted(lefts[0]) == sorted(lefts[1]), (ms, rank)
-    return best, len(lefts[0])
+    assert got[0] == got[1], (ms, rank)
+    return best, len(got[0]) if new is listed else len(got[0][1])
+
+
+def table(header, new, old, rows, repeat):
+    print(header)
+    for name, rank, seeds in rows:
+        fast = slow = size = 0
+        for ms, r in seeds:
+            (f, s), n = best_pair(new, old, ms, r, repeat)
+            fast, slow, size = fast + f, slow + s, size + n
+        print(f"{name}\t{rank}\t{len(seeds)}\t{size}\t{fast * 1e3:.3f}\t"
+              f"{slow * 1e3:.3f}\t{slow / fast:.2f}")
 
 
 def main(argv=None) -> int:
@@ -70,17 +104,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
     ap.add_argument("--repeat", type=int, default=9, help="runs per case (default 9)")
     args = ap.parse_args(argv)
-    print("case\trank\tcalls\tmembers\tengine ms\tsearch ms\tsearch / engine")
     rows = [(name, rank, [(ms, rank)]) for name, ms, rank in named_cases()]
-    rows += [(f"{w} seed {args.seed}", "-", corpus_seeds(w, args.seed))
+    rows += [(f"{w} seed {args.seed}", "-",
+              corpus_seeds(w, args.seed, "_left_closure", [closures]))
              for w in ("enumerate", "cli-mix")]
-    for name, rank, seeds in rows:
-        engine = search = members = 0
-        for ms, r in seeds:
-            (e, s), n = best_pair(ms, r, args.repeat)
-            engine, search, members = engine + e, search + s, members + n
-        print(f"{name}\t{rank}\t{len(seeds)}\t{members}\t{engine * 1e3:.3f}\t"
-              f"{search * 1e3:.3f}\t{search / engine:.2f}")
+    table("case\trank\tcalls\tmembers\tengine ms\tsearch ms\tsearch / engine",
+          listed, searched, rows, args.repeat)
+    rows = [(name, rank, [(sort_plus(ms), rank)])
+            for name, ms, rank in named_cases()[:-1]]
+    rows += [(f"{w} seed {args.seed}", "-",
+              corpus_seeds(w, args.seed, "_weight_keys", [cli, weyl]))
+             for w in ("decide", "cli-mix")]
+    print()
+    table("case\trank\tcalls\tkeys\tweigher ms\teach ms\teach / weigher",
+          keyed, weigh_each, rows, args.repeat)
     return 0
 
 

@@ -26,6 +26,7 @@ from weylcalc import (
     ext_vanishing,
     hom_dim,
     is_closed,
+    is_doubly_sorted,
     path_weight,
     socle,
     sort_plus,
@@ -36,7 +37,7 @@ from weylcalc import (
     weyl_dominant_part,
     weyl_dominant_weights,
 )
-from weylcalc.closures import _below, _left_closure, _listed
+from weylcalc.closures import _left_closure
 from weylcalc.segments import check_valid
 
 
@@ -159,10 +160,21 @@ def move_saturate(ms, rank):
     return seen
 
 
+def is_listed(seed, rank):
+    """Doubly sorted at rank >= span: every valid arrangement is a member.
+
+    Then each plus-order prefix holds the seed's largest left endpoints, so
+    test (b) cannot fail, and (a) is A_k <= j_k, as max j - rank - 1 <= min i.
+    search_closure lists such a seed rather than searching it, and
+    certify_box counts the tuples on each side.
+    """
+    return is_doubly_sorted(seed) and rank >= span(seed)
+
+
 def search_closure(seed, rank):
     """(js, left tuples) of closure(seed) by the engine closures had first.
 
-    The reference for closures._left_closure. A listed seed (closures._listed)
+    The reference for closures._left_closure. A listed seed (is_listed)
     takes, by increasing j, any distinct unused left endpoint <= j, and once
     the unused ones are distinct and <= the next j, each of their orders
     completes a member. Any other seed is searched breadth first from the
@@ -173,7 +185,7 @@ def search_closure(seed, rank):
     for p in seed:
         check_valid(p, rank)
     start, js = zip(*seed)
-    if _listed(seed, rank):
+    if is_listed(seed, rank):
         out = []
         level = [((), start[::-1])]  # (suffix, unused lefts ascending)
         for j in reversed(js):
@@ -209,7 +221,7 @@ def search_closure(seed, rank):
 
 
 def dense_seeds():
-    """(label, ms, rank, members) of four dense seeds that closures._listed rejects.
+    """(label, ms, rank, members) of four dense seeds that is_listed rejects.
 
     Seven or eight parts, below the span or at it but not doubly sorted,
     with thousands of members each.
@@ -272,7 +284,7 @@ def canonical_closed_by_min_search(ms):
 
 
 def passes_bounds(seed, cand, rank):
-    """Membership test (a)+(b) on plain pairs; (b) is closures._below.
+    """Membership test (a)+(b) on plain pairs; (b) is below_by_sorting.
 
     cand is a tuple of (left, right) pairs set against seed's right
     endpoints; (a) every pair is a valid part at the rank, (b) every
@@ -286,15 +298,17 @@ def passes_bounds(seed, cand, rank):
     return (
         sorted(lefts) == sorted(p.i for p in seed)
         and all(0 <= c[1] - c[0] <= rank + 1 for c in cand)
-        and _below(sort_plus(seed), lefts)
+        and below_by_sorting(sort_plus(seed), lefts)
     )
 
 
 def below_by_sorting(seed, lefts):
     """Test (b) as first written: sort both prefixes at every block end.
 
-    The oracle for closures._below, which inserts each entry into its
-    sorted prefix as it goes instead of sorting again at every block end.
+    seed is plus-sorted and lefts is a rearrangement of its left endpoints
+    in the same positions. The oracle for the table of closures._bounds,
+    which skips the block ends where the seed's prefix holds its largest
+    left endpoints.
     """
     r = len(seed)
     return all(
@@ -420,7 +434,7 @@ def certify_box(max_rank, window, parts):
     theorems they rest on against the closure and the oracles here:
     - members: closure members equal move_saturate's;
     - bounds: test (a)+(b) on every rearrangement of the left endpoints
-      agrees with `in`;
+      (passes_bounds) agrees with `in` and with the listed left tuples;
     - one orbit and socle, at rank >= span: one closed orbit, and socle's
       representative is it;
     - dominant support: weyl_dominant_weights is the support of
@@ -439,9 +453,9 @@ def certify_box(max_rank, window, parts):
       iff that is empty ("ext overlap" counts the pairs with some but not
       all weights shared, "ext equal weights" those whose own weights are
       equal, "ext vanishes" those with none shared).
-    The cases also count the tuples that closures._listed accepts
+    The cases also count the tuples that is_listed accepts
     ("listed": doubly sorted at rank >= span, where (b) always holds and
-    the weights are built in bulk) and the others ("not listed"), so a
+    closures._bounds' table is empty) and the others ("not listed"), so a
     sweep shows both were checked.
     A failure is recorded as (check, ms, rank).
     """
@@ -457,7 +471,7 @@ def certify_box(max_rank, window, parts):
     for ms, rank in box_tuples(max_rank, window, parts):
         cases["tuples"] += 1
         cs = closure(ms, rank)
-        cases["listed" if _listed(ms, rank) else "not listed"] += 1
+        cases["listed" if is_listed(ms, rank) else "not listed"] += 1
         weights = weyl_dominant_weights(ms, rank)
         ordered = sorted(weights, key=LWeight.sort_key)  # not the set's order
         earlier = {holder[rank, w][0]: holder[rank, w] for w in ordered
@@ -480,10 +494,12 @@ def certify_box(max_rank, window, parts):
         check("render", str(cs) == "\n".join(map(str, cs.members)))
         check("closed", list(cs.closed_members)
               == [t for t in cs.members if is_closed(t, rank)])
+        member_lefts = set(cs.lefts)
         for lefts in set(itertools.permutations(p.i for p in ms)):
             # plain pairs, since some rearrangements are not segments
             cand = tuple((a, p.j) for a, p in zip(lefts, ms))
-            check("bounds", passes_bounds(ms, cand, rank) == (cand in cs))
+            check("bounds", passes_bounds(ms, cand, rank) == (cand in cs)
+                  == (lefts in member_lefts))
             if cand not in cs and all(0 <= j - a <= rank + 1 for a, j in cand):
                 near = Multisegment(Segment(a, j) for a, j in cand)
                 check("hom near miss", hom_dim(near, ms, rank)

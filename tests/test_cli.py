@@ -104,18 +104,18 @@ class TestRun:
 
     def test_hom_on_a_long_tuple(self, capsys):
         # 3,000 j-blocks of one part: past the recursion limit of a search
-        # that recursed per block. At rank 3000 the chain is listed (doubly
-        # sorted at rank >= span), so hom runs no test (b); socle at rank >=
-        # span is linear only if its canonical closed element takes each
-        # left endpoint off a stack
+        # that recursed per block. The chain is doubly sorted, so its (b)
+        # table is empty and hom runs no test (b); socle at rank >= span is
+        # linear only if its canonical closed element takes each left
+        # endpoint off a stack
         t = "".join(f"[{k - 1},{k}]" for k in range(3000, 0, -1))
         assert run(["hom", "--rank", "3000", t, t]) == 0
         assert capsys.readouterr().out == "1\n"
         assert run(["socle", "--rank", "3000", t]) == 0
         closed = "[0,3000]" + "".join(f"[{k},{k}]" for k in range(2999, 0, -1))
         assert capsys.readouterr().out == f"w[0,3000]^1\t{closed}\n"
-        # at rank 5 a 1,000-part chain is not listed, and (b) runs at each of
-        # its 1,000 block ends; a tuple is in its own closure
+        # at rank 5 a 1,000-part chain is below the span, but doubly sorted,
+        # so its (b) table is empty; a tuple is in its own closure
         searched = "".join(f"[{k - 1},{k}]" for k in range(1000, 0, -1))
         assert run(["hom", "--rank", "5", searched, searched]) == 0
         assert capsys.readouterr().out == "1\n"

@@ -1,9 +1,10 @@
 """Differential tests of the closure engine and the closure-free decisions.
 
 The closure lists the arrangements of the seed's left endpoints that pass
-tests (a) and (b) of `closures._below`, which `closures._left_closure`
-proves exact; here it is compared with `helpers.search_closure`, the
-breadth-first search it replaced, and with `helpers.move_saturate`. The
+tests (a) and (b) (the table of `closures._bounds`), which
+`closures._left_closure` proves exact; here it is compared with
+`helpers.search_closure`, the breadth-first search it replaced, and with
+`helpers.move_saturate`, and so is `in`, which tests (a) and (b) itself. The
 hom decision by one forced candidate member, the socle above the span
 (`canonical_closed` of the dominant ancestor; one closed orbit, proved in
 `weyl.socle`) and the integer weigher of `weyl_dominant_weights` are
@@ -28,6 +29,7 @@ from helpers import (
     box_tuples,
     certify_box,
     dense_seeds,
+    is_listed,
     move_saturate,
     passes_bounds,
     perfbench_corpus,
@@ -41,6 +43,7 @@ from weylcalc import (
     InvalidSegment,
     LWeight,
     Multisegment,
+    QChar,
     Segment,
     SocleSummand,
     closure,
@@ -55,8 +58,8 @@ from weylcalc import (
     weight_of,
     weyl_dominant_weights,
 )
-from weylcalc import cli, closures, qchars
-from weylcalc.closures import _below, _left_closure, _listed
+from weylcalc import cli, closures
+from weylcalc.closures import _bounds
 from weylcalc.qchars import _weight_keys
 
 
@@ -146,7 +149,7 @@ def test_closure_lists_what_the_search_reaches():
             assert cs.js == js and cs.lefts == tuple(sorted(lefts)), (ms, rank)
             seen["below the span" if rank < span(ms) else "at or above"] += 1
             seen["not in plus order"] += not in_plus_order(ms)
-            seen["not listed"] += not _listed(ms, rank)
+            seen["not listed"] += not is_listed(ms, rank)
             seen["members"] += len(cs)
     assert min(seen.values()) > 400, seen
 
@@ -154,7 +157,7 @@ def test_closure_lists_what_the_search_reaches():
 @pytest.mark.parametrize("label, ms, rank, size", dense_seeds())
 def test_dense_seeds_that_are_not_listed(label, ms, rank, size):
     # below the span, or at it but not doubly sorted: the search's members
-    assert not _listed(ms, rank)
+    assert not is_listed(ms, rank)
     cs = closure(ms, rank)
     assert len(cs) == size
     assert cs.lefts == tuple(sorted(search_closure(ms, rank)[1]))
@@ -197,6 +200,56 @@ def test_membership_is_exact_and_rejects_other_shapes():
     assert not passes_bounds(cs.seed, ((0, 6), (2, 7)), 7)
     assert not passes_bounds(cs.seed, ((0, 6), (2, 8), (1, 7)), 7)
     assert not passes_bounds(cs.seed, ((0, 6), (2, 7), (0, 8)), 7)
+
+
+def any_seed(hyp):
+    """A strategy for (ms, rank) of random_seed's shapes: any order, ties in i and j.
+
+    Every part is valid; the rank falls below or above the span. Examples
+    are drawn in a fixed order, so the counts a test keeps repeat.
+    """
+    st = hyp.strategies
+
+    @st.composite
+    def seeds(draw):
+        rank = draw(st.integers(1, 7))
+        starts = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=6))
+        return M(*[(i, i + draw(st.integers(0, rank + 1))) for i in starts]), rank
+
+    return seeds()
+
+
+def fixed(hyp, examples=150):
+    return hyp.settings(derandomize=True, database=None, deadline=None,
+                        max_examples=examples)
+
+
+def test_membership_property():
+    # in, by (a) and (b), against the search's member list, on every kind
+    # of rearrangement of the seed's left endpoints
+    hyp = pytest.importorskip("hypothesis")
+    seen = Counter()
+
+    @fixed(hyp)
+    @hyp.given(any_seed(hyp), hyp.strategies.randoms(use_true_random=False))
+    @hyp.example((M((0, 2), (1, 1)), 1), random.Random(0))  # fails (b) alone
+    def check(case, rng):
+        ms, rank = case
+        js, found = search_closure(ms, rank)
+        members, cs = set(found), closure(ms, rank)
+        for _ in range(6):
+            lefts = rng.sample([p.i for p in ms], len(ms))
+            cand = tuple(zip(lefts, js))  # plain pairs: some are not segments
+            valid = all(0 <= j - i <= rank + 1 for i, j in cand)
+            assert (cand in cs) == (tuple(lefts) in members), (ms, rank, cand)
+            if valid:
+                member = M(*cand) in cs
+                assert member == (tuple(lefts) in members), (ms, rank, cand)
+                seen["member" if member else "fails (b)"] += 1
+            seen["fails (a)"] += not valid
+
+    check()
+    assert min(seen.values()) > 50, seen
 
 
 def test_hom_matches_closure_weights():
@@ -375,22 +428,22 @@ def test_cli_weighs_without_hashing_lweights():
 
 
 def check_bulk_keys(seed, rank):
-    """A listed seed's keys, built from its matchings, against weighing each member.
+    """A plus-sorted seed's keys, from its matchings, against weighing each member.
 
-    The table and the key dict must equal those of helpers.weigh_each, the
-    per-member reference over _left_closure's listing, and of qchars._weigh
-    on that listing; no key may need sorting. Returns the number of keys.
+    No member may be listed while the keys are built, and the table and
+    the key dict must equal those of helpers.weigh_each, the per-member
+    reference over _left_closure's listing; no key may need sorting. A
+    listed seed has an empty (b) table. Returns the number of keys.
     """
-    assert _listed(seed, rank), (seed, rank)
-    weighed = AssertionError("weighed member by member")
-    with patch.object(qchars, "_weigh", side_effect=weighed):
+    listing = AssertionError("listed member by member")
+    with patch.object(closures, "_left_closure", side_effect=listing):
         q = _weight_keys(seed, rank)
     factors, keys = weigh_each(seed, rank)
     assert q._factors == factors and q._keys == keys, (seed, rank)
     assert all(type(s) is Segment for s, _ in q._factors)
     assert all(list(k) == sorted(set(k)) for k in q._keys), (seed, rank)
-    at = {s: r for r, (s, e) in enumerate(factors) if e == 1}
-    assert qchars._weigh(at, *_left_closure(seed, rank)) == keys, (seed, rank)
+    if is_listed(seed, rank):
+        assert _bounds(*zip(*seed)) == {}, (seed, rank)
     return len(keys)
 
 
@@ -398,7 +451,7 @@ def test_bulk_keys_match_the_member_weigher_on_every_listed_box_tuple():
     # the listed tuples of the Tier-1 box certificate (R = 3, W = 4, P = 3)
     seen = Counter()
     for ms, rank in box_tuples(3, 4, 3):
-        if _listed(ms, rank):
+        if is_listed(ms, rank):
             seen["listed"] += 1
             seen["keys"] += check_bulk_keys(ms, rank)
             lefts, js = zip(*ms)
@@ -419,7 +472,7 @@ def test_bulk_keys_match_the_member_weigher_on_the_decide_corpus():
             rank = int(op.argv[op.argv.index("--rank") + 1])
             for text in op.argv[3:]:
                 seed = sort_plus(cli.parse_multisegment(text))
-                if not _listed(seed, rank):
+                if not is_listed(seed, rank):
                     assert op.argv[0] not in ("dominant-weights", "ext-check"), op
                     continue
                 seen[op.argv[0]] += 1
@@ -454,9 +507,44 @@ def test_bulk_keys_property():
     @hyp.example((M((0, 3), (0, 3), (0, 0)), 2))  # lengths rank + 1 and 0, held twice
     @hyp.example((M((2, 4), (1, 4), (1, 2), (0, 2)), 3))
     def check(case):
+        assert is_listed(*case)
         check_bulk_keys(*case)
 
     check()
+
+
+def test_weight_keys_match_the_member_weigher_on_every_box_tuple():
+    # every tuple of the Tier-1 box certificate (R = 3, W = 4, P = 3),
+    # listed or not; the (b) table binds on some of the others
+    seen = Counter()
+    for ms, rank in box_tuples(3, 4, 3):
+        kind = "listed" if is_listed(ms, rank) else "not listed"
+        seen[kind] += 1
+        seen[kind + " keys"] += check_bulk_keys(ms, rank)
+        seen["bound"] += bool(_bounds(*zip(*ms)))
+        seen["below the span"] += rank < span(ms)
+    assert seen == {"listed": 591, "listed keys": 796, "not listed": 568,
+                    "not listed keys": 659, "bound": 248, "below the span": 363}
+
+
+def test_weight_keys_property():
+    # random_seed's shapes, plus-sorted as the weigher takes them
+    hyp = pytest.importorskip("hypothesis")
+    seen = Counter()
+
+    @fixed(hyp)
+    @hyp.given(any_seed(hyp))
+    @hyp.example((M((1, 2), (0, 2), (1, 1)), 1))
+    @hyp.example((M((0, 6), (2, 7), (1, 8)), 7))
+    def check(case):
+        seed, rank = sort_plus(case[0]), case[1]
+        check_bulk_keys(seed, rank)
+        seen["bound" if _bounds(*zip(*seed)) else "unbound"] += 1
+        seen["below the span"] += rank < span(seed)
+        seen["not doubly sorted"] += not is_doubly_sorted(seed)
+
+    check()
+    assert min(seen.values()) > 20, seen
 
 
 @pytest.mark.parametrize("text, rank", [
@@ -464,13 +552,15 @@ def test_bulk_keys_property():
     ("[39,46][37,45][34,44][31,43][28,41][26,40]", 19),  # the 720-member decide seed
 ])
 def test_dominant_weights_of_a_listed_seed_weigh_no_member(text, rank):
-    # the per-member weigher refuses to run, and the output is that of the
-    # per-member path, taken when the seed does not count as listed
+    # the closure listing refuses to run, and the output is that of the
+    # per-member path, helpers.weigh_each over that listing
     argv = ["dominant-weights", "--rank", str(rank), text]
-    with patch.object(qchars, "_listed", return_value=False), \
+    each = lambda ms, rank: QChar._of(*weigh_each(ms, rank))  # noqa: E731
+    with patch.object(cli, "_weight_keys", each), \
             redirect_stdout(io.StringIO()) as weighed:
         assert cli.run(argv) == 0
-    with patch.object(qchars, "_weigh", side_effect=AssertionError("weighed")), \
+    listing = AssertionError("listed member by member")
+    with patch.object(closures, "_left_closure", side_effect=listing), \
             redirect_stdout(io.StringIO()) as built:
         assert cli.run(argv) == 0
     assert built.getvalue() == weighed.getvalue() and built.getvalue().count("\n") > 20
@@ -487,8 +577,9 @@ def test_dense_seeds_decide_without_the_closure():
 
 
 def test_below_matches_sorting_every_prefix():
-    # the running counts of _below against sorting both prefixes at every
-    # block end, on rearrangements of plus-sorted seeds with many ties
+    # test (b) read from the table of _bounds, which skips the block ends
+    # where it cannot fail, against sorting both prefixes at every block
+    # end, on rearrangements of plus-sorted seeds with many ties
     rng = random.Random(6005)
     verdicts = {True: 0, False: 0}
     for _ in range(3000):
@@ -496,16 +587,16 @@ def test_below_matches_sorting_every_prefix():
         seed = sort_plus(ms)
         lefts = [p.i for p in seed]
         rng.shuffle(lefts)
-        got = _below(seed, lefts)
+        got = all(all(a <= b for a, b in zip(sorted(lefts[:t]), bound))
+                  for t, bound in _bounds(*zip(*seed)).items())
         assert got == below_by_sorting(seed, lefts), (seed, lefts)
         verdicts[got] += 1
     assert min(verdicts.values()) > 300, verdicts
 
 
 def test_hom_runs_test_b_only_on_searched_targets():
-    # a listed target's candidate is a member by _left_closure's proof, so
-    # (b) never runs: every hom of the decide corpus, seeds 0-3, and the
-    # 3,000-part chain at rank 3000
+    # a listed target's (b) table is empty, so (b) never runs: every hom of
+    # the decide corpus, seeds 0-3, and the 3,000-part chain at rank 3000
     corpus, parse = perfbench_corpus(), cli.parse_multisegment
     chain = M(*((k - 1, k) for k in range(3000, 0, -1)))
     cases = [(chain, chain, 3000)]
@@ -513,17 +604,23 @@ def test_hom_runs_test_b_only_on_searched_targets():
         cases += [(parse(op.argv[3]), parse(op.argv[4]), int(op.argv[2]))
                   for op in corpus.build("decide", corpus_seed) if op.argv[0] == "hom"]
     assert len(cases) == 1 + 4 * 23
-    assert all(_listed(sort_plus(dst), rank) for _, dst, rank in cases)
-    ran = AssertionError("test (b) ran on a listed target")
-    with patch.object(closures, "_below", side_effect=ran):
+    assert all(is_listed(sort_plus(dst), rank) for _, dst, rank in cases)
+    tables = []
+
+    def record(*args):
+        tables.append(_bounds(*args))
+        return tables[-1]
+
+    with patch.object(closures, "_bounds", record):
         answers = Counter(hom_dim(src, dst, rank) for src, dst, rank in cases)
     assert answers == {1: len(cases)}, answers  # every decide hom is a yes
+    assert tables == [{}] * len(cases)
     # a target not listed whose forced candidate fails (b): hom is 0, by (b)
     src, dst = M((1, 2), (0, 1)), M((0, 2), (1, 1))
-    assert not _listed(dst, 1)
-    with patch.object(closures, "_below", wraps=_below) as below:
+    assert not is_listed(dst, 1)
+    with patch.object(closures, "_bounds", record):
         assert hom_dim(src, dst, 1) == 0
-    assert below.call_count == 1 and not _below(*below.call_args.args)
+    assert tables[len(cases):] == [{1: [0]}]  # [1] is not bounded by [0]
     assert weight_of(src, 1) not in weyl_dominant_weights(dst, 1)
 
 

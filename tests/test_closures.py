@@ -97,6 +97,15 @@ class TestClosureSetApi:
             assert "members" not in vars(cs)
             assert text == "\n".join(map(str, cs.members))
 
+    def test_membership_builds_no_member(self):
+        # in tests (a) and (b) on the candidate: on the 5,040-member closure
+        # neither the members nor a set of them is built
+        large = closure(M(*[(16 - k, 23 - k) for k in range(7)]), 12)
+        assert M(*[(10 + k, 23 - k) for k in range(7)]) in large
+        assert M(*[(16 - k, 23 - k) for k in range(6)] + [(17, 17)]) not in large
+        assert tuple((16 - k, 22 - k) for k in range(7)) not in large
+        assert vars(large).keys() == {"rank", "seed", "js", "lefts"}
+
     def test_members_sorted_and_consistent(self):
         rng = random.Random(51)
         for _ in range(60):

@@ -10,6 +10,7 @@ from helpers import counted_lweights, random_doubly_sorted, random_multisegment
 from weylcalc import (
     cli,
     qchars,
+    weyl,
     ExtVerdict,
     InvalidSegment,
     LWeight,
@@ -172,13 +173,13 @@ class TestExt:
     ])
     def test_equal_weights_build_no_closure_and_no_weight(self, monkeypatch, rank, texts):
         # a tuple against a rearrangement of it: the verdict needs neither
-        # a closure nor an LWeight, and text mode prints only it. Every
-        # key build, from matchings or member by member, asks
-        # qchars._listed first, so that is where listings are counted.
+        # a closure nor an LWeight, and text mode prints only it. Every key
+        # build of ext_vanishing calls weyl's _weight_keys, so that is where
+        # they are counted.
         searched = []
-        listed = qchars._listed
-        monkeypatch.setattr(qchars, "_listed",
-                            lambda *a: searched.append(a) or listed(*a))
+        weigh = weyl._weight_keys
+        monkeypatch.setattr(weyl, "_weight_keys",
+                            lambda *a: searched.append(a) or weigh(*a))
         out = io.StringIO()
         with counted_lweights() as built, redirect_stdout(out):
             assert cli.run(["ext-check", "--rank", str(rank), *texts]) == 0
