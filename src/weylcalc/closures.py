@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, combinations, permutations
-from operator import itemgetter, le
+from operator import ge, itemgetter, le
 
 from .errors import PreconditionViolated
 from .multisegments import (
@@ -107,7 +108,7 @@ class ClosureSet(_Record):
             return False
         plus = [i for i, _ in sorted(ms, key=itemgetter(1), reverse=True)]
         bounds = _bounds(*zip(*sort_plus(self.seed)))  # block ends see no order inside
-        return all(all(map(le, sorted(plus[:t]), b)) for t, b in bounds.items())
+        return _passes(plus, bounds)
 
     def __len__(self) -> int:
         return len(self.lefts)
@@ -148,11 +149,29 @@ def _bounds(ls, jp) -> dict[int, list]:
     with j_h > j_k puts the larger left at the later position, so no such
     count rises; equal-j swaps leave block ends alone. No arrangement fails
     it where ls[:t] holds the t largest lefts, so a doubly sorted seed's
-    table is empty.
+    table is empty, as is any whose ls never rise. The sorted prefixes are
+    one list kept by insort and copied where (b) binds: O(r^2) at most.
     """
+    if all(map(ge, ls, ls[1:])):
+        return {}
     top = list(accumulate(sorted(ls, reverse=True)))  # sums of the t largest
-    return {t: sorted(ls[:t]) for t, s in enumerate(accumulate(ls[:-1]), 1)
-            if jp[t - 1] != jp[t] and s < top[t - 1]}
+    run, out = [], {}
+    for t, s in enumerate(accumulate(ls[:-1]), 1):
+        insort(run, ls[t - 1])
+        if jp[t - 1] != jp[t] and s < top[t - 1]:
+            out[t] = run[:]
+    return out
+
+
+def _passes(cand, bounds) -> bool:
+    """Whether cand, left endpoints in plus order, passes (b) at each t of bounds."""
+    run = []  # sorted(cand[:t])
+    for t, b in bounds.items():
+        for x in cand[len(run):t]:
+            insort(run, x)
+        if not all(map(le, run, b)):
+            return False
+    return True
 
 
 def _left_closure(seed: Multisegment, rank: int):
@@ -230,7 +249,7 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
     member, and so does any part of want left unplaced, since then some
     block runs out of left endpoints. The candidate so built has (a), so it
     is a member iff it passes (b) (_left_closure) at every t of _bounds'
-    table, which is empty for a doubly sorted seed: O(r^2 log r) at most.
+    table, which is empty for a doubly sorted seed: O(r^2) at most.
     """
     for p in seed:
         check_valid(p, rank)
@@ -249,8 +268,7 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
         block[j] += [lo] * pool[lo] + [j] * free
         pool[lo], pool[j] = 0, pool[j] - free
     cand = [i for j in sorted(size, reverse=True) for i in block[j]]
-    bounds = _bounds(*zip(*seed))
-    return all(all(map(le, sorted(cand[:t]), b)) for t, b in bounds.items())
+    return _passes(cand, _bounds(*zip(*seed)))
 
 
 def closure(ms: Multisegment, rank: int) -> ClosureSet:

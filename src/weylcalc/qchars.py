@@ -34,12 +34,13 @@ class QChar:
     and `_keys` maps each term, an ascending tuple of factor indices, to its
     multiplicity, so the keys sort as the terms' sort_keys do. `str` and the
     JSON renderer sort the keys and render each factor of the table once;
-    LWeights are built only when asked for. fundamental_qchar builds its int
-    keys from the paths, _weight_keys from the matchings of a closure's
-    lefts to js, both ascending, so that the sort is one linear pass.
+    LWeights are built only when asked for. fundamental_qchar's keys come
+    out ascending, so their sort is one linear pass; _weight_keys' keys,
+    grouped by the js they use, often do not. `_shape` is fundamental_qchar's
+    (length, ups), else None; with it `str` joins no term (see _tails).
     """
 
-    __slots__ = ("_factors", "_keys")
+    __slots__ = ("_factors", "_keys", "_shape")
 
     def __init__(self, terms: TermSource = ()):
         items = terms.items() if hasattr(terms, "items") else terms
@@ -58,11 +59,12 @@ class QChar:
         index = {f: r for r, f in enumerate(self._factors)}
         self._keys = {tuple(sorted(map(index.__getitem__, w._exp.items()))): m
                       for w, m in acc.items()}
+        self._shape = None
 
     @classmethod
-    def _of(cls, factors: list, keys: dict) -> "QChar":
+    def _of(cls, factors: list, keys: dict, shape=None) -> "QChar":
         q = cls.__new__(cls)
-        q._factors, q._keys = factors, keys
+        q._factors, q._keys, q._shape = factors, keys, shape
         return q
 
     @classmethod
@@ -123,6 +125,10 @@ class QChar:
         return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
     def __str__(self) -> str:
+        if self._shape:  # fundamental_qchar's: the walk of its keys, on texts
+            fmt = " * " + LWeight._factor
+            texts = [fmt % (i, j, e) for (i, j), e in self._factors]
+            return "\n".join(_tails(*self._shape, texts, "1"))
         rows = self._rows(LWeight._factor.__mod__, " * ".join)
         return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
 
@@ -246,6 +252,30 @@ def path_weight(g: Path, rank: int) -> LWeight:
     return LWeight({**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)})
 
 
+def _tails(length: int, ups: int, at: list, head) -> list:
+    """fundamental_qchar's paths in key order, at[r] standing for factor r.
+
+    add joins head and the pieces: () and 1-tuples give the keys, "1" and
+    the texts " * w[i,j]^e" give str's rows. head[:0] is the empty tail.
+    """
+    last = ups * (2 * length - 1) - 1
+    # tails[u]: ends, ascending, of the paths whose latest down placed has u ups
+    tails = [[head[:0]]] + [[at[last + u]] for u in range(1, ups + 1)]
+    for k in range(1, length):
+        b = ups * (2 * (length - k) - 1)
+        nxt: list[list] = [[] for _ in tails]
+        for u, rows in enumerate(nxt):
+            for v in range(u):  # the minimum, the maximum
+                rows += map(add, repeat(at[b + 2 * v] + at[b + 2 * u - 1]), tails[v])
+            rows += tails[u]
+        tails = nxt
+    rows = []
+    for u in range(ups):
+        rows += map(add, repeat(head + at[u]), tails[u])
+    rows += map(add, repeat(head), tails[ups])
+    return rows
+
+
 def fundamental_qchar(seg: Segment, rank: int) -> QChar:
     """Multiset of path weights for a non-degenerate segment, built as int keys.
 
@@ -260,35 +290,23 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
     at d = L (index u); for 0 < d < L, with b = U(2(L-d) - 1), the maximum
     for u > 0 (index b + 2u - 1) and the minimum for u < U (index b + 2u);
     the maxima with u > 0 at d = 0 (index U(2L-1) - 1 + u). So a key lists
-    the corners from the last down back to the first. Keys are built from
-    the back, one down at a time from the first, sharing their ends between
-    paths; a down's indices, put in front, are below all placed so far, so
-    the keys come out ascending. Distinct paths have distinct weights.
+    the corners from the last down back to the first. _tails builds the keys
+    from the back, one down at a time from the first, sharing their ends
+    between paths; a down's indices, put in front, are below all placed so
+    far, so the keys come out ascending. `str` takes that walk on the
+    factors' texts: no join per term. Distinct paths have distinct weights.
     """
     if not 1 <= seg.length <= rank:
         raise InvalidSegment(
             f"fundamental character needs 1 <= length <= rank, got {seg}"
             f" at rank {rank}"
         )
-    length, ups = seg.length, rank + 1 - seg.length
-    factors = [(Segment(seg.i + a, seg.j + u), e) for a in range(length + 1)
+    (i, j), length, ups = seg, seg.length, rank + 1 - seg.length  # corners are valid
+    factors = [(tuple.__new__(Segment, (i + a, j + u)), e) for a in range(length + 1)
                for u in range(ups + 1) for e in (-1, 1)
                if ((0 < a and 0 < u) if e < 0 else (a < length and u < ups))]
-    last = ups * (2 * length - 1) - 1
-    # tails[u]: key ends, ascending, of the paths whose latest down placed has u ups
-    tails = [[()]] + [[(last + u,)] for u in range(1, ups + 1)]
-    for k in range(1, length):
-        b = ups * (2 * (length - k) - 1)
-        nxt: list[list[tuple]] = [[] for _ in tails]
-        for u, keys in enumerate(nxt):
-            for v in range(u):  # the minimum, the maximum
-                keys += map(add, repeat((b + 2 * v, b + 2 * u - 1)), tails[v])
-            keys += tails[u]
-        tails = nxt
-    keys = []
-    for u in range(ups):
-        keys += map(add, repeat((u,)), tails[u])
-    return QChar._of(factors, dict.fromkeys(keys + tails[ups], 1))
+    keys = _tails(length, ups, list(zip(range(len(factors)))), ())
+    return QChar._of(factors, dict.fromkeys(keys, 1), (length, ups))
 
 
 def weyl_qchar(ms: Multisegment, rank: int) -> QChar:

@@ -587,11 +587,48 @@ def test_below_matches_sorting_every_prefix():
         seed = sort_plus(ms)
         lefts = [p.i for p in seed]
         rng.shuffle(lefts)
+        table = _bounds(*zip(*seed))
         got = all(all(a <= b for a, b in zip(sorted(lefts[:t]), bound))
-                  for t, bound in _bounds(*zip(*seed)).items())
+                  for t, bound in table.items())
         assert got == below_by_sorting(seed, lefts), (seed, lefts)
+        assert closures._passes(lefts, table) == got, (seed, lefts)
         verdicts[got] += 1
     assert min(verdicts.values()) > 300, verdicts
+
+
+def test_bounds_table_matches_sorting_each_prefix():
+    # _bounds keeps one sorted prefix and copies it where (b) binds: where
+    # the prefix is not the multiset of the t largest left endpoints
+    rng = random.Random(6006)
+    empty = 0
+    for _ in range(3000):
+        ms, _ = random_seed(rng, max_parts=9)
+        ls, jp = zip(*sort_plus(ms))
+        largest = sorted(ls, reverse=True)
+        want = {t: sorted(ls[:t]) for t in range(1, len(ls))
+                if jp[t - 1] != jp[t] and sorted(ls[:t]) != sorted(largest[:t])}
+        table = _bounds(ls, jp)
+        assert table == want, (ls, jp)
+        assert len({id(b) for b in table.values()}) == len(table)  # no shared list
+        empty += not table
+    assert 300 < empty < 2700, empty
+    # lefts that never rise bind nowhere, whatever the js
+    assert _bounds((5, 5, 3, 1, 1), (9, 8, 8, 7, 2)) == {}
+    assert _bounds((1, 3), (9, 8)) == {1: [1]}
+
+
+def test_hom_on_a_nested_target_compares_every_block_end():
+    # [k, 2r-1-k]: in plus order the lefts rise, so (b) binds at every
+    # block end and the candidate's running prefix is compared r - 1 times
+    r = 300
+    nested = M(*((k, 2 * r - 1 - k) for k in range(r)))
+    table = _bounds(*zip(*sort_plus(nested)))
+    assert list(table) == list(range(1, r))
+    assert all(b == list(range(t)) for t, b in table.items())
+    assert hom_dim(nested, nested, 2 * r - 1) == 1
+    # the same lefts and js, each left one block later: fails (b) at t = 1
+    shifted = M(*((k + 1, 2 * r - 1 - k) for k in range(r - 1)), (0, r))
+    assert hom_dim(shifted, nested, 2 * r - 1) == 0
 
 
 def test_hom_runs_test_b_only_on_searched_targets():

@@ -1,9 +1,12 @@
+import copy
 import io
 import json
 import math
+import pickle
 import random
 from collections import Counter
 from contextlib import redirect_stdout
+from unittest.mock import patch
 
 import pytest
 
@@ -38,6 +41,7 @@ from weylcalc import (
     weyl_dominant_part,
     weyl_qchar,
 )
+from weylcalc.qchars import _dominant
 
 
 def M(*pairs):
@@ -405,6 +409,92 @@ class TestFundamentalAgainstPaths:
             for ln in range(1, rank + 1):
                 seg = Segment(2, 2 + ln)
                 assert weyl_qchar(M((2, 2 + ln)), rank) == fundamental_qchar(seg, rank)
+
+
+def per_term(q):
+    """str as it was first written: one join of the rendered factors per term."""
+    rows = q._rows(LWeight._factor.__mod__, " * ".join)
+    return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
+
+
+class TestTailText:
+    """A fundamental character's str takes the walk of its keys on texts."""
+
+    def test_every_shape_to_rank_10(self):
+        for rank in range(1, 11):
+            for ln in range(1, rank + 1):
+                for i in (-13, -1, 0, 9, 123):
+                    q = fundamental_qchar(Segment(i, i + ln), rank)
+                    assert q._shape == (ln, rank + 1 - ln)
+                    assert str(q) == per_term(q), (i, ln, rank)
+
+    def test_any_segment_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(st.integers(1, 12), st.integers(-10**6, 10**6), st.data())
+        def check(rank, i, data):
+            seg = Segment(i, i + data.draw(st.integers(1, rank)))
+            q = fundamental_qchar(seg, rank)
+            assert str(q) == per_term(q)
+            assert str(weyl_qchar(M(seg), rank)) == str(q)
+
+        check()
+
+    def test_largest_benchmark_shape_renders_without_rows(self):
+        q = fundamental_qchar(Segment(34, 41), 14)
+        want = per_term(q)
+        out = io.StringIO()
+        joins = AssertionError("a join per term")
+        with patch.object(QChar, "_rows", side_effect=joins):
+            text = str(q)
+            with redirect_stdout(out):
+                assert cli.run(["qchar", "--rank", "14", "[34,41]"]) == 0
+        assert text == want and out.getvalue() == want + "\n"
+        assert text.count("\n") + 1 == len(q) == 6435
+
+    def test_other_characters_keep_the_per_term_rows(self):
+        f = fundamental_qchar(Segment(-2, 0), 4)
+        rebuilt = QChar(f.terms())
+        chars = [f * fundamental_qchar(Segment(1, 2), 4), rebuilt, f * QChar.one(),
+                 _dominant(M((-2, 0), (1, 2)), 4)]
+        assert str(rebuilt) == str(f)
+        for q in chars:
+            assert q._shape is None
+            rows = []
+            real = QChar._rows
+
+            def spy(self, *args):
+                rows.append(self)
+                return real(self, *args)
+
+            with patch.object(QChar, "_rows", spy):
+                text = str(q)
+            assert rows == [q] and text == per_term(q)
+        with patch.object(QChar, "_rows", side_effect=AssertionError("rows")):
+            with pytest.raises(AssertionError):
+                json_qchar_terms(f)  # the JSON renderer keeps its rows
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("make", [
+        lambda: fundamental_qchar(Segment(-1, 1), 3),
+        lambda: fundamental_qchar(Segment(0, 1), 2) * fundamental_qchar(
+            Segment(1, 3), 2),
+        lambda: _dominant(M((0, 2), (1, 3), (2, 4)), 4),
+        lambda: QChar({w(0, 1) * w(1, 3, -1): 2, w(2, 2): 1}),
+        QChar.one,
+    ], ids=["fundamental", "product", "dominant", "terms", "one"])
+    def test_round_trips_keep_terms_and_text(self, make):
+        q = make()
+        clones = [pickle.loads(pickle.dumps(q, protocol))
+                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for back in clones + [copy.copy(q), copy.deepcopy(q)]:
+            assert type(back) is QChar
+            assert back == q and str(back) == str(q)
+            assert (back._factors, back._keys, back._shape) == (
+                q._factors, q._keys, q._shape)
 
 
 class TestWeylQChar:
