@@ -107,8 +107,7 @@ class ClosureSet(_Record):
                 0 <= j - i <= self.rank + 1 for i, j in ms):
             return False
         plus = [i for i, _ in sorted(ms, key=itemgetter(1), reverse=True)]
-        bounds = _bounds(*zip(*sort_plus(self.seed)))  # block ends see no order inside
-        return _passes(plus, bounds)
+        return _passes(plus, sort_plus(self.seed))  # block ends see no order inside
 
     def __len__(self) -> int:
         return len(self.lefts)
@@ -163,10 +162,10 @@ def _bounds(ls, jp) -> dict[int, list]:
     return out
 
 
-def _passes(cand, bounds) -> bool:
-    """Whether cand, left endpoints in plus order, passes (b) at each t of bounds."""
+def _passes(cand, seed) -> bool:
+    """Whether lefts cand, in plus order, pass (b) against the plus-sorted seed."""
     run = []  # sorted(cand[:t])
-    for t, b in bounds.items():
+    for t, b in _bounds(*zip(*seed)).items():
         for x in cand[len(run):t]:
             insort(run, x)
         if not all(map(le, run, b)):
@@ -268,7 +267,7 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
         block[j] += [lo] * pool[lo] + [j] * free
         pool[lo], pool[j] = 0, pool[j] - free
     cand = [i for j in sorted(size, reverse=True) for i in block[j]]
-    return _passes(cand, _bounds(*zip(*seed)))
+    return _passes(cand, seed)
 
 
 def closure(ms: Multisegment, rank: int) -> ClosureSet:

@@ -358,6 +358,16 @@ def path_product(ms, rank):
     return dict(acc)
 
 
+def per_term_text(q):
+    """str of a QChar as first written: one join of rendered factors per term.
+
+    The reference for the tail text of fundamental characters; every other
+    QChar's str still takes these rows (QChar._rows).
+    """
+    rows = q._rows(LWeight._factor.__mod__, " * ".join)
+    return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
+
+
 def weigh_each(seed, rank):
     """(table, keys) of the weights of closure(seed)'s members, weighed one by one.
 

@@ -22,14 +22,9 @@ import argparse
 import sys
 import time
 
-from helpers import perfbench_corpus
+from helpers import per_term_text, perfbench_corpus
 
-from weylcalc import LWeight, Segment, cli, fundamental_qchar
-
-
-def per_term(q):
-    rows = q._rows(LWeight._factor.__mod__, " * ".join)
-    return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
+from weylcalc import Segment, cli, fundamental_qchar
 
 
 def corpus_singles(seed):
@@ -65,7 +60,7 @@ def main(argv=None) -> int:
         for seg, r in cases:
             b, q = best(lambda s: fundamental_qchar(s, r), seg, args.repeat)
             t, text = best(str, q, args.repeat)
-            j, want = best(per_term, q, args.repeat)
+            j, want = best(per_term_text, q, args.repeat)
             assert text == want, (seg, r)
             build, tail, joined, terms = build + b, tail + t, joined + j, terms + len(q)
         print(f"{name}\t{rank}\t{len(cases)}\t{terms}\t{build * 1e3:.3f}\t"

@@ -14,6 +14,7 @@ from helpers import (
     counted_lweights,
     criterion2_instances,
     path_product,
+    per_term_text,
     random_connected_pair,
     random_doubly_sorted,
     random_multisegment,
@@ -411,12 +412,6 @@ class TestFundamentalAgainstPaths:
                 assert weyl_qchar(M((2, 2 + ln)), rank) == fundamental_qchar(seg, rank)
 
 
-def per_term(q):
-    """str as it was first written: one join of the rendered factors per term."""
-    rows = q._rows(LWeight._factor.__mod__, " * ".join)
-    return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
-
-
 class TestTailText:
     """A fundamental character's str takes the walk of its keys on texts."""
 
@@ -426,7 +421,7 @@ class TestTailText:
                 for i in (-13, -1, 0, 9, 123):
                     q = fundamental_qchar(Segment(i, i + ln), rank)
                     assert q._shape == (ln, rank + 1 - ln)
-                    assert str(q) == per_term(q), (i, ln, rank)
+                    assert str(q) == per_term_text(q), (i, ln, rank)
 
     def test_any_segment_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -437,14 +432,14 @@ class TestTailText:
         def check(rank, i, data):
             seg = Segment(i, i + data.draw(st.integers(1, rank)))
             q = fundamental_qchar(seg, rank)
-            assert str(q) == per_term(q)
+            assert str(q) == per_term_text(q)
             assert str(weyl_qchar(M(seg), rank)) == str(q)
 
         check()
 
     def test_largest_benchmark_shape_renders_without_rows(self):
         q = fundamental_qchar(Segment(34, 41), 14)
-        want = per_term(q)
+        want = per_term_text(q)
         out = io.StringIO()
         joins = AssertionError("a join per term")
         with patch.object(QChar, "_rows", side_effect=joins):
@@ -471,7 +466,7 @@ class TestTailText:
 
             with patch.object(QChar, "_rows", spy):
                 text = str(q)
-            assert rows == [q] and text == per_term(q)
+            assert rows == [q] and text == per_term_text(q)
         with patch.object(QChar, "_rows", side_effect=AssertionError("rows")):
             with pytest.raises(AssertionError):
                 json_qchar_terms(f)  # the JSON renderer keeps its rows
