@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from functools import reduce
 from itertools import accumulate, combinations, count, repeat, starmap
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
@@ -32,15 +33,14 @@ class QChar:
     Stored ranked: `_factors` is a sorted table of distinct (Segment, e)
     factors, each used by some term except in _weight_keys' tables (below),
     and `_keys` maps each term, an ascending tuple of factor indices, to its
-    multiplicity, so the keys sort as the terms' sort_keys do. `str` and the
-    JSON renderer sort the keys and render each factor of the table once;
-    LWeights are built only when asked for. fundamental_qchar's keys come
-    out ascending, so their sort is one linear pass; _weight_keys' keys,
-    grouped by the js they use, often do not. `_shape` is fundamental_qchar's
-    (length, ups), else None; with it `str` joins no term (see _tails).
+    multiplicity, so the keys sort as the terms' sort_keys do. The keys are
+    built on first read from fundamental_qchar's `_shape` (length, ups), by
+    _tails, or from _convolve's `_cols`, rows in sort_key order: `str` reads
+    those forms, not the keys. The renderers render each factor once;
+    LWeights are built only when asked for.
     """
 
-    __slots__ = ("_factors", "_keys", "_shape")
+    __slots__ = ("_factors", "_keymap", "_shape", "_cols")
 
     def __init__(self, terms: TermSource = ()):
         items = terms.items() if hasattr(terms, "items") else terms
@@ -57,15 +57,29 @@ class QChar:
         # indexing keeps the order of items, so keys sort as sort_keys do
         self._factors = sorted({f for w in acc for f in w._exp.items()})
         index = {f: r for r, f in enumerate(self._factors)}
-        self._keys = {tuple(sorted(map(index.__getitem__, w._exp.items()))): m
-                      for w, m in acc.items()}
-        self._shape = None
+        self._keymap = {tuple(sorted(map(index.__getitem__, w._exp.items()))): m
+                        for w, m in acc.items()}
+        self._shape = self._cols = None
 
     @classmethod
-    def _of(cls, factors: list, keys: dict, shape=None) -> "QChar":
+    def _of(cls, factors: list, keys, shape=None, cols=None) -> "QChar":
         q = cls.__new__(cls)
-        q._factors, q._keys, q._shape = factors, keys, shape
+        q._factors, q._keymap, q._shape, q._cols = factors, keys, shape, cols
         return q
+
+    def __reduce__(self):
+        keys = None if self._shape or self._cols else self._keymap
+        return QChar._of, (self._factors, keys, self._shape, self._cols)
+
+    @property
+    def _keys(self) -> dict:
+        if self._keymap is None and self._shape:  # the walk on index pieces
+            self._keymap = dict.fromkeys(_tails(*self._shape, list(zip(range(len(
+                self._factors)))), (), ()), 1)
+        elif self._keymap is None:  # the rows, each factor rendered as its index
+            at = {(i, j, e): r for r, ((i, j), e) in enumerate(self._factors)}
+            self._keymap = dict(self._rows(at.__getitem__, tuple))
+        return self._keymap
 
     @classmethod
     def one(cls) -> "QChar":
@@ -119,18 +133,27 @@ class QChar:
         return tuple([LWeight._wrap(dict(map(get, k))) for k in sorted(keys)])
 
     def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
-        """(join of the rendered factors, multiplicity) per term, by sort_key."""
-        get = [render((i, j, e)) for (i, j), e in self._factors].__getitem__
-        keys = self._keys
+        """(join of the rendered factors, multiplicity) per term, by sort_key.
+
+        A product's row adds its columns' pieces, join of each distinct chunk
+        (_cols): there join must concatenate."""
+        items = [render((i, j, e)) for (i, j), e in self._factors]
+        if self._cols:
+            cols, mults, codes = self._cols
+            get = dict(zip(codes, items)).__getitem__
+            pieces = [map({x: join(map(get, cs)) for x, cs in found.items()}.__getitem__,
+                          chunks) for chunks, found in cols]
+            return list(zip(map(reduce, repeat(add), zip(*pieces)), mults))
+        get, keys = items.__getitem__, self._keys
         return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
     def __str__(self) -> str:
+        fmt = " * " + LWeight._factor
         if self._shape:  # fundamental_qchar's: the walk of its keys, on texts
-            fmt = " * " + LWeight._factor
             texts = [fmt % (i, j, e) for (i, j), e in self._factors]
-            return "\n".join(_tails(*self._shape, texts, "1"))
-        rows = self._rows(LWeight._factor.__mod__, " * ".join)
-        return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
+            return "\n".join(_tails(*self._shape, texts, "1", ""))
+        rows = self._rows(fmt.__mod__, "".join)
+        return "\n".join([f"{m}{fs or ' * 1'}" for fs, m in rows])
 
     def __repr__(self) -> str:
         return f"QChar({len(self)} terms, mass {self.total_mass()})"
@@ -139,18 +162,20 @@ class QChar:
 def _packed(chars) -> tuple[dict, int, list]:
     """(slots, w, terms): the chars' terms on packed exponent ints.
 
-    slots numbers the segments of the chars' tables in sorted order; terms[c]
-    lists chars[c]'s terms as (sum of e << w*slot, multiplicity), so products
-    pack as sums. The sum of the chars' largest |e| bounds a product's
-    exponents, and w is the least of 8, 16, 32, ... that puts it below
-    2**(w-1): a product plus 2**(w-1) in each slot holds e + 2**(w-1) there.
+    slots numbers the chars' segments from the last in sorted order; terms[c]
+    lists chars[c]'s terms as (sum of e << w*slot, mult), a shaped char's from
+    its walk on ints (_tails), so products pack as sums. The chars' largest
+    |e| sum to a bound on a product's, and w is the least of 8, 16, 32, ...
+    that puts it below 2**(w-1): a product plus 2**(w-1) in each slot holds
+    e + 2**(w-1) there.
     """
-    slots = dict(zip(sorted({f[0] for q in chars for f in q._factors}), count()))
+    slots = dict(zip(sorted({f[0] for q in chars for f in q._factors})[::-1], count()))
     bias = sum([max([abs(e) for _, e in q._factors], default=0) for q in chars])
     w = max(8, 1 << bias.bit_length().bit_length())
-    gets = [[e << w * slots[s] for s, e in q._factors].__getitem__ for q in chars]
-    return slots, w, [[(sum(map(get, k)), m) for k, m in q._keys.items()]
-                      for q, get in zip(chars, gets)]
+    ats = [[e << w * slots[s] for s, e in q._factors] for q in chars]
+    return slots, w, [list(zip(_tails(*q._shape, at, 0, 0), repeat(1))) if q._shape
+                      else [(sum(map(at.__getitem__, k)), m) for k, m in q._keys.items()]
+                      for q, at in zip(chars, ats)]
 
 
 def _fold(acc: dict, packed: list, rise: Iterable, high: int) -> dict[int, int]:
@@ -177,32 +202,38 @@ def _convolve(chars, dominant: bool = False) -> QChar:
     largest positive exponents there. A slot of x + rise[k] holds
     e + B + rise < 2B, so x survives iff every top bit (the mask high) is
     set, each e can still reach 0. rise is 0 after the last char: exactly
-    the dominant terms remain, and only they decode. Each distinct 64-bit
-    chunk of slots is decoded once, to its (s, d) with d != B; the sorted
-    used (s, d) index the table, so keys keep the sort_key order.
+    the dominant terms remain, and only they decode. They sort as sort_key
+    on byte keys: Knuth 7.1.3's test for zero fields sets a slot with d == B
+    to all ones and any other to d - 1, and the big-endian bytes drop their
+    trailing all-ones slots, so a term whose later e are all 0 is a prefix.
+    Each distinct 64-bit chunk (a column of _cols) decodes once, to the
+    codes (r << w) + d of its factors, r counted from the first segment.
     """
     slots, w, packed = _packed(chars)
-    n, per = len(slots), max(1, 64 // w)
-    half, mask, top, cols = 1 << w - 1, (1 << w) - 1, (1 << w * per) - 1, []
-    high = half * ((1 << w * n) - 1) // mask
-    rise, need = repeat(0), 0
+    segs, n, per, step = list(slots)[::-1], len(slots), max(1, 64 // w), w // 8
+    half, mask = 1 << w - 1, (1 << w) - 1
+    ones = ((1 << w * n) - 1) // mask
+    high, low, rise, need = half * ones, (half - 1) * ones, repeat(0), 0
     if dominant:  # a segment's last factor in a sorted table has its largest e
         ups = [sum([e << w * slots[s] for s, e in dict(q._factors).items() if e > 0])
                for q in chars[:0:-1]]
         rise, need = list(accumulate(ups, initial=0))[::-1], high
     acc = _fold({high: 1}, packed, rise, need)
-    for lo in range(0, w * n, w * per):
-        chunks = [v >> lo & top for v in acc]
-        found = {x: [(s, d) for s in range(lo // w, min(lo // w + per, n))
-                     if (d := x >> w * s - lo & mask) != half] for x in set(chunks)}
-        cols.append((chunks, found))
-    used = sorted({f for _, found in cols for fs in found.values() for f in fs})
-    index, segs, keys = {f: r for r, f in enumerate(used)}, list(slots), repeat(())
-    for chunks, found in cols:
-        decoded = {x: tuple(map(index.__getitem__, fs)) for x, fs in found.items()}
-        keys = map(add, keys, map(decoded.__getitem__, chunks))
-    factors = [(segs[s], d - half) for s, d in used]
-    return QChar._of(factors, dict(zip(keys, acc.values())))
+    bykey = {(v + low - ((((z := v ^ high) & low) + low | z) & high))  # z: 0 where d == B
+             .to_bytes(step * n, "big").rstrip(b"\xff"): m for v, m in acc.items()}
+    if step > 1:  # a slot's own trailing 0xff bytes come back
+        bykey = {k + b"\xff" * (-len(k) % step): m for k, m in bykey.items()}
+    keys, cols, wide = sorted(bykey), [], per * step
+    for lo in range(0, step * n or 1, wide):
+        span = min(wide, step * n - lo)
+        at = [(lo // step + t << w, w * (span // step - 1 - t)) for t in range(span // step)]
+        chunks = [k[lo:lo + wide] for k in keys]
+        cols.append((chunks, {x: [r + u + 1 for r, t in at if (u := y >> t & mask) != mask]
+                              for x in set(chunks)
+                              for y in (int.from_bytes(x.ljust(span, b"\xff"), "big"),)}))
+    used = sorted({c for _, found in cols for cs in found.values() for c in cs})
+    return QChar._of([(segs[c >> w], (c & mask) - half) for c in used], None, None,
+                     (cols, list(map(bykey.__getitem__, keys)), used))
 
 
 def enumerate_paths(seg: Segment, rank: int) -> list[Path]:
@@ -252,15 +283,15 @@ def path_weight(g: Path, rank: int) -> LWeight:
     return LWeight({**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)})
 
 
-def _tails(length: int, ups: int, at: list, head) -> list:
+def _tails(length: int, ups: int, at: list, head, empty) -> list:
     """fundamental_qchar's paths in key order, at[r] standing for factor r.
 
-    add joins head and the pieces: () and 1-tuples give the keys, "1" and
-    the texts " * w[i,j]^e" give str's rows. head[:0] is the empty tail.
+    add joins head, the pieces and the empty tail: (), 1-tuples and () give
+    the keys, "1", texts " * w[i,j]^e" and "" str's rows, 0, ints and 0 sums.
     """
     last = ups * (2 * length - 1) - 1
     # tails[u]: ends, ascending, of the paths whose latest down placed has u ups
-    tails = [[head[:0]]] + [[at[last + u]] for u in range(1, ups + 1)]
+    tails = [[empty]] + [[at[last + u]] for u in range(1, ups + 1)]
     for k in range(1, length):
         b = ups * (2 * (length - k) - 1)
         nxt: list[list] = [[] for _ in tails]
@@ -277,7 +308,7 @@ def _tails(length: int, ups: int, at: list, head) -> list:
 
 
 def fundamental_qchar(seg: Segment, rank: int) -> QChar:
-    """Multiset of path weights for a non-degenerate segment, built as int keys.
+    """Multiset of path weights for a non-degenerate segment: its table and shape.
 
     With L = j - i downs and U = rank + 1 - L ups, a path is the weakly
     increasing sequence u_0 <= ... <= u_(L-1) in [0, U] of the ups before
@@ -293,8 +324,9 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
     the corners from the last down back to the first. _tails builds the keys
     from the back, one down at a time from the first, sharing their ends
     between paths; a down's indices, put in front, are below all placed so
-    far, so the keys come out ascending. `str` takes that walk on the
-    factors' texts: no join per term. Distinct paths have distinct weights.
+    far, so the keys come out ascending. No walk is taken here: `_keys`
+    takes it on first read, `str` on the factors' texts (no join per term)
+    and _packed on packed ints. Distinct paths have distinct weights.
     """
     if not 1 <= seg.length <= rank:
         raise InvalidSegment(
@@ -305,8 +337,7 @@ def fundamental_qchar(seg: Segment, rank: int) -> QChar:
     factors = [(tuple.__new__(Segment, (i + a, j + u)), e) for a in range(length + 1)
                for u in range(ups + 1) for e in (-1, 1)
                if ((0 < a and 0 < u) if e < 0 else (a < length and u < ups))]
-    keys = _tails(length, ups, list(zip(range(len(factors)))), ())
-    return QChar._of(factors, dict.fromkeys(keys, 1), (length, ups))
+    return QChar._of(factors, None, (length, ups))
 
 
 def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
@@ -325,7 +356,7 @@ def _dominant(ms: Multisegment, rank: int) -> QChar:
     # first makes partial products fail sooner.
     chars = [fundamental_qchar(p, rank) for p in sorted(
         (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j))]
-    return _convolve(chars, dominant=True)
+    return _convolve(chars, dominant=True) if chars else QChar.one()
 
 
 def _weight_keys(seed: Multisegment, rank: int) -> QChar:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import operator
 import random
 import sys
 from collections import Counter
@@ -19,6 +20,7 @@ from weylcalc import (
     ExtVerdict,
     LWeight,
     Multisegment,
+    QChar,
     RootVector,
     Segment,
     closure,
@@ -38,7 +40,8 @@ from weylcalc import (
     weyl_dominant_weights,
 )
 from weylcalc.closures import _left_closure
-from weylcalc.segments import check_valid
+from weylcalc.qchars import _fold, fundamental_qchar
+from weylcalc.segments import check_valid, is_degenerate
 
 
 def random_segment(rng, rank, lo=-3, hi=6):
@@ -361,11 +364,65 @@ def path_product(ms, rank):
 def per_term_text(q):
     """str of a QChar as first written: one join of rendered factors per term.
 
-    The reference for the tail text of fundamental characters; every other
-    QChar's str still takes these rows (QChar._rows).
+    It reads the sorted keys alone, so it is the reference for the tail
+    text of fundamental characters and for the rows of products.
     """
-    rows = q._rows(LWeight._factor.__mod__, " * ".join)
-    return "\n".join([f"{m} * {fs or '1'}" for fs, m in rows])
+    get = [LWeight._factor % (i, j, e) for (i, j), e in q._factors].__getitem__
+    return "\n".join([f"{m} * {' * '.join(map(get, k)) or '1'}"
+                      for k, m in sorted(q._keys.items())])
+
+
+def keyed_product(chars, dominant=False):
+    """The product of chars, or its dominant terms, decoded to tuple keys.
+
+    The reference for the packed rows of qchars._convolve: the same k-fold
+    sum on packed ints, with slot s of the segments in sorted order at bits
+    w*s and each term re-packed from its keys, then every distinct 64-bit
+    chunk is decoded to its (s, d) and each row's key is the sorted indices
+    of its factors in the table of those used. It returns a QChar on that
+    (table, keys) form, whose str and JSON rows sort the keys.
+    """
+    slots = dict(zip(sorted({f[0] for q in chars for f in q._factors}), itertools.count()))
+    bias = sum([max([abs(e) for _, e in q._factors], default=0) for q in chars])
+    w = max(8, 1 << bias.bit_length().bit_length())
+    packed = [[(sum([e << w * slots[s] for s, e in map(q._factors.__getitem__, k)]), m)
+               for k, m in q._keys.items()] for q in chars]
+    n, per = len(slots), max(1, 64 // w)
+    half, mask, top = 1 << w - 1, (1 << w) - 1, (1 << w * per) - 1
+    high = half * ((1 << w * n) - 1) // mask
+    rise, need = itertools.repeat(0), 0
+    if dominant:
+        ups = [sum([e << w * slots[s] for s, e in dict(q._factors).items() if e > 0])
+               for q in chars[:0:-1]]
+        rise, need = list(itertools.accumulate(ups, initial=0))[::-1], high
+    acc = _fold({high: 1}, packed, rise, need)
+    cols = []
+    for lo in range(0, w * n, w * per):
+        chunks = [v >> lo & top for v in acc]
+        found = {x: [(s, d) for s in range(lo // w, min(lo // w + per, n))
+                     if (d := x >> w * s - lo & mask) != half] for x in set(chunks)}
+        cols.append((chunks, found))
+    used = sorted({f for _, found in cols for fs in found.values() for f in fs})
+    index, segs, keys = {f: r for r, f in enumerate(used)}, list(slots), itertools.repeat(())
+    for chunks, found in cols:
+        decoded = {x: tuple(map(index.__getitem__, fs)) for x, fs in found.items()}
+        keys = map(operator.add, keys, map(decoded.__getitem__, chunks))
+    return QChar._of([(segs[s], d - half) for s, d in used], dict(zip(keys, acc.values())))
+
+
+def keyed_qchar(ms, rank, dominant=False):
+    """weyl_qchar(ms, rank), or _dominant, with every product by keyed_product.
+
+    A lone fundamental character is rebuilt on its keys, so its str sorts them.
+    """
+    for p in ms:
+        check_valid(p, rank)
+    parts = [p for p in ms if not is_degenerate(p, rank)]
+    chars = [fundamental_qchar(p, rank) for p in
+             (sorted(parts, key=lambda p: -(p.i + p.j)) if dominant else parts)]
+    if len(chars) == 1 and not dominant:
+        return QChar._of(chars[0]._factors, chars[0]._keys)
+    return keyed_product(chars, dominant) if chars else QChar.one()
 
 
 def weigh_each(seed, rank):

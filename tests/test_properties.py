@@ -29,6 +29,7 @@ from weylcalc import (  # noqa: E402
     fundamental_qchar,
     span,
     tau,
+    weyl_qchar,
 )
 from weylcalc import cli  # noqa: E402
 from weylcalc.cli import (  # noqa: E402
@@ -37,7 +38,8 @@ from weylcalc.cli import (  # noqa: E402
     parse_lweight,
     parse_multisegment,
 )
-from helpers import move_saturate, passes_bounds  # noqa: E402
+from helpers import keyed_product, keyed_qchar, move_saturate, passes_bounds  # noqa: E402
+from weylcalc.qchars import _convolve, _dominant  # noqa: E402
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -257,6 +259,41 @@ def test_qchar_product_commutes_and_associates(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert (a * b).total_mass() == a.total_mass() * b.total_mass()
     assert a * QChar.one() == a
+
+
+# characters whose exponents reach past one byte: every slot width
+SCALED = st.tuples(weight_lists(4), st.sampled_from([1, 64, 300, 2 ** 15, 2 ** 40])).map(
+    lambda ws: QChar([(w ** ws[1], m) for w, m in ws[0]]))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(SMALL_QCHARS, SCALED, st.just(QChar.one())), min_size=1,
+                max_size=3), st.booleans())
+def test_packed_rows_match_the_tuple_keys(chars, dominant):
+    q, oracle = _convolve(chars, dominant), keyed_product(chars, dominant)
+    assert str(q) == str(oracle)
+    assert json_qchar_terms(q) == json_qchar_terms(oracle)
+    assert q._keymap is None and q._factors == oracle._factors
+    assert list(q._keys.items()) == sorted(oracle._keys.items())
+
+
+@st.composite
+def small_products(draw):
+    """(ms, rank) of one to three valid parts at rank <= 4, degenerate ones too."""
+    rank = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.builds(lambda i, n: Segment(i, i + n), st.integers(-4, 4),
+                                    st.integers(0, rank + 1)), min_size=1, max_size=3))
+    return Multisegment(parts), rank
+
+
+@PROPERTY
+@given(small_products())
+def test_cli_products_match_the_tuple_keys(case):
+    ms, rank = case
+    for got, want in [(weyl_qchar(ms, rank), keyed_qchar(ms, rank)),
+                      (_dominant(ms, rank), keyed_qchar(ms, rank, dominant=True))]:
+        assert str(got) == str(want) and json_qchar_terms(got) == json_qchar_terms(want)
+        assert got._keys == want._keys and list(got._keys) == sorted(want._keys)
 
 
 @PROPERTY

@@ -13,6 +13,8 @@ import pytest
 from helpers import (
     counted_lweights,
     criterion2_instances,
+    keyed_product,
+    keyed_qchar,
     path_product,
     per_term_text,
     random_connected_pair,
@@ -42,7 +44,8 @@ from weylcalc import (
     weyl_dominant_part,
     weyl_qchar,
 )
-from weylcalc.qchars import _dominant
+from weylcalc import qchars
+from weylcalc.qchars import _convolve, _dominant
 
 
 def M(*pairs):
@@ -484,12 +487,145 @@ class TestPickleAndCopy:
     def test_round_trips_keep_terms_and_text(self, make):
         q = make()
         clones = [pickle.loads(pickle.dumps(q, protocol))
-                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+                  for protocol in range(0, pickle.HIGHEST_PROTOCOL + 1)]
         for back in clones + [copy.copy(q), copy.deepcopy(q)]:
             assert type(back) is QChar
             assert back == q and str(back) == str(q)
             assert (back._factors, back._keys, back._shape) == (
                 q._factors, q._keys, q._shape)
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: fundamental_qchar(Segment(-1, 1), 3),
+        lambda: weyl_qchar(M((0, 2), (1, 3)), 3),
+        lambda: _dominant(M((0, 2), (1, 3), (2, 4)), 4),
+    ], ids=["fundamental", "product", "dominant"])
+    def test_the_pickle_does_not_hold_built_keys(self, make):
+        # keys built from the shape or the columns are not carried
+        q = make()
+        before = pickle.dumps(q, 0)
+        assert q._keys and pickle.dumps(q, 0) == before
+        assert pickle.loads(before)._keymap is None
+
+
+class TestPackedRows:
+    """A product's rows, sorted on their packed sums, against the tuple keys.
+
+    helpers.keyed_product decodes each term to its tuple of factor indices
+    and sorts those, as _convolve did before its rows were sorted on bytes.
+    """
+
+    @staticmethod
+    def check(q, oracle):
+        text, records = str(q), json_qchar_terms(q)
+        assert q._cols is None or q._keymap is None  # rows read the columns alone
+        assert q._factors == oracle._factors
+        assert text == str(oracle) == per_term_text(oracle)
+        assert records == json_qchar_terms(oracle)
+        assert list(q._keys.items()) == sorted(oracle._keys.items())
+
+    def test_random_interacting_tuples(self):
+        for ms, rank in interacting_tuples(random.Random(68), 300):
+            self.check(weyl_qchar(ms, rank), keyed_qchar(ms, rank))
+            self.check(_dominant(ms, rank), keyed_qchar(ms, rank, dominant=True))
+
+    def test_negative_one_part_and_degenerate_tuples(self):
+        cases = [(M((-5, -3), (-4, -1)), 3), (M((-2, 0)), 3), (M((0, 0), (1, 5), (3, 3)), 3),
+                 (M((0, 0), (2, 4), (-1, 1), (3, 3)), 3), (M((-7, -6), (-7, -6)), 2)]
+        for ms, rank in cases:
+            self.check(weyl_qchar(ms, rank), keyed_qchar(ms, rank))
+            self.check(_dominant(ms, rank), keyed_qchar(ms, rank, dominant=True))
+
+    def test_identity_and_empty_characters(self):
+        one, f = QChar.one(), fundamental_qchar(Segment(-1, 0), 2)
+        for chars in [(one, one), (one, f), (f, one), (QChar(), f), (one,)]:
+            q = _convolve(chars)
+            self.check(q, keyed_product(chars))
+        assert str(_convolve((one, one))) == "1 * 1"
+        assert str(_convolve((QChar(), f))) == "" and len(_convolve((QChar(), f))) == 0
+
+    def test_a_130_fold_power_on_two_byte_slots(self):
+        chars = [fundamental_qchar(Segment(0, 1), 1)] * 130
+        self.check(_convolve(chars), keyed_product(chars))
+        self.check(_convolve(chars, dominant=True), keyed_product(chars, dominant=True))
+
+    def test_a_two_byte_slot_that_ends_in_0xff_keeps_its_byte(self):
+        # e = 256 sits in its slot as d - 1 = 0x80ff, so the bytes of w[0,1]^256
+        # end in 0xff; stripping it alone would sort it before w[0,1]^53 (0x8034)
+        q = QChar({w(0, 1, 256): 1, w(0, 1, 53): 2, w(0, 1, 256) * w(1, 2, -3): 1,
+                   w(1, 2, -256): 1, LWeight.identity(): 1})
+        for chars in [(q, QChar.one()), (q, fundamental_qchar(Segment(0, 1), 2)),
+                      (fundamental_qchar(Segment(0, 1), 2), q)]:
+            product = _convolve(chars)
+            self.check(product, keyed_product(chars))
+        lines = str(q * QChar.one()).splitlines()
+        assert lines[:4] == ["1 * 1", "1 * w[0,1]^53".replace("1 *", "2 *"),
+                             "1 * w[0,1]^256", "1 * w[0,1]^256 * w[1,2]^-3"]
+
+    @pytest.mark.parametrize("e", [127, 128, 2 ** 15, 2 ** 31, 2 ** 70])
+    def test_every_width_orders_as_sort_key(self, e):
+        q = QChar({w(0, 1, e) * w(1, 2, -e): 3, w(0, 2, -e): 2, w(1, 2): 1,
+                   w(0, 1, 1 - e): 1, LWeight.identity(): 1})
+        f = fundamental_qchar(Segment(0, 1), 2)
+        for chars in [(q, f), (f, q), (q, q)]:
+            self.check(_convolve(chars), keyed_product(chars))
+            self.check(_convolve(chars, dominant=True), keyed_product(chars, dominant=True))
+
+    def test_every_corpus_and_golden_op_gives_the_oracle_bytes(self):
+        from make_cli_golden import invoke, load_golden
+        from helpers import perfbench_corpus
+
+        corpus = perfbench_corpus()
+        cases = {(tuple(c["argv"]), c["stdin"]) for c in load_golden()
+                 if c["argv"][:1] in (["qchar"], ["dominant"])}
+        for workload in ("enumerate", "decide", "cli-mix"):
+            for seed in (0, 1):
+                cases |= {(op.argv, op.stdin) for op in corpus.build(workload, seed)
+                          if op.argv[0] in ("qchar", "dominant")}
+        assert len(cases) == 150
+        for argv, stdin in sorted(cases, key=str):
+            got = invoke(list(argv), stdin)
+            with patch.object(cli, "weyl_qchar", keyed_qchar), \
+                    patch.object(cli, "_dominant", lambda ms, r: keyed_qchar(ms, r, True)):
+                assert invoke(list(argv), stdin) == got, argv
+
+
+class TestLazyKeys:
+    """A character is built in the form its output reads; keys wait for a reader."""
+
+    @staticmethod
+    def spied_tails():
+        heads, real = [], qchars._tails
+
+        def spy(length, ups, at, head, empty):
+            heads.append(head)
+            return real(length, ups, at, head, empty)
+
+        return heads, patch.object(qchars, "_tails", spy)
+
+    def test_str_and_a_single_segment_op_walk_the_paths_once_on_texts(self):
+        heads, spy = self.spied_tails()
+        out = io.StringIO()
+        with spy:
+            q = fundamental_qchar(Segment(3, 6), 8)
+            assert heads == [] and q._keymap is None
+            text = str(q)
+            assert heads == ["1"] and q._keymap is None
+            with redirect_stdout(out):
+                assert cli.run(["qchar", "--rank", "8", "[3,6]"]) == 0
+            assert heads == ["1", "1"]
+            assert len(q._keys) == math.comb(9, 3) and heads == ["1", "1", ()]
+        assert out.getvalue() == text + "\n" and text == per_term_text(q)
+
+    def test_products_pack_each_factor_from_its_walk_on_ints(self):
+        heads, spy = self.spied_tails()
+        with spy:
+            q = weyl_qchar(M((0, 2), (1, 3), (5, 5)), 3)
+            d = _dominant(M((0, 2), (1, 3)), 3)
+            assert heads == [0, 0, 0, 0]
+            str(q), str(d), json_qchar_terms(q)
+            assert heads == [0, 0, 0, 0] and q._keymap is None and d._keymap is None
+        assert q == QChar(path_product(M((0, 2), (1, 3)), 3))
 
 
 class TestWeylQChar:
