@@ -73,12 +73,11 @@ class QChar:
 
     @property
     def _keys(self) -> dict:
-        if self._keymap is None and self._shape:  # the walk on index pieces
-            self._keymap = dict.fromkeys(_tails(*self._shape, list(zip(range(len(
-                self._factors)))), (), ()), 1)
-        elif self._keymap is None:  # the rows, each factor rendered as its index
-            at = {(i, j, e): r for r, ((i, j), e) in enumerate(self._factors)}
-            self._keymap = dict(self._rows(at.__getitem__, tuple))
+        if self._keymap is None:  # built from the rows of a product, else by the walk
+            at = range(len(self._factors))
+            self._keymap = dict(zip(map(reduce, repeat(add), self._pieces(at, tuple)),
+                                    self._cols[1])) if self._cols else dict.fromkeys(
+                _tails(*self._shape, list(zip(at)), (), ()), 1)
         return self._keymap
 
     @classmethod
@@ -135,24 +134,30 @@ class QChar:
     def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
         """(join of the rendered factors, multiplicity) per term, by sort_key.
 
-        A product's row adds its columns' pieces, join of each distinct chunk
-        (_cols): there join must concatenate."""
+        A product's row adds its pieces (_pieces), so there join must concatenate.
+        """
         items = [render((i, j, e)) for (i, j), e in self._factors]
         if self._cols:
-            cols, mults, codes = self._cols
-            get = dict(zip(codes, items)).__getitem__
-            pieces = [map({x: join(map(get, cs)) for x, cs in found.items()}.__getitem__,
-                          chunks) for chunks, found in cols]
-            return list(zip(map(reduce, repeat(add), zip(*pieces)), mults))
+            return list(zip(map(reduce, repeat(add), self._pieces(items, join)),
+                            self._cols[1]))
         get, keys = items.__getitem__, self._keys
         return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
+    def _pieces(self, items: list, join: Callable) -> Iterable[tuple]:
+        """A product's rows in order, each a tuple of pieces, one per column:
+        join of the items (items[r] for factor r) of a distinct chunk, built once."""
+        cols, _, codes = self._cols
+        get = dict(zip(codes, items)).__getitem__
+        return zip(*[map({x: join(map(get, cs)) for x, cs in found.items()}.__getitem__,
+                         chunks) for chunks, found in cols])
+
     def __str__(self) -> str:
         fmt = " * " + LWeight._factor
+        texts = [fmt % (i, j, e) for (i, j), e in self._factors]
         if self._shape:  # fundamental_qchar's: the walk of its keys, on texts
-            texts = [fmt % (i, j, e) for (i, j), e in self._factors]
             return "\n".join(_tails(*self._shape, texts, "1", ""))
-        rows = self._rows(fmt.__mod__, "".join)
+        rows = zip(map("".join, self._pieces(texts, "".join)), self._cols[1]) \
+            if self._cols else self._rows(fmt.__mod__, "".join)  # a product: one join a row
         return "\n".join([f"{m}{fs or ' * 1'}" for fs, m in rows])
 
     def __repr__(self) -> str:

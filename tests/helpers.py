@@ -403,7 +403,8 @@ def keyed_product(chars, dominant=False):
                      if (d := x >> w * s - lo & mask) != half] for x in set(chunks)}
         cols.append((chunks, found))
     used = sorted({f for _, found in cols for fs in found.values() for f in fs})
-    index, segs, keys = {f: r for r, f in enumerate(used)}, list(slots), itertools.repeat(())
+    index, segs = {f: r for r, f in enumerate(used)}, list(slots)
+    keys = itertools.repeat(())
     for chunks, found in cols:
         decoded = {x: tuple(map(index.__getitem__, fs)) for x, fs in found.items()}
         keys = map(operator.add, keys, map(decoded.__getitem__, chunks))

@@ -31,6 +31,7 @@ collect this script.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 import time
@@ -59,6 +60,7 @@ def single(argv):
 def best(f, q, repeat):
     out, t = None, float("inf")
     for _ in range(repeat):
+        gc.collect()  # no run pays for garbage that an earlier one left
         start = time.perf_counter()
         out = f(q)
         t = min(t, time.perf_counter() - start)
@@ -98,15 +100,16 @@ def main(argv=None) -> int:
             assert text == want, (seg, r)
             build, keys, tail, joined = build + b, keys + k, tail + t, joined + j
             terms += len(q)
-        print(f"{name}\t{rank}\t{len(cases)}\t{terms}\t{build * 1e6:.1f}\t{keys * 1e6:.1f}\t"
-              f"{tail * 1e6:.1f}\t{joined * 1e6:.1f}\t{joined / tail:.2f}")
+        print(f"{name}\t{rank}\t{len(cases)}\t{terms}\t{build * 1e6:.1f}\t"
+              f"{keys * 1e6:.1f}\t{tail * 1e6:.1f}\t{joined * 1e6:.1f}\t{joined / tail:.2f}")
     ms = cli.parse_multisegment("[1,2][5,5]")
     d, _ = best(lambda m: str(_dominant(m, 1)), ms, args.repeat)
     print(f"dominant [1,2][5,5]\t1\t1\t1\t-\t-\t{d * 1e6:.1f}\t-\t-")
     print("\ncase\tcalls\tbytes\trows ms\tkeyed ms\tkeyed / rows")
-    big = ("qchar", "--rank", "7", "[0,3][2,5][4,7]")
-    for name, ops, repeat in [(f"enumerate seed {args.seed} products", products, args.repeat),
-                              ("[0,3][2,5][4,7] at rank 7", [big], min(args.repeat, 3))]:
+    cases = [(f"enumerate seed {args.seed} products", products, args.repeat),
+             ("[0,3][2,5][4,7] at rank 7", [("qchar", "--rank", "7", "[0,3][2,5][4,7]")],
+              min(args.repeat, 3))]
+    for name, ops, repeat in cases:
         fast = slow = size = 0
         for op in ops:
             text, want = printed(op), keyed(op)
