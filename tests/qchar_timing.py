@@ -60,7 +60,6 @@ def single(argv):
 def best(f, q, repeat):
     out, t = None, float("inf")
     for _ in range(repeat):
-        gc.collect()  # no run pays for garbage that an earlier one left
         start = time.perf_counter()
         out = f(q)
         t = min(t, time.perf_counter() - start)
@@ -115,8 +114,11 @@ def main(argv=None) -> int:
             text, want = printed(op), keyed(op)
             assert text == want, op
             f = s = float("inf")
-            for _ in range(repeat):
-                f, s = min(f, best(printed, op, 1)[0]), min(s, best(keyed, op, 1)[0])
+            for _ in range(repeat):  # no run pays for garbage that an earlier one left
+                gc.collect()
+                f = min(f, best(printed, op, 1)[0])
+                gc.collect()
+                s = min(s, best(keyed, op, 1)[0])
             fast, slow, size = fast + f, slow + s, size + len(text)
         print(f"{name}\t{len(ops)}\t{size}\t{fast * 1e3:.2f}\t{slow * 1e3:.2f}\t"
               f"{slow / fast:.2f}")
