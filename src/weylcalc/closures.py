@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, combinations, permutations
@@ -53,13 +53,12 @@ class ClosureSet(_Record):
 
     Every member sets a permutation of the seed's left endpoints against
     its right endpoints js, so the closure is held as left tuples: lefts
-    sorted (the members' lexicographic order). closed_lefts, those with no
-    connected pair, are the lefts that hit no pair's window of _windows.
-    closed_lefts, members, closed_members and orbit_representatives (the
-    distinct sort_plus forms of the closed members, sorted) are built on
-    first use. len needs none of them, nor does in, which tests (a) and (b)
-    (_left_closure), nor str, which formats each (left, j) piece once and
-    joins the rows column by column; pickle keeps only the four fields.
+    sorted (the members' lexicographic order). closure() lists none. lefts
+    (_left_closure's walk on tuples), closed_lefts (those that hit no
+    pair's window of _windows: no connected pair), members, closed_members
+    and orbit_representatives (the closed members' distinct sort_plus
+    forms, sorted) are built on first use. Until lefts is, len counts by
+    the walk, and str takes it on texts if the seed is in plus order.
     """
 
     __match_args__ = ("rank", "seed", "js", "lefts")
@@ -71,12 +70,21 @@ class ClosureSet(_Record):
         # One shared Segment per (left, j) pair. A move keeps every part valid
         # (a connected pair's union spans at most rank + 1), so members skip
         # Multisegment's part check.
-        segs = {(i, j): Segment(i, j) for i in set(self.lefts[0]) for j in set(self.js)
-                if i <= j}
+        segs = {(i, j): tuple.__new__(Segment, (i, j)) for i in set(self.lefts[0])
+                for j in set(self.js) if i <= j}
         return tuple(
             tuple.__new__(Multisegment, [segs[p] for p in zip(a, self.js)])
             for a in lefts
         )
+
+    @cached_property
+    def lefts(self) -> tuple[tuple[int, ...], ...]:
+        js = self.js
+        if all(map(ge, js, js[1:])):  # in plus order the rows come sorted
+            return tuple(_left_closure(self.seed, self.rank, *_TUPLES))
+        at = sorted(range(len(js)), key=js.__getitem__, reverse=True)
+        rows = _left_closure(list(map(self.seed.__getitem__, at)), self.rank, *_TUPLES)
+        return tuple(sorted(map(itemgetter(*map(at.index, range(len(at)))), rows)))
 
     @cached_property
     def closed_lefts(self) -> tuple[tuple[int, ...], ...]:
@@ -110,13 +118,14 @@ class ClosureSet(_Record):
         return _passes(plus, sort_plus(self.seed))  # block ends see no order inside
 
     def __len__(self) -> int:
-        return len(self.lefts)
+        if "lefts" in self.__dict__:
+            return len(self.lefts)
+        return _left_closure(sort_plus(self.seed), self.rank, *_COUNT)
 
     def __str__(self) -> str:
-        vs = set(self.lefts[0])  # every member's lefts are these, permuted
-        cols = [map({v: f"[{v},{j}]" for v in vs}.__getitem__, col)
-                for col, j in zip(zip(*self.lefts), self.js)]
-        return "\n".join(map("".join, zip(*cols)))
+        if "lefts" in self.__dict__ or not all(map(ge, self.js, self.js[1:])):
+            return "\n".join(["".join(map("[{},{}]".format, a, self.js)) for a in self.lefts])
+        return _left_closure(self.seed, self.rank, *_TEXT)
 
 
 def is_closed(ms: Multisegment, rank: int) -> bool:
@@ -173,8 +182,22 @@ def _passes(cand, seed) -> bool:
     return True
 
 
-def _left_closure(seed: Multisegment, rank: int):
-    """(js, left tuples) of the closure, each once, in seed order.
+# _left_closure's outputs, as (piece, one, join): left tuples, their number
+# and str's text. one(v, j) is the rows of left v alone at j; join(kids, get)
+# maps each (pool, es) of kids to the rows of get(k) after piece, for each
+# (piece, k) of es whose pool k has rows (none are falsy).
+_TUPLES = (lambda v, j: (v,), lambda v, j: [(v,)],
+           lambda kids, get: {m: [p + r for p, k in es if (c := get(k)) for r in c]
+                              for m, es in kids})
+_COUNT = (lambda v, j: None, lambda v, j: 1,
+          lambda kids, get: {m: sum([c for _, k in es if (c := get(k))]) for m, es in kids})
+_TEXT = (lambda v, j: ((p := f"[{v},{j}]"), "\n" + p), "[{},{}]".format,
+         lambda kids, get: {m: "\n".join([p + c.replace("\n", q) for (p, q), k in es
+                                          if (c := get(k))]) for m, es in kids})
+
+
+def _left_closure(seed: Multisegment, rank: int, piece, one, join):
+    """The closure's rows, by left tuples in lexicographic order; seed in plus order.
 
     Both moves swap the left endpoints of two parts: tau_{m,l} when they
     are connected, a swap when j_m == j_l. So the members are arrangements
@@ -200,40 +223,46 @@ def _left_closure(seed: Multisegment, rank: int):
        entry in (x, a*] came between, so (b) at a* + 1 keeps them strict.
        So B' has (b), and Sum A_k * j_k rose by (y - x)(j_h - j_k) > 0, so
        lifting reaches the seed's block multisets, hence the seed by swaps.
-    The walk lists these: by increasing j, a position takes each distinct
-    unused left endpoint in its window. At a block start t of _bounds'
-    table, the unused ones (the prefix before t) must be bounded entry by
-    entry by its sorted entries. A state whose least unused left fits no
-    part left is dropped. Past every such bound, once the unused lefts are
-    distinct and fit every remaining window, each of their orders
-    completes a member.
+    The walk fills the positions from the first with distinct unused lefts
+    in their windows. What completes a state depends only on its pool of
+    unused lefts: (a) on the position, r minus the pool's size, and (b) at
+    a block end t on the placed prefix, the pool's complement (its sorted
+    form is below sorted(ls[:t]) entry by entry iff the sorted pool is
+    above sorted(ls[t:])). So the pools, bit masks over the sorted lefts,
+    form a DAG: found level by level, then joined once each from the last
+    back, in ascending v, so the rows come out sorted. A pool that fails
+    (a) or (b), or that no row completes, is dropped.
     """
-    for p in seed:
-        check_valid(p, rank)
-    start, js = zip(*seed)
-    at = sorted(range(len(js)), key=js.__getitem__, reverse=True)  # plus order
-    ls, jp = [start[k] for k in at], [js[k] for k in at]
-    bounds = _bounds(ls, jp)
-    first, low = min(bounds, default=len(ls)), jp[0] - rank - 1
-    out, level = [], [((), tuple(sorted(ls)))]  # (suffix, unused lefts ascending)
-    for t in range(len(ls) - 1, -1, -1):
-        j, lo, bound, nxt = jp[t], jp[t - 1] - rank - 1, bounds.get(t), []
-        for suffix, pool in level:
-            if t < first and low <= pool[0] <= pool[-1] <= j and len(set(pool)) > t:
-                out += [a + suffix for a in permutations(pool)]
-                continue
-            for x, v in enumerate(pool):
-                if v > j:
-                    break
-                if x and pool[x - 1] == v:
-                    continue
-                rest = pool[:x] + pool[x + 1:]
-                if lo <= rest[0] and (bound is None or all(map(le, rest, bound))):
-                    nxt.append(((v,) + suffix, rest))
-        level = nxt
-    if at != sorted(at):
-        out = list(map(itemgetter(*sorted(range(len(at)), key=at.__getitem__)), out))
-    return js, out
+    ls, js = zip(*seed)
+    n, bounds = len(js), _bounds(ls, js)
+    vals = sorted(ls)  # bit x of a pool stands for vals[x]; bits[v] masks v's copies
+    bits = {v: (1 << vals.count(v)) - 1 << vals.index(v) for v in vals}
+    levels, level = [], [(1 << n) - 1]
+    for t in range(n - 1):
+        j, cs, kids = js[t], None, []
+        lo, lim = j - rank - 1, 1 << bisect_right(vals, js[t + 1])
+        for m in level:
+            if m >= lim:  # its largest left fits no later window, so goes here
+                v = vals[m.bit_length() - 1]
+                opts = [(bits[v], piece(v, j))] if lo <= v else []
+            else:
+                opts = cs = cs or [(g, piece(v, j)) for v, g in bits.items() if lo <= v <= j]
+            es = []
+            for g, p in opts:
+                if h := m & g:  # equal lefts give up their lowest bit first
+                    es.append((p, m ^ (h & -h)))
+            kids.append((m, es))
+        levels.append(kids)
+        level = {r for _, es in kids for _, r in es if r < lim}
+        if t + 1 in bounds:
+            need = sorted(ls[t + 1:])
+            level = [r for r in level if all(map(
+                ge, [v for x, v in enumerate(vals) if r >> x & 1], need))]
+    j = js[-1]  # the pools of one left at the last position: the leaves
+    rows = {m: one(v, j) for m in level if (v := vals[m.bit_length() - 1]) >= j - rank - 1}
+    for kids in levels[::-1]:
+        rows = join(kids, rows.get)
+    return rows[(1 << n) - 1]
 
 
 def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
@@ -273,8 +302,11 @@ def _has_member_weighing(seed: Multisegment, want: dict, rank: int) -> bool:
 def closure(ms: Multisegment, rank: int) -> ClosureSet:
     """Saturation under all crossing moves and equal-j swaps; see _left_closure."""
     seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
-    js, order = _left_closure(seed, rank)
-    return ClosureSet(rank, seed, js, tuple(sorted(order)))
+    for p in seed:
+        check_valid(p, rank)
+    cs = ClosureSet.__new__(ClosureSet)  # no lefts: they are listed on first read
+    cs.__dict__.update(rank=rank, seed=seed, js=tuple(zip(*seed))[1])
+    return cs
 
 
 def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:

@@ -101,7 +101,7 @@ class QChar:
 
     def total_mass(self) -> int:
         """Number of terms counted with multiplicity."""
-        return sum(self._keys.values())
+        return sum(self._cols[1] if self._cols else self._keys.values())
 
     def dominant_part(self) -> dict[LWeight, int]:
         """Terms whose weight has no negative exponent."""
@@ -113,7 +113,7 @@ class QChar:
         return _convolve((self, other))
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._cols[1] if self._cols else self._keys)  # a product's rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QChar):

@@ -4,14 +4,20 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python tests/closure_timing.py --seed 0 --repeat 9
 
-The first table times closures._left_closure (the walk over arrangements
-that pass tests (a) and (b)) and helpers.search_closure (the reference: the
-listing for doubly sorted seeds at rank >= span, a breadth-first search
-for every other seed). The second times qchars._weight_keys (the dominant
-weight keys, from the matchings of lefts to js that pass (a) and (b), with
-no member built) and helpers.weigh_each (every member of _left_closure's
-listing weighed in turn). Each pair runs in turn, in process, and keeps the
-best of --repeat runs of each; both sides must give the same left tuples,
+The first table times closure(...).lefts (closures._left_closure's walk
+on tuples, permuted and sorted for a seed not in plus order) and
+helpers.search_closure (the reference: the listing for doubly sorted
+seeds at rank >= span, a breadth-first search for every other seed). The
+second times str(closure(...)), the walk on texts, against the listing it
+replaced (helpers.listed_closure, sorted, then helpers.column_text), on
+the closure ops of the enumerate workload at --seed and the next seed,
+split at 120 members; then len(closure(...)) on twelve lefts each below
+every right endpoint, 12! members counted with none listed. The third
+times qchars._weight_keys (the dominant weight keys, from the matchings
+of lefts to js that pass (a) and (b), with no member built) and
+helpers.weigh_each (every member of listed_closure's listing weighed in
+turn). Each pair runs in turn, in process, and keeps the best of --repeat
+runs of each; both sides must give the same left tuples, the same bytes,
 or the same factor table and keys. The cases are four dense seven- and
 eight-part seeds, a 1,200-part doubly sorted chain (first table only), and
 every seed that the ops of perfbench/corpus.py hand to the function timed
@@ -30,9 +36,16 @@ import time
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
-from helpers import dense_seeds, perfbench_corpus, search_closure, weigh_each
+from helpers import (
+    column_text,
+    dense_seeds,
+    listed_closure,
+    perfbench_corpus,
+    search_closure,
+    weigh_each,
+)
 
-from weylcalc import Multisegment, Segment, cli, closures, qchars, sort_plus, weyl
+from weylcalc import Multisegment, Segment, cli, closure, closures, qchars, sort_plus, span, weyl
 
 
 def named_cases():
@@ -64,11 +77,20 @@ def corpus_seeds(workload, seed, name, modules):
 
 
 def listed(ms, rank):
-    return sorted(closures._left_closure(ms, rank)[1])
+    return list(closure(ms, rank).lefts)
 
 
 def searched(ms, rank):
     return sorted(search_closure(ms, rank)[1])
+
+
+def walked_text(ms, rank):
+    return str(closure(ms, rank))
+
+
+def listed_text(ms, rank):
+    js, order = listed_closure(ms, rank)
+    return column_text(js, sorted(order))
 
 
 def keyed(ms, rank):
@@ -85,6 +107,8 @@ def best_pair(new, old, ms, rank, repeat):
             got[k] = f(ms, rank)
             best[k] = min(best[k], time.perf_counter() - start)
     assert got[0] == got[1], (ms, rank)
+    if new is walked_text:
+        return best, got[0].count("\n") + 1
     return best, len(got[0]) if new is listed else len(got[0][1])
 
 
@@ -106,10 +130,27 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     rows = [(name, rank, [(ms, rank)]) for name, ms, rank in named_cases()]
     rows += [(f"{w} seed {args.seed}", "-",
-              corpus_seeds(w, args.seed, "_left_closure", [closures]))
+              corpus_seeds(w, args.seed, "closure", [cli, closures]))
              for w in ("enumerate", "cli-mix")]
     table("case\trank\tcalls\tmembers\tengine ms\tsearch ms\tsearch / engine",
           listed, searched, rows, args.repeat)
+    seeds = [(ms, rank) for s in (args.seed, args.seed + 1)
+             for ms, rank in corpus_seeds("enumerate", s, "closure", [cli, closures])]
+    sizes = {case: len(listed_closure(*case)[1]) for case in seeds}
+    rows = [(f"enumerate seeds {args.seed}-{args.seed + 1}, {name} members", "-",
+             [case for case in seeds if (sizes[case] <= 120) == small])
+            for name, small in (("<= 120", True), ("> 120", False))]
+    print()
+    table("case\trank\tcalls\tmembers\twalk ms\tlisting ms\tlisting / walk",
+          walked_text, listed_text, rows, args.repeat)
+    twelve = Multisegment(Segment(k, 20 + k) for k in range(11, -1, -1))
+    best = float("inf")
+    for _ in range(args.repeat):
+        start = time.perf_counter()
+        count = len(closure(twelve, span(twelve)))
+        best = min(best, time.perf_counter() - start)
+    assert count == 479001600
+    print(f"len, 12 lefts below 12 js\t{span(twelve)}\t1\t{count}\t{best * 1e3:.3f}")
     rows = [(name, rank, [(sort_plus(ms), rank)])
             for name, ms, rank in named_cases()[:-1]]
     rows += [(f"{w} seed {args.seed}", "-",

@@ -27,6 +27,7 @@ from weylcalc import (
     enumerate_paths,
     ext_vanishing,
     hom_dim,
+    in_plus_order,
     is_closed,
     is_doubly_sorted,
     path_weight,
@@ -39,7 +40,7 @@ from weylcalc import (
     weyl_dominant_part,
     weyl_dominant_weights,
 )
-from weylcalc.closures import _left_closure
+from weylcalc.closures import _bounds
 from weylcalc.qchars import _fold, fundamental_qchar
 from weylcalc.segments import check_valid, is_degenerate
 
@@ -177,13 +178,13 @@ def is_listed(seed, rank):
 def search_closure(seed, rank):
     """(js, left tuples) of closure(seed) by the engine closures had first.
 
-    The reference for closures._left_closure. A listed seed (is_listed)
-    takes, by increasing j, any distinct unused left endpoint <= j, and once
-    the unused ones are distinct and <= the next j, each of their orders
-    completes a member. Any other seed is searched breadth first from the
-    seed: a state moves by every crossing move whose window it hits and by
-    every swap of two parts with equal j, and a visited set keeps each
-    state once.
+    The reference for closures._left_closure and listed_closure. A listed
+    seed (is_listed) takes, by increasing j, any distinct unused left
+    endpoint <= j, and once the unused ones are distinct and <= the next j,
+    each of their orders completes a member. Any other seed is searched
+    breadth first from the seed: a state moves by every crossing move whose
+    window it hits and by every swap of two parts with equal j, and a
+    visited set keeps each state once.
     """
     for p in seed:
         check_valid(p, rank)
@@ -221,6 +222,85 @@ def search_closure(seed, rank):
                 seen.add(nxt)
                 order.append(nxt)
     return js, order
+
+
+def listed_closure(seed, rank):
+    """(js, left tuples) of closure(seed), each once, by the level walk closures had.
+
+    The reference for closures._left_closure's memoized walk, which replaced
+    it. By increasing j (plus order), a position takes each distinct unused
+    left in its window, once the least one left over still fits the next;
+    at a block end of closures._bounds' table the unused lefts must be
+    bounded entry by entry by its sorted prefix. Once the unused lefts are
+    distinct and fit every remaining window, past every such bound, each
+    of their orders completes a member. The tuples come in seed order,
+    unsorted.
+    """
+    for p in seed:
+        check_valid(p, rank)
+    start, js = zip(*seed)
+    at = sorted(range(len(js)), key=js.__getitem__, reverse=True)  # plus order
+    ls, jp = [start[k] for k in at], [js[k] for k in at]
+    bounds = _bounds(ls, jp)
+    first, low = min(bounds, default=len(ls)), jp[0] - rank - 1
+    out, level = [], [((), tuple(sorted(ls)))]  # (suffix, unused lefts ascending)
+    for t in range(len(ls) - 1, -1, -1):
+        j, lo, bound, nxt = jp[t], jp[t - 1] - rank - 1, bounds.get(t), []
+        for suffix, pool in level:
+            if t < first and low <= pool[0] <= pool[-1] <= j and len(set(pool)) > t:
+                out += [a + suffix for a in itertools.permutations(pool)]
+                continue
+            for x, v in enumerate(pool):
+                if v > j:
+                    break
+                if x and pool[x - 1] == v:
+                    continue
+                rest = pool[:x] + pool[x + 1:]
+                if lo <= rest[0] and (bound is None or all(map(operator.le, rest, bound))):
+                    nxt.append(((v,) + suffix, rest))
+        level = nxt
+    if at != sorted(at):
+        back = operator.itemgetter(*sorted(range(len(at)), key=at.__getitem__))
+        out = list(map(back, out))
+    return js, out
+
+
+def column_text(js, lefts):
+    """str of the closure whose sorted left tuples are lefts, as first written.
+
+    Each (left, j) piece is formatted once per column and the columns are
+    joined into rows: the reference for the text that closures._left_closure
+    builds inside its walk.
+    """
+    vs = set(lefts[0])
+    cols = [map({v: f"[{v},{j}]" for v in vs}.__getitem__, col)
+            for col, j in zip(zip(*lefts), js)]
+    return "\n".join(map("".join, zip(*cols)))
+
+
+def listing_mismatches(seed, rank):
+    """The outputs of closure(seed, rank) that disagree with listed_closure.
+
+    Checked on fresh closures: str and len (which must leave lefts unbuilt
+    for a seed in plus order), lefts and their order, closed_lefts (the
+    members that pass is_closed) and `in` on every member. An empty list
+    means all agree.
+    """
+    js, order = listed_closure(seed, rank)
+    lefts = tuple(sorted(order))
+    cs = closure(seed, rank)
+    text, size = str(cs), len(cs)
+    bad = ["lazy"] if "lefts" in vars(cs) and in_plus_order(seed) else []
+    bad += [] if text == column_text(js, lefts) else ["str"]
+    bad += [] if size == len(lefts) else ["len"]
+    cs = closure(seed, rank)
+    bad += [] if cs.js == js and cs.lefts == lefts else ["lefts"]
+    closed = tuple([a for a in lefts if is_closed(
+        Multisegment(map(Segment, a, js)), rank)])
+    bad += [] if cs.closed_lefts == closed else ["closed_lefts"]
+    fresh = closure(seed, rank)
+    bad += [] if all(tuple(zip(a, js)) in fresh for a in lefts) else ["in"]
+    return bad
 
 
 def dense_seeds():
@@ -430,12 +510,12 @@ def weigh_each(seed, rank):
     """(table, keys) of the weights of closure(seed)'s members, weighed one by one.
 
     The reference for qchars._weight_keys: every left tuple that
-    _left_closure lists is weighed against the table of the
+    listed_closure lists is weighed against the table of the
     seed's non-degenerate (left, j) pairs, e up to the copies of both, and
     its key is the sorted tuple of its factors' indices, a pair held c
     times taking the index of e = c.
     """
-    js, order = _left_closure(seed, rank)
+    js, order = listed_closure(seed, rank)
     factors, cols = [], {j: {} for j in js}
     for i, j in sorted({(i, j) for i in order[0] for j in js if 0 < j - i <= rank}):
         cols[j][i] = len(factors)
@@ -513,6 +593,10 @@ def certify_box(max_rank, window, parts):
       of the closure's;
     - render and closed: str(cs) is the members one per line, and
       closed_members are the members that pass is_closed, in member order;
+    - listing: a fresh closure's str, len, lefts (in order), closed_lefts
+      and `in` agree with listed_closure, the walk closures had before,
+      and for a seed in plus order str and len build no lefts
+      (listing_mismatches);
     - ext and ext verdict: ext_vanishing's shared weights, for the tuple
       with itself, with its parts reversed, with up to two earlier tuples
       of the box that share a weight with it at the rank and with the
@@ -562,6 +646,7 @@ def certify_box(max_rank, window, parts):
         check("render", str(cs) == "\n".join(map(str, cs.members)))
         check("closed", list(cs.closed_members)
               == [t for t in cs.members if is_closed(t, rank)])
+        check("listing", listing_mismatches(ms, rank) == [])
         member_lefts = set(cs.lefts)
         for lefts in set(itertools.permutations(p.i for p in ms)):
             # plain pairs, since some rearrangements are not segments

@@ -4,20 +4,23 @@ The closure lists the arrangements of the seed's left endpoints that pass
 tests (a) and (b) (the table of `closures._bounds`), which
 `closures._left_closure` proves exact; here it is compared with
 `helpers.search_closure`, the breadth-first search it replaced, and with
-`helpers.move_saturate`, and so is `in`, which tests (a) and (b) itself. The
-hom decision by one forced candidate member, the socle above the span
-(`canonical_closed` of the dominant ancestor; one closed orbit, proved in
-`weyl.socle`) and the integer weigher of `weyl_dominant_weights` are
-compared with forms built from `closure(...).members`, on seeded random
-seeds: plus-sorted and unsorted, with ties in i and in j, at ranks below
-and above the span; and on every tuple of a small box
-(`helpers.certify_box`). The weigher's int keys (`qchars._weight_keys`)
-are compared with the weights of the members, rendered and intersected as
-`LWeight`s.
+`helpers.move_saturate`, and so is `in`, which tests (a) and (b) itself.
+Its rows, text, count and closed lefts are compared with
+`helpers.listed_closure`, the level walk that the memoized walk replaced
+(`helpers.listing_mismatches`). The hom decision by one forced candidate
+member, the socle above the span (`canonical_closed` of the dominant
+ancestor; one closed orbit, proved in `weyl.socle`) and the integer
+weigher of `weyl_dominant_weights` are compared with forms built from
+`closure(...).members`, on seeded random seeds: plus-sorted and unsorted,
+with ties in i and in j, at ranks below and above the span; and on every
+tuple of a small box (`helpers.certify_box`). The weigher's int keys
+(`qchars._weight_keys`) are compared with the weights of the members,
+rendered and intersected as `LWeight`s.
 """
 
 import io
 import random
+import time
 from collections import Counter
 from contextlib import redirect_stdout
 from itertools import permutations
@@ -30,6 +33,8 @@ from helpers import (
     certify_box,
     dense_seeds,
     is_listed,
+    listed_closure,
+    listing_mismatches,
     move_saturate,
     passes_bounds,
     perfbench_corpus,
@@ -106,7 +111,7 @@ def test_every_tuple_of_a_small_box_passes_the_certificate():
     # runs the same checks on larger boxes
     cases, failures = certify_box(3, 4, 3)
     assert failures == []
-    assert cases["tuples"] == 1159 and cases["one orbit"] == 796
+    assert cases["tuples"] == cases["listing"] == 1159 and cases["one orbit"] == 796
     assert cases["hom near miss"] == 420
     assert cases["listed"] == 591 and cases["not listed"] == 568
     assert cases["ext"] == cases["ext verdict"] == 4556
@@ -161,6 +166,70 @@ def test_dense_seeds_that_are_not_listed(label, ms, rank, size):
     cs = closure(ms, rank)
     assert len(cs) == size
     assert cs.lefts == tuple(sorted(search_closure(ms, rank)[1]))
+
+
+def corpus_closure_seeds(workload, corpus_seeds):
+    """(ms, rank) of every closure op of the workload's op lists."""
+    corpus = perfbench_corpus()
+    return [(cli.parse_multisegment(op.argv[-1]), int(op.argv[2]))
+            for corpus_seed in corpus_seeds for op in corpus.build(workload, corpus_seed)
+            if op.argv[0] == "closure"]
+
+
+def test_walk_matches_the_listing_on_dense_and_corpus_seeds():
+    # the memoized walk against the level walk it replaced, on the dense
+    # seeds (3,000-25,920 members) and every enumerate closure seed of
+    # corpus seeds 0 and 1 (up to 5,040 members)
+    seeds = corpus_closure_seeds("enumerate", (0, 1))
+    assert len(seeds) == 146
+    for ms, rank in [(ms, rank) for _, ms, rank, _ in dense_seeds()] + seeds:
+        assert listing_mismatches(ms, rank) == [], (ms, rank)
+
+
+def test_walk_matches_the_listing_property():
+    # plus-sorted seeds, many with repeated lefts or a binding (b) table,
+    # and the same seeds in the order drawn, most not in plus order
+    hyp = pytest.importorskip("hypothesis")
+    seen = Counter()
+
+    @fixed(hyp, examples=300)
+    @hyp.given(any_seed(hyp), hyp.strategies.booleans())
+    @hyp.example((M((2, 4), (0, 4), (0, 2), (2, 2)), 3), False)  # (b) binds at 2
+    @hyp.example((M((0, 2), (1, 4), (2, 3)), 2), False)  # binds, not in plus order
+    def check(case, plus):
+        ms, rank = case
+        ms = sort_plus(ms) if plus else ms
+        assert listing_mismatches(ms, rank) == [], (ms, rank)
+        bound = bool(_bounds(*zip(*sort_plus(ms))))
+        kind = "plus order" if in_plus_order(ms) else "other order"
+        seen[f"{kind}, {'bound' if bound else 'unbound'}"] += 1
+        seen[f"{kind}, repeated lefts"] += len({p.i for p in ms}) < len(ms)
+
+    check()
+    assert min(seen.values()) > 25, seen
+
+
+def test_text_and_count_list_no_lefts():
+    # str and len walk the pools on texts and on ints; lefts is listed on
+    # first read, already sorted, and then len and str read it
+    cs = closure(M(*[(16 - k, 23 - k) for k in range(7)]), 12)
+    text, size = str(cs), len(cs)
+    assert "lefts" not in cs.__dict__
+    assert size == 5040 and text.count("\n") == 5039
+    js, order = listed_closure(cs.seed, 12)
+    assert cs.lefts == tuple(sorted(order)) and "lefts" in cs.__dict__
+    assert len(cs) == size and str(cs) == text
+
+
+def test_count_of_twelve_parts_in_every_order():
+    # twelve lefts, each below every right endpoint, at rank >= span: all
+    # 12! orders are members, counted over the 2^12 pools without listing
+    ms = M(*[(k, 20 + k) for k in range(11, -1, -1)])
+    start = time.perf_counter()
+    cs = closure(ms, span(ms))
+    assert len(cs) == 479001600
+    assert time.perf_counter() - start < 1
+    assert "lefts" not in cs.__dict__
 
 
 def test_generated_closure_property():
@@ -432,7 +501,7 @@ def check_bulk_keys(seed, rank):
 
     No member may be listed while the keys are built, and the table and
     the key dict must equal those of helpers.weigh_each, the per-member
-    reference over _left_closure's listing; no key may need sorting. A
+    reference over helpers.listed_closure; no key may need sorting. A
     listed seed has an empty (b) table. Returns the number of keys.
     """
     listing = AssertionError("listed member by member")

@@ -520,11 +520,23 @@ class TestPackedRows:
     @staticmethod
     def check(q, oracle):
         text, records = str(q), json_qchar_terms(q)
+        assert (len(q), q.total_mass()) == (len(oracle), oracle.total_mass())
         assert q._cols is None or q._keymap is None  # rows read the columns alone
         assert q._factors == oracle._factors
         assert text == str(oracle) == per_term_text(oracle)
         assert records == json_qchar_terms(oracle)
         assert list(q._keys.items()) == sorted(oracle._keys.items())
+
+    def test_len_and_repr_of_a_product_build_no_keys(self):
+        # a product's length and mass are its rows': the 1,800-term product
+        # of the enumerate corpus and a dominant part build no keys for them
+        for ms, rank, dominant in [(M((25, 27), (20, 23), (24, 25)), 5, False),
+                                   (M((0, 2), (1, 3), (2, 4)), 4, True)]:
+            q = _dominant(ms, rank) if dominant else weyl_qchar(ms, rank)
+            oracle = keyed_qchar(ms, rank, dominant)
+            assert (len(q), repr(q)) == (len(oracle), repr(oracle)), (ms, rank)
+            assert q.total_mass() == oracle.total_mass() and q._keymap is None
+        assert len(weyl_qchar(M((25, 27), (20, 23), (24, 25)), 5)) == 1800
 
     def test_random_interacting_tuples(self):
         for ms, rank in interacting_tuples(random.Random(68), 300):
