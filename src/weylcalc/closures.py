@@ -57,8 +57,8 @@ class ClosureSet(_Record):
     (_left_closure's walk on tuples), closed_lefts (those that hit no
     pair's window of _windows: no connected pair), members, closed_members
     and orbit_representatives (the closed members' distinct sort_plus
-    forms, sorted) are built on first use. Until lefts is, len counts by
-    the walk, and str takes it on texts if the seed is in plus order.
+    forms, sorted) are built on first use. len counts by the walk, and str
+    takes it on texts if the seed is in plus order.
     """
 
     __match_args__ = ("rank", "seed", "js", "lefts")
@@ -70,7 +70,7 @@ class ClosureSet(_Record):
         # One shared Segment per (left, j) pair. A move keeps every part valid
         # (a connected pair's union spans at most rank + 1), so members skip
         # Multisegment's part check.
-        segs = {(i, j): tuple.__new__(Segment, (i, j)) for i in set(self.lefts[0])
+        segs = {(i, j): tuple.__new__(Segment, (i, j)) for i in {p.i for p in self.seed}
                 for j in set(self.js) if i <= j}
         return tuple(
             tuple.__new__(Multisegment, [segs[p] for p in zip(a, self.js)])
@@ -111,21 +111,19 @@ class ClosureSet(_Record):
                 and all(isinstance(p, tuple) and len(p) == 2 for p in ms)):
             return False
         ls, js = zip(*ms)  # a member: the seed's js in place, its lefts permuted
-        if js != self.js or Counter(ls) != Counter(self.lefts[0]) or not all(
+        if js != self.js or Counter(ls) != Counter([p.i for p in self.seed]) or not all(
                 0 <= j - i <= self.rank + 1 for i, j in ms):
             return False
         plus = [i for i, _ in sorted(ms, key=itemgetter(1), reverse=True)]
         return _passes(plus, sort_plus(self.seed))  # block ends see no order inside
 
     def __len__(self) -> int:
-        if "lefts" in self.__dict__:
-            return len(self.lefts)
         return _left_closure(sort_plus(self.seed), self.rank, *_COUNT)
 
     def __str__(self) -> str:
-        if "lefts" in self.__dict__ or not all(map(ge, self.js, self.js[1:])):
-            return "\n".join(["".join(map("[{},{}]".format, a, self.js)) for a in self.lefts])
-        return _left_closure(self.seed, self.rank, *_TEXT)
+        if all(map(ge, self.js, self.js[1:])):
+            return _left_closure(self.seed, self.rank, *_TEXT)[1:]
+        return "\n".join(["".join(map("[{},{}]".format, a, self.js)) for a in self.lefts])
 
 
 def is_closed(ms: Multisegment, rank: int) -> bool:
@@ -183,17 +181,17 @@ def _passes(cand, seed) -> bool:
 
 
 # _left_closure's outputs, as (piece, one, join): left tuples, their number
-# and str's text. one(v, j) is the rows of left v alone at j; join(kids, get)
-# maps each (pool, es) of kids to the rows of get(k) after piece, for each
-# (piece, k) of es whose pool k has rows (none are falsy).
+# and str's text, a newline leading each row. one(v, j) is the rows of left v
+# alone at j; join(kids, get) maps each (pool, es) of kids to the rows of get(k)
+# after piece, for each (piece, k) of es whose pool k has rows (none are falsy).
 _TUPLES = (lambda v, j: (v,), lambda v, j: [(v,)],
            lambda kids, get: {m: [p + r for p, k in es if (c := get(k)) for r in c]
                               for m, es in kids})
 _COUNT = (lambda v, j: None, lambda v, j: 1,
           lambda kids, get: {m: sum([c for _, k in es if (c := get(k))]) for m, es in kids})
-_TEXT = (lambda v, j: ((p := f"[{v},{j}]"), "\n" + p), "[{},{}]".format,
-         lambda kids, get: {m: "\n".join([p + c.replace("\n", q) for (p, q), k in es
-                                          if (c := get(k))]) for m, es in kids})
+_TEXT = ("\n[{},{}]".format, "\n[{},{}]".format,
+         lambda kids, get: {m: "".join([c.replace("\n", p) for p, k in es if (c := get(k))])
+                            for m, es in kids})
 
 
 def _left_closure(seed: Multisegment, rank: int, piece, one, join):
@@ -226,12 +224,11 @@ def _left_closure(seed: Multisegment, rank: int, piece, one, join):
     The walk fills the positions from the first with distinct unused lefts
     in their windows. What completes a state depends only on its pool of
     unused lefts: (a) on the position, r minus the pool's size, and (b) at
-    a block end t on the placed prefix, the pool's complement (its sorted
-    form is below sorted(ls[:t]) entry by entry iff the sorted pool is
-    above sorted(ls[t:])). So the pools, bit masks over the sorted lefts,
-    form a DAG: found level by level, then joined once each from the last
-    back, in ascending v, so the rows come out sorted. A pool that fails
-    (a) or (b), or that no row completes, is dropped.
+    a block end t on the placed prefix, the pool's complement, checked on
+    _bounds' table. So the pools, bit masks over the sorted lefts, form a
+    DAG: found level by level, then joined once each from the last back,
+    in ascending v, so the rows come out sorted. A pool that fails (a) or
+    (b), or that no row completes, is dropped.
     """
     ls, js = zip(*seed)
     n, bounds = len(js), _bounds(ls, js)
@@ -254,10 +251,9 @@ def _left_closure(seed: Multisegment, rank: int, piece, one, join):
             kids.append((m, es))
         levels.append(kids)
         level = {r for _, es in kids for _, r in es if r < lim}
-        if t + 1 in bounds:
-            need = sorted(ls[t + 1:])
+        if b := bounds.get(t + 1):
             level = [r for r in level if all(map(
-                ge, [v for x, v in enumerate(vals) if r >> x & 1], need))]
+                le, [v for x, v in enumerate(vals) if not r >> x & 1], b))]
     j = js[-1]  # the pools of one left at the last position: the leaves
     rows = {m: one(v, j) for m in level if (v := vals[m.bit_length() - 1]) >= j - rank - 1}
     for kids in levels[::-1]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import operator
+import pickle
 import random
 import sys
 from collections import Counter
@@ -282,19 +283,23 @@ def listing_mismatches(seed, rank):
     """The outputs of closure(seed, rank) that disagree with listed_closure.
 
     Checked on fresh closures: str and len (which must leave lefts unbuilt
-    for a seed in plus order), lefts and their order, closed_lefts (the
-    members that pass is_closed) and `in` on every member. An empty list
-    means all agree.
+    for a seed in plus order), lefts and their order, str and len again
+    once lefts is built and after a pickle round trip at protocols 0 and
+    5, closed_lefts (the members that pass is_closed) and `in` on every
+    member. An empty list means all agree.
     """
     js, order = listed_closure(seed, rank)
     lefts = tuple(sorted(order))
+    want = column_text(js, lefts), len(lefts)
     cs = closure(seed, rank)
     text, size = str(cs), len(cs)
     bad = ["lazy"] if "lefts" in vars(cs) and in_plus_order(seed) else []
-    bad += [] if text == column_text(js, lefts) else ["str"]
-    bad += [] if size == len(lefts) else ["len"]
+    bad += [] if text == want[0] else ["str"]
+    bad += [] if size == want[1] else ["len"]
     cs = closure(seed, rank)
     bad += [] if cs.js == js and cs.lefts == lefts else ["lefts"]
+    kept = [cs] + [pickle.loads(pickle.dumps(cs, p)) for p in (0, 5)]
+    bad += [] if all((str(c), len(c)) == want for c in kept) else ["str and len kept"]
     closed = tuple([a for a in lefts if is_closed(
         Multisegment(map(Segment, a, js)), rank)])
     bad += [] if cs.closed_lefts == closed else ["closed_lefts"]
@@ -595,7 +600,8 @@ def certify_box(max_rank, window, parts):
       closed_members are the members that pass is_closed, in member order;
     - listing: a fresh closure's str, len, lefts (in order), closed_lefts
       and `in` agree with listed_closure, the walk closures had before,
-      and for a seed in plus order str and len build no lefts
+      for a seed in plus order str and len build no lefts, and str and
+      len still agree once lefts is built and after pickling
       (listing_mismatches);
     - ext and ext verdict: ext_vanishing's shared weights, for the tuple
       with itself, with its parts reversed, with up to two earlier tuples

@@ -211,7 +211,7 @@ def test_walk_matches_the_listing_property():
 
 def test_text_and_count_list_no_lefts():
     # str and len walk the pools on texts and on ints; lefts is listed on
-    # first read, already sorted, and then len and str read it
+    # first read, already sorted, and len and str still walk and agree with it
     cs = closure(M(*[(16 - k, 23 - k) for k in range(7)]), 12)
     text, size = str(cs), len(cs)
     assert "lefts" not in cs.__dict__

@@ -104,7 +104,11 @@ class TestClosureSetApi:
         assert M(*[(10 + k, 23 - k) for k in range(7)]) in large
         assert M(*[(16 - k, 23 - k) for k in range(6)] + [(17, 17)]) not in large
         assert tuple((16 - k, 22 - k) for k in range(7)) not in large
-        assert vars(large).keys() == {"rank", "seed", "js", "lefts"}
+        assert vars(large).keys() == {"rank", "seed", "js"}
+        # a seed not in plus order reads its left multiset from the seed too
+        small = closure(M((0, 6), (2, 7), (1, 8)), 6)
+        assert M((2, 6), (0, 7), (1, 8)) in small
+        assert vars(small).keys() == {"rank", "seed", "js"}
 
     def test_members_sorted_and_consistent(self):
         rng = random.Random(51)
