@@ -130,10 +130,6 @@ _OPTIONS = {
 }
 
 
-def _lines(items) -> str:
-    return "\n".join(map(str, items))
-
-
 def _truth(key: str) -> tuple:
     return (lambda r: "true" if r else "false", lambda r: {key: r})
 
@@ -170,7 +166,7 @@ COMMANDS = (
             lambda a, ms: is_closed(ms, a.rank), _truth("closed")),
     Command("socle", "socle summand weights with orbit representatives", _ONE_MS,
             lambda a, ms: socle(ms, a.rank),
-            (lambda ss: _lines(f"{s.weight}\t{s.representative}" for s in ss),
+            (lambda ss: "\n".join([f"{s.weight}\t{s.representative}" for s in ss]),
              lambda ss: {"summands": [{"weight": json_lweight(s.weight),
                                        "rep": s.representative}
                                       for s in ss]})),
@@ -316,5 +312,4 @@ def run(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    return run(argv)
+main = run

@@ -39,8 +39,21 @@ EXPORTS = [
 def test_package_exports_are_frozen_and_resolve():
     assert len(EXPORTS) == 66
     assert sorted(weylcalc.__all__) == EXPORTS
+    assert weylcalc.__all__ == sorted(weylcalc.__all__)
     for name in EXPORTS:
         assert getattr(weylcalc, name) is not None, name
+    ns = {}
+    exec("from weylcalc import *", ns)
+    assert ns.keys() - {"__builtins__"} == set(EXPORTS)
+    # no helper leaks: beyond the exports sit the seven submodules the
+    # package imports, cli (imported above), __version__, __all__ and the
+    # module dunders
+    assert set(dir(weylcalc)) - set(EXPORTS) == {
+        "closures", "errors", "lweights", "multisegments", "qchars",
+        "segments", "weyl", "cli", "__version__", "__all__",
+        "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+        "__name__", "__package__", "__path__", "__spec__",
+    }
 
 
 def test_cli_entry_points_exist():
