@@ -306,8 +306,22 @@ def closure(ms: Multisegment, rank: int) -> ClosureSet:
 
 
 def closed_elements(ms: Multisegment, rank: int) -> tuple[Multisegment, ...]:
-    """Closed members of the closure, one sort_plus representative per orbit."""
-    return closure(ms, rank).orbit_representatives
+    """Closed members of the closure, one sort_plus representative per orbit.
+
+    Below the span they are read off the listing (orbit_representatives).
+    At rank >= span, where every part is valid (none is longer than span +
+    1), the closed members are one orbit under equal-j swaps, found with no
+    member listed. No window's lower end binds there, so A is closed iff,
+    for j_h > j_k, A_h <= A_k or A_h > j_k: iff, by increasing j, each block
+    of equal j holds the largest unused left endpoints <= j. A member
+    minimising Sum A_k * j_k admits no crossing move, so the closure meets
+    that orbit and, by equal-j swaps, holds it. The canonical closed element
+    of sort_plus(ms)'s dominant ancestor, valid and closed, lies in it.
+    """
+    seed = ms if isinstance(ms, Multisegment) else Multisegment(ms)
+    if rank < span(seed):
+        return closure(seed, rank).orbit_representatives
+    return (sort_plus(canonical_closed(dominant_ancestor(sort_plus(seed), rank), rank)),)
 
 
 def canonical_closed(ms: Multisegment, rank: int) -> Multisegment:
@@ -316,8 +330,8 @@ def canonical_closed(ms: Multisegment, rank: int) -> Multisegment:
     Taken by increasing j, each right endpoint takes the largest unused
     left endpoint <= j: the top of a stack onto which the left endpoints
     are pushed in increasing order once they are <= j. These are the
-    blocks of the one closed orbit (weyl.socle). Requires rank >= span(ms)
-    and both endpoint sequences weakly decreasing.
+    blocks of the one closed orbit (closed_elements). Requires rank >=
+    span(ms) and both endpoint sequences weakly decreasing.
     """
     if not is_doubly_sorted(ms):
         raise PreconditionViolated("canonical_closed needs a doubly sorted tuple")

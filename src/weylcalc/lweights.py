@@ -187,22 +187,24 @@ def compose_roots(rv: RootVector, rank: int) -> LWeight:
     return w
 
 
-def _sweep(exp: dict, rank: int, coef=None) -> list[int]:
-    """The row c[s, 0..rank+1] of decompose_into_roots at exp's last start.
+def _sweep(exp: dict, rank: int, coef=None) -> tuple[int, list[int]]:
+    """The least nonzero coefficient met, or 1, and the last row c[s, 0..rank+1].
 
     Each start solves its row from the one before. At a start where exp
     has no factor that step is the row map (x_1..x_r) -> (x_2 - x_1, ...,
-    x_r - x_1, -x_1), which has order rank + 1, so with coef None a run of
-    g empty starts is crossed in g mod (rank + 1) steps. With coef a dict,
-    every start is swept and its nonzero coefficients go into coef. Either
-    way a run entered with a zero row is skipped, since it stays zero.
+    x_r - x_1, -x_1), of order rank + 1, so the rows of a run of empty
+    starts cycle with a period dividing rank + 1. With coef None a run of g
+    empty starts is crossed in min(g, rank + 1 + g mod (rank + 1)) rows,
+    which meet every row of the cycle and end on the run's last. With coef
+    a dict, every start is swept and its nonzero coefficients go into coef.
+    Either way a run entered with a zero row is skipped, since it stays zero.
     """
     starts = sorted({i for i, _ in exp})
-    prev = [0] * (rank + 2)  # c[s-1,d] for d = 0..rank+1; both ends stay 0
-    for s, nxt in zip(starts, starts[1:] + [starts[-1] + 1]):
+    least, prev = 1, [0] * (rank + 2)  # c[s-1,d] for d = 0..rank+1; both ends stay 0
+    for s, nxt in zip(starts, starts[1:] + [x + 1 for x in starts[-1:]]):
         empty = nxt - s - 1
         if coef is None:
-            empty %= rank + 1
+            empty = min(empty, rank + 1 + empty % (rank + 1))
         for t in range(s, s + 1 + empty):
             if t > s and not any(prev):
                 break
@@ -210,11 +212,11 @@ def _sweep(exp: dict, rank: int, coef=None) -> list[int]:
             for d in range(1, rank + 1):
                 c = exp.get((t, t + d), 0) - prev[d] + prev[d + 1] + row[d - 1]
                 if c:
-                    row[d] = c
+                    row[d], least = c, min(least, c)
                     if coef is not None:
                         coef[Segment(t, t + d)] = c
             prev = row
-    return prev
+    return least, prev
 
 
 def decompose_into_roots(w: LWeight, rank: int) -> RootVector:
@@ -235,9 +237,7 @@ def decompose_into_roots(w: LWeight, rank: int) -> RootVector:
     to list its coefficients.
     """
     exp = w.exponents()
-    if not exp:
-        return RootVector()
-    if all(1 <= seg.length <= rank for seg in exp) and not any(_sweep(exp, rank)):
+    if all(1 <= seg.length <= rank for seg in exp) and not any(_sweep(exp, rank)[1]):
         coef: dict[Segment, int] = {}
         _sweep(exp, rank, coef)
         return RootVector._wrap(coef)
@@ -246,8 +246,8 @@ def decompose_into_roots(w: LWeight, rank: int) -> RootVector:
 
 def dominance_leq(w1: LWeight, w2: LWeight, rank: int) -> bool:
     """Dominance order: w1 <= w2 iff w2 / w1 is a nonnegative root combination."""
-    try:
-        rv = decompose_into_roots(w2 * w1.inverse(), rank)
-    except NotInRootLattice:
+    exp = (w2 * w1.inverse())._exp
+    if not all(1 <= seg.length <= rank for seg in exp):
         return False
-    return rv.in_positive_cone
+    least, last = _sweep(exp, rank)
+    return least > 0 and not any(last)

@@ -12,15 +12,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-from .closures import (
-    _has_member_weighing, _Record, canonical_closed, closed_elements,
-    dominant_ancestor, is_closed,
-)
+from .closures import _has_member_weighing, _Record, closed_elements, is_closed
 from .errors import NotDominant
 from .lweights import LWeight
-from .multisegments import (
-    Multisegment, connected, normal_form, sort_plus, span, weight_of,
-)
+from .multisegments import Multisegment, connected, normal_form, sort_plus, weight_of
 from .qchars import QChar, _weight_keys
 from .segments import check_valid
 
@@ -51,22 +46,8 @@ class SocleSummand(NamedTuple):
 
 
 def socle(ms: Multisegment, rank: int) -> list[SocleSummand]:
-    """Socle summands: one weight per closed orbit of the closure.
-
-    At rank >= span the closed members are one orbit under equal-j swaps.
-    No window's lower end binds there, so A is closed iff, for j_h > j_k,
-    A_h <= A_k or A_h > j_k: iff, by increasing j, each block of equal j
-    holds the largest unused left endpoints <= j. A member minimising Sum
-    A_k * j_k admits no crossing move, so the closure meets that orbit and,
-    by equal-j swaps, holds it. The canonical closed element of
-    sort_plus(ms)'s dominant ancestor, valid and closed, lies in it.
-    """
-    if rank >= span(ms):
-        anc = dominant_ancestor(sort_plus(ms), rank)
-        reps = (sort_plus(canonical_closed(anc, rank)),)
-    else:
-        reps = closed_elements(ms, rank)
-    out = [SocleSummand(weight_of(t, rank), t) for t in reps]
+    """Socle summands: one weight per closed orbit of the closure (closed_elements)."""
+    out = [SocleSummand(weight_of(t, rank), t) for t in closed_elements(ms, rank)]
     out.sort(key=lambda s: (s.weight.sort_key(), s.representative))
     return out
 

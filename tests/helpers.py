@@ -24,6 +24,7 @@ from weylcalc import (
     QChar,
     RootVector,
     Segment,
+    closed_elements,
     closure,
     enumerate_paths,
     ext_vanishing,
@@ -590,6 +591,9 @@ def certify_box(max_rank, window, parts):
       (passes_bounds) agrees with `in` and with the listed left tuples;
     - one orbit and socle, at rank >= span: one closed orbit, and socle's
       representative is it;
+    - closed elements, at every rank: closed_elements of the tuple and of
+      its reverse are the orbit representatives of the listing (above the
+      span they come from canonical_closed, with nothing listed);
     - dominant support: weyl_dominant_weights is the support of
       weyl_dominant_part (the dominant weights are the closure's);
     - hom: hom_dim(member, seed) is 1 for every member;
@@ -663,6 +667,8 @@ def certify_box(max_rank, window, parts):
                 near = Multisegment(Segment(a, j) for a, j in cand)
                 check("hom near miss", hom_dim(near, ms, rank)
                       == (weight_of(near, rank) in weights))
+        check("closed elements", closed_elements(ms, rank) == cs.orbit_representatives
+              == closed_elements(Multisegment(reversed(ms)), rank))
         if rank >= span(ms):
             check("one orbit", len(cs.orbit_representatives) == 1)
             reps = [s.representative for s in socle(ms, rank)]

@@ -8,10 +8,10 @@ tests (a) and (b) (the table of `closures._bounds`), which
 Its rows, text, count and closed lefts are compared with
 `helpers.listed_closure`, the level walk that the memoized walk replaced
 (`helpers.listing_mismatches`). The hom decision by one forced candidate
-member, the socle above the span (`canonical_closed` of the dominant
-ancestor; one closed orbit, proved in `weyl.socle`) and the integer
-weigher of `weyl_dominant_weights` are compared with forms built from
-`closure(...).members`, on seeded random seeds: plus-sorted and unsorted,
+member, `closed_elements` above the span (`canonical_closed` of the
+dominant ancestor; one closed orbit, proved in its docstring) and the
+integer weigher of `weyl_dominant_weights` are compared with forms built
+from `closure(...).members`, on seeded random seeds: plus-sorted and unsorted,
 with ties in i and in j, at ranks below and above the span; and on every
 tuple of a small box (`helpers.certify_box`). The weigher's int keys
 (`qchars._weight_keys`) are compared with the weights of the members,
@@ -48,9 +48,11 @@ from weylcalc import (
     InvalidSegment,
     LWeight,
     Multisegment,
+    PreconditionViolated,
     QChar,
     Segment,
     SocleSummand,
+    closed_elements,
     closure,
     ext_vanishing,
     hom_dim,
@@ -111,7 +113,8 @@ def test_every_tuple_of_a_small_box_passes_the_certificate():
     # runs the same checks on larger boxes
     cases, failures = certify_box(3, 4, 3)
     assert failures == []
-    assert cases["tuples"] == cases["listing"] == 1159 and cases["one orbit"] == 796
+    assert cases["tuples"] == cases["listing"] == cases["closed elements"] == 1159
+    assert cases["one orbit"] == 796
     assert cases["hom near miss"] == 420
     assert cases["listed"] == 591 and cases["not listed"] == 568
     assert cases["ext"] == cases["ext verdict"] == 4556
@@ -386,7 +389,7 @@ def blocks(lefts, js):
 
 
 def test_closed_members_above_the_span_are_the_greedy_blocks():
-    # weyl.socle's one closed orbit, on seeds that are not doubly sorted
+    # closed_elements' one closed orbit, on seeds that are not doubly sorted
     rng = random.Random(6010)
     seen = Counter()
     for _ in range(400):
@@ -409,6 +412,19 @@ def test_socle_below_the_span_keeps_every_orbit():
     ms = M((2, 3), (1, 2), (0, 1))
     assert len(socle(ms, 1)) == 2
     assert socle(ms, 1) == closure_socle(ms, 1)
+
+
+def test_closed_elements_above_the_span_list_no_member():
+    # 12! members at rank 23; the one orbit comes from canonical_closed alone
+    ms = M(*((11 - k, 23 - k) for k in range(12)))
+    listing = AssertionError("closure listed")
+    with patch.object(closures, "_left_closure", side_effect=listing), \
+            patch.object(closures, "closure", side_effect=listing):
+        start = time.perf_counter()
+        assert closed_elements(ms, 23) == (M(*((k, 23 - k) for k in range(12))),)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(PreconditionViolated):
+            closed_elements((), 3)
 
 
 def test_dominant_weights_match_member_weights():

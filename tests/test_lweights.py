@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from helpers import sweep_roots
@@ -186,6 +187,8 @@ def test_decompose_matches_the_start_by_start_sweep():
             i = rng.randint(-2, 12)
             weight = weight * w(i, i + rng.randint(1, rank), rng.choice([-1, 1]))
         oracle = sweep_roots(weight, rank)
+        assert dominance_leq(LWeight(), weight, rank) == (
+            oracle is not None and oracle.in_positive_cone), (weight, rank)
         if oracle is None:
             misses += 1
             with pytest.raises(NotInRootLattice):
@@ -202,6 +205,16 @@ def test_decompose_skips_a_gap_with_a_zero_row():
     assert decompose_into_roots(weight, 2) == RootVector(
         {Segment(0, 1): 1, Segment(far, far + 2): 1}
     )
+
+
+def test_leq_crosses_a_billion_wide_gap_in_a_period():
+    # a gap cycles with period dividing rank + 1, so no coefficient is listed
+    far = 10**9
+    start = time.perf_counter()
+    assert not dominance_leq(LWeight(), w(0, 1) * w(far + 1, far + 2), 1)
+    assert not dominance_leq(LWeight(), alpha(0, 1, 2) * alpha(far, far + 2, 2) ** -1, 2)
+    assert dominance_leq(LWeight(), alpha(0, 1, 2) * alpha(far, far + 2, 2), 2)
+    assert time.perf_counter() - start < 1
 
 
 class TestDominance:
