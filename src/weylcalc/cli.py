@@ -5,8 +5,8 @@ argv from the table itself and any other through a fresh argparse parser
 from `build_parser`, so argparse words every message. It then
 parses the positionals in order (`-` reads stdin, at most once, just before
 its parse), computes, and calls only the renderer that `--json` selects.
-Rows look library functions up as module globals at call time, so wrappers
-on this module's names see them.
+Rows look library functions up on their modules at call time, so wrappers
+and patches there are seen, and a call loads only the modules its row reads.
 
 Exit codes: 0 on success, 2 on parse or precondition failures, 1 on
 internal errors. Output for a fixed input is byte-identical across
@@ -20,7 +20,6 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .closures import closure
 from .errors import (
     NotInRootLattice,
     ParseError,
@@ -28,28 +27,16 @@ from .errors import (
     RangeError,
     WeylcalcError,
 )
-from .lweights import LWeight, decompose_into_roots, dominance_leq
-from .multisegments import (
-    Multisegment,
-    dual_left,
-    dual_right,
-    iota_at,
-    normal_form,
-    sort_plus,
-    weight_of,
-)
-from .qchars import QChar, _dominant, _weight_keys, weyl_qchar
+from .lweights import LWeight
+from .multisegments import Multisegment
 from .segments import Segment
-from .weyl import (
-    ext_vanishing,
-    hom_dim,
-    is_closed,
-    socle,
-    subcategory_membership,
-)
 
 if TYPE_CHECKING:
     import argparse
+
+    from .qchars import QChar
+
+_lib = sys.modules[__package__]  # the package: _lib.qchars loads qchars on first use
 
 _SEG_RE = re.compile(r"\[(-?\d+),(-?\d+)\]")
 _WFACTOR_RE = re.compile(r"w\[(-?\d+),(-?\d+)\]\^(-?\d+)")
@@ -146,14 +133,15 @@ def _closure_json(cs) -> dict:
 
 def _decompose_or_none(args, w):
     try:
-        return decompose_into_roots(w, args.rank)
+        return _lib.lweights.decompose_into_roots(w, args.rank)
     except NotInRootLattice:
         return None
 
 
 def _weighed_normal_form(args, ms):
-    out = normal_form(ms, _SIGN[args.sign], args.rank)
-    return out, weight_of(out, args.rank)
+    m = _lib.multisegments
+    out = m.normal_form(ms, _SIGN[args.sign], args.rank)
+    return out, m.weight_of(out, args.rank)
 
 
 _QCHAR = (str, lambda q: {"terms": json_qchar_terms(q)})
@@ -161,11 +149,11 @@ _RESULT = (str, lambda ms: {"result": ms})
 
 COMMANDS = (
     Command("closure", "saturate a tuple; members one per line", _ONE_MS,
-            lambda a, ms: closure(ms, a.rank), (str, _closure_json)),
+            lambda a, ms: _lib.closures.closure(ms, a.rank), (str, _closure_json)),
     Command("closed", "whether a tuple admits no crossing move", _ONE_MS,
-            lambda a, ms: is_closed(ms, a.rank), _truth("closed")),
+            lambda a, ms: _lib.closures.is_closed(ms, a.rank), _truth("closed")),
     Command("socle", "socle summand weights with orbit representatives", _ONE_MS,
-            lambda a, ms: socle(ms, a.rank),
+            lambda a, ms: _lib.weyl.socle(ms, a.rank),
             (lambda ss: "\n".join([f"{s.weight}\t{s.representative}" for s in ss]),
              lambda ss: {"summands": [{"weight": json_lweight(s.weight),
                                        "rep": s.representative}
@@ -173,17 +161,18 @@ COMMANDS = (
     Command("hom", "dim Hom between two standard modules",
             (("source", "ms", "multisegment of the source module"),
              ("target", "ms", "multisegment of the target module")),
-            lambda a, src, dst: hom_dim(src, dst, a.rank),
+            lambda a, src, dst: _lib.weyl.hom_dim(src, dst, a.rank),
             (str, lambda d: {"hom_dim": d})),
     Command("dominant-weights", "dominant l-weight support of a standard module",
-            _ONE_MS, lambda a, ms: _weight_keys(sort_plus(ms), a.rank),
+            _ONE_MS, lambda a, ms: _lib.qchars._weight_keys(
+                _lib.multisegments.sort_plus(ms), a.rank),
             (lambda q: "\n".join([fs or "1" for fs, _ in
                                   q._rows(LWeight._factor.__mod__, " * ".join)]),
              lambda q: {"weights": [fs for fs, _ in q._rows(_json_factor)]})),
     Command("qchar", "full q-character multiset", _ONE_MS,
-            lambda a, ms: weyl_qchar(ms, a.rank), _QCHAR),
+            lambda a, ms: _lib.qchars.weyl_qchar(ms, a.rank), _QCHAR),
     Command("dominant", "dominant part of the q-character", _ONE_MS,
-            lambda a, ms: _dominant(ms, a.rank), _QCHAR),
+            lambda a, ms: _lib.qchars._dominant(ms, a.rank), _QCHAR),
     Command("alpha-decompose", "write an l-weight in the root generators",
             (("lweight", "w", _W),), _decompose_or_none,
             (lambda rv: "not-in-root-lattice" if rv is None else str(rv),
@@ -191,12 +180,12 @@ COMMANDS = (
                          "coefficients": None if rv is None else json_lweight(rv)})),
     Command("leq", "dominance order test w1 <= w2",
             (("lweight1", "w", "left l-weight"), ("lweight2", "w", "right l-weight")),
-            lambda a, w1, w2: dominance_leq(w1, w2, a.rank), _truth("leq")),
+            lambda a, w1, w2: _lib.lweights.dominance_leq(w1, w2, a.rank), _truth("leq")),
     Command("dual", "partwise dual of a tuple", _ONE_MS,
-            lambda a, ms: (dual_right if a.side == "right" else dual_left)(ms, a.rank),
+            lambda a, ms: getattr(_lib.multisegments, "dual_" + a.side)(ms, a.rank),
             _RESULT, ("--side",)),
     Command("iota", "one ordering move on a window", _ONE_MS,
-            lambda a, ms: iota_at(ms, a.at, _SIGN[a.sign], a.rank),
+            lambda a, ms: _lib.multisegments.iota_at(ms, a.at, _SIGN[a.sign], a.rank),
             _RESULT, ("--sign", "--at")),
     Command("normalform", "full ordering pass", _ONE_MS, _weighed_normal_form,
             (lambda r: str(r[0]),
@@ -206,14 +195,14 @@ COMMANDS = (
     Command("ext-check", "Ext vanishing certificate",
             (("multisegment1", "ms", "first multisegment"),
              ("multisegment2", "ms", "second multisegment")),
-            lambda a, ms1, ms2: ext_vanishing(ms1, ms2, a.rank),
+            lambda a, ms1, ms2: _lib.weyl.ext_vanishing(ms1, ms2, a.rank),
             (lambda c: c.verdict.value,
              lambda c: {"verdict": c.verdict.value,
                         "shared_weights": [json_lweight(w)
                                            for w in c.shared_weights]})),
     Command("subcat", "tensor subcategory membership",
             (("base", "ms", "base multisegment"), ("lweight", "w", _W)),
-            lambda a, base, w: subcategory_membership(base, w, a.rank),
+            lambda a, base, w: _lib.weyl.subcategory_membership(base, w, a.rank),
             _truth("member")),
 )
 

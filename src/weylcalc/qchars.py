@@ -17,7 +17,6 @@ from itertools import accumulate, combinations, count, repeat, starmap
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
-from .closures import _bounds
 from .errors import InvalidSegment, PreconditionViolated
 from .lweights import LWeight
 from .multisegments import Multisegment, connected, is_doubly_sorted, weight_of
@@ -132,14 +131,11 @@ class QChar:
         return tuple([LWeight._wrap(dict(map(get, k))) for k in sorted(keys)])
 
     def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
-        """(join of the rendered factors, multiplicity) per term, by sort_key.
-
-        A product's row adds its pieces (_pieces), so there join must concatenate.
-        """
+        """(join of the rendered factors, multiplicity) per term, by sort_key."""
         items = [render((i, j, e)) for (i, j), e in self._factors]
-        if self._cols:
-            return list(zip(map(reduce, repeat(add), self._pieces(items, join)),
-                            self._cols[1]))
+        if self._cols:  # a product's row: the lists of its pieces (_pieces), added
+            rows = map(reduce, repeat(add), self._pieces(items, list))
+            return list(zip(rows if join is list else map(join, rows), self._cols[1]))
         get, keys = items.__getitem__, self._keys
         return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
@@ -362,6 +358,15 @@ def _dominant(ms: Multisegment, rank: int) -> QChar:
     chars = [fundamental_qchar(p, rank) for p in sorted(
         (p for p in ms if not is_degenerate(p, rank)), key=lambda p: -(p.i + p.j))]
     return _convolve(chars, dominant=True) if chars else QChar.one()
+
+
+def _bounds(ls, jp) -> dict[int, list]:
+    """closures._bounds, bound here in place of this on the first call, so
+    weyl_qchar and _dominant load no closures. A from-import inside
+    _weight_keys would run on every call, at about 2 us on Python 3.11."""
+    global _bounds
+    from .closures import _bounds
+    return _bounds(ls, jp)
 
 
 def _weight_keys(seed: Multisegment, rank: int) -> QChar:

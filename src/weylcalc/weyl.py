@@ -10,14 +10,22 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .closures import _has_member_weighing, _Record, closed_elements, is_closed
 from .errors import NotDominant
 from .lweights import LWeight
 from .multisegments import Multisegment, connected, normal_form, sort_plus, weight_of
-from .qchars import QChar, _weight_keys
 from .segments import check_valid
+
+
+def _weight_keys(seed: Multisegment, rank: int):
+    """qchars._weight_keys, bound here in place of this on the first call
+    (as qchars binds closures._bounds), so socle, hom and
+    subcategory_membership load no qchars."""
+    global _weight_keys
+    from .qchars import _weight_keys
+    return _weight_keys(seed, rank)
 
 
 def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
@@ -90,11 +98,11 @@ class ExtCertificate(_Record):
         return self.__dict__.pop("_build")()
 
 
-def _meet(plus: tuple[Multisegment, ...], rank: int) -> tuple[QChar, set]:
-    """plus[0]'s weight keys and those of them that plus[1]'s closure shares."""
+def _meet(plus: tuple[Multisegment, ...], rank: int) -> tuple[set, Callable]:
+    """plus[0]'s weight keys that plus[1]'s closure shares, and their weights' builder."""
     ours = _weight_keys(plus[0], rank)  # a support depends on the plus form alone
-    theirs = ours if plus[1] == plus[0] else _weight_keys(plus[1], rank)
-    return ours, ours._common(theirs)
+    keys = ours._common(ours if plus[1] == plus[0] else _weight_keys(plus[1], rank))
+    return keys, lambda: ours._shared(keys)
 
 
 def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertificate:
@@ -111,12 +119,11 @@ def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertifi
     # a part is a pair i <= j: degenerate at length 0 or rank + 1, invalid above
     kept = [[p for p in t if 0 < p[1] - p[0] <= rank] for t in plus]
     if kept[0] == kept[1] and max([p[1] - p[0] for p in plus[0] + plus[1]]) <= rank + 1:
-        return ExtCertificate(ExtVerdict.INCONCLUSIVE, (),
-                              lambda: QChar._shared(*_meet(plus, rank)))
-    ours, keys = _meet(plus, rank)
+        return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: _meet(plus, rank)[1]())
+    keys, build = _meet(plus, rank)
     if not keys:
         return ExtCertificate(ExtVerdict.VANISHES, ())
-    return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), lambda: ours._shared(keys))
+    return ExtCertificate(ExtVerdict.INCONCLUSIVE, (), build)
 
 
 def subcategory_membership(base: Multisegment, w: LWeight, rank: int) -> bool:

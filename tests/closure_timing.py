@@ -130,12 +130,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     rows = [(name, rank, [(ms, rank)]) for name, ms, rank in named_cases()]
     rows += [(f"{w} seed {args.seed}", "-",
-              corpus_seeds(w, args.seed, "closure", [cli, closures]))
+              corpus_seeds(w, args.seed, "closure", [closures]))
              for w in ("enumerate", "cli-mix")]
     table("case\trank\tcalls\tmembers\tengine ms\tsearch ms\tsearch / engine",
           listed, searched, rows, args.repeat)
     seeds = [(ms, rank) for s in (args.seed, args.seed + 1)
-             for ms, rank in corpus_seeds("enumerate", s, "closure", [cli, closures])]
+             for ms, rank in corpus_seeds("enumerate", s, "closure", [closures])]
     sizes = {case: len(listed_closure(*case)[1]) for case in seeds}
     rows = [(f"enumerate seeds {args.seed}-{args.seed + 1}, {name} members", "-",
              [case for case in seeds if (sizes[case] <= 120) == small])
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     rows = [(name, rank, [(sort_plus(ms), rank)])
             for name, ms, rank in named_cases()[:-1]]
     rows += [(f"{w} seed {args.seed}", "-",
-              corpus_seeds(w, args.seed, "_weight_keys", [cli, weyl]))
+              corpus_seeds(w, args.seed, "_weight_keys", [qchars, weyl]))
              for w in ("decide", "cli-mix")]
     print()
     table("case\trank\tcalls\tkeys\tweigher ms\teach ms\teach / weigher",

@@ -40,7 +40,7 @@ from unittest.mock import patch
 
 from helpers import keyed_qchar, per_term_text, perfbench_corpus
 
-from weylcalc import Segment, cli, fundamental_qchar
+from weylcalc import Segment, cli, fundamental_qchar, qchars
 from weylcalc.qchars import _dominant
 
 
@@ -74,8 +74,8 @@ def printed(argv):
 
 
 def keyed(argv):
-    with patch.object(cli, "weyl_qchar", keyed_qchar), \
-            patch.object(cli, "_dominant", lambda ms, r: keyed_qchar(ms, r, True)):
+    with patch.object(qchars, "weyl_qchar", keyed_qchar), \
+            patch.object(qchars, "_dominant", lambda ms, r: keyed_qchar(ms, r, True)):
         return printed(argv)
 
 

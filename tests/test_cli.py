@@ -7,7 +7,7 @@ import pytest
 from helpers import random_multisegment
 
 from weylcalc import LWeight, Multisegment, ParseError, RangeError, Segment, alpha
-from weylcalc import cli
+from weylcalc import cli, closures
 from weylcalc.cli import main, parse_lweight, parse_multisegment, run
 
 
@@ -79,7 +79,7 @@ class TestRun:
     ):
         assert run(["closure", "--rank", str(rank), seed]) == 0
         assert capsys.readouterr().out == text + "\n"
-        members = cli.closure(parse_multisegment(seed), rank).members
+        members = closures.closure(parse_multisegment(seed), rank).members
         assert text == "\n".join("".join(map(str, t)) for t in members)
 
     def test_closure_json(self, capsys):
@@ -251,7 +251,7 @@ class TestErrors:
         def boom(ms, rank):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "closure", boom)
+        monkeypatch.setattr(closures, "closure", boom)
         assert run(["closure", "--rank", "2", "[0,1]"]) == 1
         assert capsys.readouterr() == ("", "internal error: boom\n")
 

@@ -148,7 +148,7 @@ def test_a_call_imports_argparse_and_json_only_when_it_needs_them(argv, imported
 
 def test_the_packed_products_import_nothing():
     # the products run on plain ints: no array, struct or numpy at import,
-    # and no module imported on first use
+    # and no module outside weylcalc imported on first use
     probe = (
         "import sys\n"
         "from weylcalc import cli\n"
@@ -156,7 +156,8 @@ def test_the_packed_products_import_nothing():
         "cli.run(['qchar', '--rank', '5', '[25,27][20,23][24,25]'])\n"
         "cli.run(['dominant', '--rank', '4', '[0,2][0,2][1,3]'])\n"
         "cli.run(['dominant-weights', '--rank', '4', '[0,2][0,2][1,3]'])\n"
-        "print(sorted(set(sys.modules) - before),"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if not m.startswith('weylcalc.')),"
         " [m for m in ('array', 'ctypes', 'numpy') if m in before])\n"
     )
     done = _python("-c", probe)
@@ -181,3 +182,100 @@ def test_the_cli_imports_no_dataclasses():
 def test_python_m_reads_sys_argv_through_the_reader():
     done = _python("-m", "weylcalc", "closed", "--rank", "2", "[0,1]")
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+_FOOTPRINTS = [  # argv, the weylcalc modules it loads beyond cli's own imports
+    (["closure", "--rank", "6", "[0,6][2,7][1,8]"], {"closures"}),
+    (["closed", "--rank", "2", "[0,1]"], {"closures"}),
+    (["socle", "--rank", "6", "[0,6][2,7][1,8]"], {"closures", "weyl"}),
+    (["hom", "--rank", "6", "[2,6][0,7][1,8]", "[0,6][2,7][1,8]"], {"closures", "weyl"}),
+    (["subcat", "--rank", "2", "[0,1][1,2]", "w[0,2]^1"], {"closures", "weyl"}),
+    (["ext-check", "--rank", "3", "[3,5][3,4][2,3]", "[3,5][2,5][1,4][3,3]"],
+     {"closures", "qchars", "weyl"}),
+    (["dominant-weights", "--rank", "4", "[1,3][0,4][2,5]"], {"closures", "qchars"}),
+    (["qchar", "--rank", "2", "[0,1][1,2]"], {"qchars"}),
+    (["dominant", "--rank", "2", "[0,1][1,2][0,1]"], {"qchars"}),
+    (["leq", "--rank", "1", "1", "w[0,1]^1"], set()),
+    (["alpha-decompose", "--rank", "2", "w[0,2]^1 * w[1,2]^-1 * w[1,3]^1"], set()),
+    (["normalform", "--rank", "3", "--sign", "plus", "[0,2][1,3]"], set()),
+    (["dual", "--rank", "3", "--side", "right", "[0,2][1,3]"], set()),
+    (["iota", "--rank", "3", "--sign", "minus", "--at", "1", "[0,2][1,3]"], set()),
+]
+
+
+def test_every_subcommand_has_a_footprint():
+    assert sorted(argv[0] for argv, _ in _FOOTPRINTS) == sorted(cli._BY_NAME)
+
+
+@pytest.mark.parametrize("argv, loaded", _FOOTPRINTS)
+def test_a_call_loads_only_the_modules_its_command_runs(argv, loaded):
+    probe = (
+        "import sys\n"
+        "from weylcalc import cli\n"
+        f"code = cli.run({argv!r})\n"
+        "print(code, sorted(m[9:] for m in sys.modules if m.startswith('weylcalc.')))\n"
+    )
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    core = {"cli", "errors", "lweights", "multisegments", "segments"}
+    assert done.stdout.splitlines()[-1] == f"0 {sorted(core | loaded)}"
+
+
+def test_importing_the_package_loads_no_submodule():
+    done = _python("-c", "import sys, weylcalc\n"
+                         "print([m for m in sys.modules if m.startswith('weylcalc.')])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_star_import_binds_exactly_the_public_names():
+    import weylcalc
+
+    done = _python("-c", "ns = {}\n"
+                         "exec('from weylcalc import *', ns)\n"
+                         "print(sorted(ns.keys() - {'__builtins__'}))")
+    assert done.returncode == 0, done.stderr
+    assert len(weylcalc.__all__) == 66
+    assert done.stdout.splitlines()[-1] == repr(sorted(weylcalc.__all__))
+
+
+def _public_samples() -> list:
+    """One instance of every public type, and a few more of some."""
+    import weylcalc as w
+
+    ms = cli.parse_multisegment("[0,6][2,7][1,8]")
+    pair = cli.parse_multisegment("[0,2][1,3]"), cli.parse_multisegment("[1,3][0,2][4,4]")
+    root = cli.parse_lweight("w[0,2]^1 * w[1,2]^-1 * w[1,3]^1")
+    errors = [cls("bad input") for cls in (getattr(w, n) for n in w.__all__)
+              if isinstance(cls, type) and issubclass(cls, Exception)]
+    cert = w.ext_vanishing(*pair, 2)
+    return errors + [
+        w.ParseError("bad input", 3), w.Segment(0, 2), ms, w.weight_of(ms, 6),
+        w.decompose_into_roots(root, 2), w.closure(ms, 6), cert, cert.verdict,
+        w.ext_vanishing(*pair, 2), w.weyl_qchar(ms, 6), w.fundamental_qchar(w.Segment(0, 2), 3),
+        w.socle(ms, 6)[0], w.mixed_weyl_maps(ms, 6),
+    ]
+
+
+def test_every_public_type_pickles_where_only_the_package_is_imported():
+    # the child unpickles what this process pickled, then pickles it back,
+    # with no weylcalc name read before
+    import pickle
+
+    import weylcalc
+
+    samples = _public_samples()
+    public = {getattr(weylcalc, n) for n in weylcalc.__all__}
+    assert {type(x) for x in samples} == {t for t in public if isinstance(t, type)}
+    probe = ("import pickle, sys, weylcalc\n"
+             "sys.stdout.buffer.write(pickle.dumps(pickle.loads(sys.stdin.buffer.read())))")
+    done = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(samples),
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for x, y in zip(samples, pickle.loads(done.stdout), strict=True):
+        assert type(y) is type(x), x
+        if isinstance(x, Exception):
+            assert (y.args, vars(y)) == (x.args, vars(x)), x
+        else:
+            assert y == x, x

@@ -65,7 +65,7 @@ from weylcalc import (
     weight_of,
     weyl_dominant_weights,
 )
-from weylcalc import cli, closures
+from weylcalc import cli, closures, qchars
 from weylcalc.closures import _bounds
 from weylcalc.qchars import _weight_keys
 
@@ -641,7 +641,7 @@ def test_dominant_weights_of_a_listed_seed_weigh_no_member(text, rank):
     # per-member path, helpers.weigh_each over that listing
     argv = ["dominant-weights", "--rank", str(rank), text]
     each = lambda ms, rank: QChar._of(*weigh_each(ms, rank))  # noqa: E731
-    with patch.object(cli, "_weight_keys", each), \
+    with patch.object(qchars, "_weight_keys", each), \
             redirect_stdout(io.StringIO()) as weighed:
         assert cli.run(argv) == 0
     listing = AssertionError("listed member by member")

@@ -31,7 +31,7 @@ from weylcalc import (  # noqa: E402
     tau,
     weyl_qchar,
 )
-from weylcalc import cli  # noqa: E402
+from weylcalc import cli, qchars  # noqa: E402
 from weylcalc.cli import (  # noqa: E402
     json_lweight,
     json_qchar_terms,
@@ -190,7 +190,7 @@ def run_with_dominant_weights(weights, *flags):
     """cli stdout for dominant-weights when the keyed weigher returns weights."""
     out = io.StringIO()
     keyed = QChar(dict.fromkeys(weights, 1))
-    with patch.object(cli, "_weight_keys", lambda ms, rank: keyed):
+    with patch.object(qchars, "_weight_keys", lambda ms, rank: keyed):
         with redirect_stdout(out):
             assert cli.run(["dominant-weights", "--rank", "1", "[0,1]", *flags]) == 0
     return out.getvalue()

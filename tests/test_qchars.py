@@ -538,6 +538,16 @@ class TestPackedRows:
             assert q.total_mass() == oracle.total_mass() and q._keymap is None
         assert len(weyl_qchar(M((25, 27), (20, 23), (24, 25)), 5)) == 1800
 
+    def test_a_products_rows_join_as_the_unpacked_rows_do(self):
+        # a separator join must meet every factor pair of a row, also where
+        # the row's pieces come from different columns
+        q = weyl_qchar(M((25, 27), (20, 23), (24, 25)), 5)
+        unpacked, fmt = QChar(q.terms()), LWeight._factor.__mod__
+        assert len(q._cols[0]) > 1
+        for join in (list, tuple, " * ".join, "".join):
+            assert q._rows(fmt, join) == unpacked._rows(fmt, join), join
+        assert q._rows(fmt, " * ".join)[0] == ("w[20,23]^1 * w[24,25]^1 * w[25,27]^1", 1)
+
     def test_random_interacting_tuples(self):
         for ms, rank in interacting_tuples(random.Random(68), 300):
             self.check(weyl_qchar(ms, rank), keyed_qchar(ms, rank))
@@ -600,8 +610,8 @@ class TestPackedRows:
         assert len(cases) == 150
         for argv, stdin in sorted(cases, key=str):
             got = invoke(list(argv), stdin)
-            with patch.object(cli, "weyl_qchar", keyed_qchar), \
-                    patch.object(cli, "_dominant", lambda ms, r: keyed_qchar(ms, r, True)):
+            with patch.object(qchars, "weyl_qchar", keyed_qchar), \
+                    patch.object(qchars, "_dominant", lambda ms, r: keyed_qchar(ms, r, True)):
                 assert invoke(list(argv), stdin) == got, argv
 
 

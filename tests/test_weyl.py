@@ -175,9 +175,10 @@ class TestExt:
         # a tuple against a rearrangement of it: the verdict needs neither
         # a closure nor an LWeight, and text mode prints only it. Every key
         # build of ext_vanishing calls weyl's _weight_keys, so that is where
-        # they are counted.
+        # they are counted; it wraps qchars' own, which weyl's first call
+        # binds in place of a loader.
         searched = []
-        weigh = weyl._weight_keys
+        weigh = qchars._weight_keys
         monkeypatch.setattr(weyl, "_weight_keys",
                             lambda *a: searched.append(a) or weigh(*a))
         out = io.StringIO()
