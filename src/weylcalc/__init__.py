@@ -9,8 +9,6 @@ Importing the package loads no submodule: a public name, or a submodule
 by name, loads on first access (PEP 562).
 """
 
-from importlib import import_module
-
 # The one list of public names, by defining submodule, pinned by
 # tests/test_public_api.py's EXPORTS; __all__ and __dir__ read it.
 _HOME = {name: module for module, names in {
@@ -43,11 +41,12 @@ def __getattr__(name: str):
         globals()[name] = value = getattr(__getattr__(_HOME[name]), name)
         return value
     if name in _HOME.values():  # a submodule: importing it binds it here
-        return import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")  # seen by -X importtime, unlike import_module
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    # what the eager package showed: its names, submodules (loaded or not) and dunders
-    hidden = {"_HOME", "import_module", "__getattr__", "__dir__"}
+    # the public names, every submodule whether loaded or not, and the dunders
+    hidden = {"_HOME", "__getattr__", "__dir__"}
     return sorted({*globals(), *_HOME, *_HOME.values()} - hidden)
