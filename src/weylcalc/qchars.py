@@ -133,7 +133,7 @@ class QChar:
     def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
         """(join of the rendered factors, multiplicity) per term, by sort_key."""
         items = [render((i, j, e)) for (i, j), e in self._factors]
-        if self._cols:  # a product's row: the lists of its pieces (_pieces), added
+        if self._cols:  # a row adds its pieces' lists (_pieces); join=list would copy it
             rows = map(reduce, repeat(add), self._pieces(items, list))
             return list(zip(rows if join is list else map(join, rows), self._cols[1]))
         get, keys = items.__getitem__, self._keys
