@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from functools import reduce
+from functools import reduce, wraps
 from itertools import accumulate, combinations, count, repeat, starmap
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
@@ -24,6 +24,7 @@ from .segments import Segment, check_valid, is_degenerate
 
 Path = tuple[int, ...]
 TermSource = Union[Mapping[LWeight, int], Iterable[tuple[LWeight, int]]]
+_SHAPES = 64  # the shapes each _translated memo keeps; a decide pass meets about 19
 
 
 class QChar:
@@ -349,6 +350,29 @@ def weyl_qchar(ms: Multisegment, rank: int) -> QChar:
     return _convolve(chars) if len(chars) > 1 else chars[0] if chars else QChar.one()
 
 
+def _translated(search: Callable) -> Callable:
+    """search memoized up to translation: shifting the parts by d shifts the
+    table by d in order, so the keys and _cols stand. A miss runs search on
+    the caller's tuple (an invalid part raises as uncached) and keeps its
+    fields by the parts less their least left endpoint, and the rank; a hit
+    shifts the table back, into a new QChar. The oldest of _SHAPES goes first."""
+    @wraps(search)
+    def memoized(ms: Multisegment, rank: int) -> QChar:
+        d = min(ms, default=(0,))[0]  # segments sort by left endpoint first
+        key = tuple([(i - d, j - d) for i, j in ms]), rank
+        if (hit := memo.get(key)) is None:
+            if len(memo) >= _SHAPES:  # list() and pop(k, None) hold across threads
+                memo.pop(next(iter(list(memo)), None), None)
+            memo[key] = d, (q := search(ms, rank))._factors, q._keymap, q._shape, q._cols
+            return q
+        at, factors, *fields = hit
+        return QChar._of([(tuple.__new__(Segment, (i + d - at, j + d - at)), e)
+                          for (i, j), e in factors] if d != at else factors, *fields)
+    memo = memoized.memo = {}
+    return memoized
+
+
+@_translated
 def _dominant(ms: Multisegment, rank: int) -> QChar:
     """weyl_qchar(ms, rank)'s dominant terms, without the full product."""
     for p in ms:
@@ -369,6 +393,7 @@ def _bounds(ls, jp) -> dict[int, list]:
     return _bounds(ls, jp)
 
 
+@_translated
 def _weight_keys(seed: Multisegment, rank: int) -> QChar:
     """The weights of closure(seed)'s members, each once, as a ranked QChar.
 

@@ -13,12 +13,15 @@ replaced (helpers.listed_closure, sorted, then helpers.column_text), on
 the closure ops of the enumerate workload at --seed and the next seed,
 split at 120 members; then len(closure(...)) on twelve lefts each below
 every right endpoint, 12! members counted with none listed. The third
-times qchars._weight_keys (the dominant weight keys, from the matchings
-of lefts to js that pass (a) and (b), with no member built) and
-helpers.weigh_each (every member of listed_closure's listing weighed in
-turn). Each pair runs in turn, in process, and keeps the best of --repeat
-runs of each; both sides must give the same left tuples, the same bytes,
-or the same factor table and keys. The cases are four dense seven- and
+times the search of qchars._weight_keys (its __wrapped__: the dominant
+weight keys, from the matchings of lefts to js that pass (a) and (b), with
+no member built, and no memo) and helpers.weigh_each (every member of
+listed_closure's listing weighed in turn); its last column times
+_weight_keys on each seed shifted by 1,000 once the seed's own shape is in
+the memo, a translated repeat that the memo answers. Each pair runs in
+turn, in process, and keeps the best of --repeat runs of each; both sides
+must give the same left tuples, the same bytes, or the same factor table
+and keys. The cases are four dense seven- and
 eight-part seeds, a 1,200-part doubly sorted chain (first table only), and
 every seed that the ops of perfbench/corpus.py hand to the function timed
 (recorded while the op runs through cli.run), summed per workload: the
@@ -94,8 +97,21 @@ def listed_text(ms, rank):
 
 
 def keyed(ms, rank):
-    q = qchars._weight_keys(ms, rank)
+    q = qchars._weight_keys.__wrapped__(ms, rank)  # the search, not a memo hit
     return q._factors, q._keys
+
+
+def translated(ms, rank, repeat):
+    """Best seconds of _weight_keys on ms shifted by 1,000, ms's shape in the memo."""
+    moved, best = Multisegment(p.shift(1000) for p in ms), float("inf")
+    with patch.dict(qchars._weight_keys.memo, clear=True):
+        qchars._weight_keys(ms, rank)
+        for _ in range(repeat):
+            start = time.perf_counter()
+            q = qchars._weight_keys(moved, rank)
+            best = min(best, time.perf_counter() - start)
+    assert (q._factors, q._keys) == keyed(moved, rank), (ms, rank)
+    return best
 
 
 def best_pair(new, old, ms, rank, repeat):
@@ -112,15 +128,17 @@ def best_pair(new, old, ms, rank, repeat):
     return best, len(got[0]) if new is listed else len(got[0][1])
 
 
-def table(header, new, old, rows, repeat):
+def table(header, new, old, rows, repeat, hit=None):
+    """One line per row of cases; with hit, a last column sums hit(ms, rank, repeat)."""
     print(header)
     for name, rank, seeds in rows:
-        fast = slow = size = 0
+        fast = slow = size = again = 0
         for ms, r in seeds:
             (f, s), n = best_pair(new, old, ms, r, repeat)
             fast, slow, size = fast + f, slow + s, size + n
+            again += hit(ms, r, repeat) if hit else 0
         print(f"{name}\t{rank}\t{len(seeds)}\t{size}\t{fast * 1e3:.3f}\t"
-              f"{slow * 1e3:.3f}\t{slow / fast:.2f}")
+              f"{slow * 1e3:.3f}\t{slow / fast:.2f}" + (f"\t{again * 1e3:.3f}" if hit else ""))
 
 
 def main(argv=None) -> int:
@@ -157,8 +175,8 @@ def main(argv=None) -> int:
               corpus_seeds(w, args.seed, "_weight_keys", [qchars, weyl]))
              for w in ("decide", "cli-mix")]
     print()
-    table("case\trank\tcalls\tkeys\tweigher ms\teach ms\teach / weigher",
-          keyed, weigh_each, rows, args.repeat)
+    table("case\trank\tcalls\tkeys\tweigher ms\teach ms\teach / weigher\ttranslate ms",
+          keyed, weigh_each, rows, args.repeat, translated)
     return 0
 
 

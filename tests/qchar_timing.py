@@ -12,8 +12,10 @@ _tails on the rendered factors, each row one concatenation per down-step
 sorted keys (helpers.per_term_text, rows). The cases are [34,41] at rank
 14 (6,435 terms), every single-segment `qchar` op of the enumerate
 workload (perfbench/corpus.py), summed, and the length-1 characters at
-ranks 1 and 2 (with `dominant` of [1,2][5,5] at rank 1), the size of
-cli-mix's ops.
+ranks 1 and 2, the size of cli-mix's ops. Its last row times `str` of
+the search of _dominant (its __wrapped__, no memo) on [1,2][5,5] at rank 1,
+and in a last column the same on [101,102][105,105], a translate that the
+memo answers once [1,2][5,5] is in it.
 
 The second table times products through cli.run: the packed rows, sorted
 on byte keys and rendered per 64-bit chunk (rows), against the same ops
@@ -88,7 +90,8 @@ def main(argv=None) -> int:
     rows = [("[34,41]", 14, [(Segment(34, 41), 14)]),
             (f"enumerate seed {args.seed} singles", "-", list(map(single, singles))),
             ("length 1", "1-2", [(Segment(i, i + 1), r) for r in (1, 2) for i in (-1, 1)])]
-    print("case\trank\tcalls\tterms\tbuild us\tkeys us\ttail us\trows us\trows / tail")
+    print("case\trank\tcalls\tterms\tbuild us\tkeys us\ttail us\trows us\trows / tail"
+          "\ttranslate us")
     for name, rank, cases in rows:
         build = keys = tail = joined = terms = 0
         for seg, r in cases:
@@ -100,10 +103,14 @@ def main(argv=None) -> int:
             build, keys, tail, joined = build + b, keys + k, tail + t, joined + j
             terms += len(q)
         print(f"{name}\t{rank}\t{len(cases)}\t{terms}\t{build * 1e6:.1f}\t"
-              f"{keys * 1e6:.1f}\t{tail * 1e6:.1f}\t{joined * 1e6:.1f}\t{joined / tail:.2f}")
-    ms = cli.parse_multisegment("[1,2][5,5]")
-    d, _ = best(lambda m: str(_dominant(m, 1)), ms, args.repeat)
-    print(f"dominant [1,2][5,5]\t1\t1\t1\t-\t-\t{d * 1e6:.1f}\t-\t-")
+              f"{keys * 1e6:.1f}\t{tail * 1e6:.1f}\t{joined * 1e6:.1f}\t{joined / tail:.2f}\t-")
+    ms, moved = map(cli.parse_multisegment, ("[1,2][5,5]", "[101,102][105,105]"))
+    d, _ = best(lambda m: str(_dominant.__wrapped__(m, 1)), ms, args.repeat)
+    with patch.dict(_dominant.memo, clear=True):
+        _dominant(ms, 1)
+        h, text = best(lambda m: str(_dominant(m, 1)), moved, args.repeat)
+    assert text == str(_dominant.__wrapped__(moved, 1))
+    print(f"dominant [1,2][5,5]\t1\t1\t1\t-\t-\t{d * 1e6:.1f}\t-\t-\t{h * 1e6:.1f}")
     print("\ncase\tcalls\tbytes\trows ms\tkeyed ms\tkeyed / rows")
     cases = [(f"enumerate seed {args.seed} products", products, args.repeat),
              ("[0,3][2,5][4,7] at rank 7", [("qchar", "--rank", "7", "[0,3][2,5][4,7]")],

@@ -10,10 +10,11 @@ from unittest.mock import patch
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from weylcalc import (  # noqa: E402
+    InvalidSegment,
     LWeight,
     Multisegment,
     NotInRootLattice,
@@ -27,8 +28,11 @@ from weylcalc import (  # noqa: E402
     dual_left,
     dual_right,
     fundamental_qchar,
+    sort_plus,
     span,
     tau,
+    weyl_dominant_part,
+    weyl_dominant_weights,
     weyl_qchar,
 )
 from weylcalc import cli, qchars  # noqa: E402
@@ -294,6 +298,64 @@ def test_cli_products_match_the_tuple_keys(case):
                       (_dominant(ms, rank), keyed_qchar(ms, rank, dominant=True))]:
         assert str(got) == str(want) and json_qchar_terms(got) == json_qchar_terms(want)
         assert got._keys == want._keys and list(got._keys) == sorted(want._keys)
+
+
+def shifted(ms, d):
+    return Multisegment(p.shift(d) for p in ms)
+
+
+def shifted_weight(w, d):
+    return LWeight({seg.shift(d): e for seg, e in w.exponents().items()})
+
+
+# the searches memoized up to translation, each with the form its callers pass
+MEMOIZED = [(qchars._weight_keys, sort_plus), (_dominant, lambda ms: ms)]
+
+
+@PROPERTY
+@given(ranked_multisegments(max_parts=4), st.integers(-40, 40))
+def test_shifting_a_tuple_shifts_its_dominant_weights(case, d):
+    # the translate comes right after its shape, so the memo answers it
+    ms, rank = case
+    weights, part = weyl_dominant_weights(ms, rank), weyl_dominant_part(ms, rank)
+    moved = shifted(ms, d)
+    assert weyl_dominant_weights(moved, rank) == {shifted_weight(w, d) for w in weights}
+    assert weyl_dominant_part(moved, rank) == {
+        shifted_weight(w, d): m for w, m in part.items()}
+
+
+@PROPERTY
+@given(ranked_multisegments(max_parts=4), st.integers(-40, 40))
+def test_a_memo_hit_is_the_search_of_the_translate(case, d):
+    ms, rank = case
+    for search, form in MEMOIZED:
+        moved = form(shifted(ms, d))
+        with patch.dict(search.memo, clear=True):
+            search(form(ms), rank)
+            got = search(moved, rank)
+            assert len(search.memo) == 1  # the translate was a hit
+        want = search.__wrapped__(moved, rank)
+        assert (got._factors, got._keys, str(got)) == (want._factors, want._keys, str(want))
+
+
+@PROPERTY
+@given(ranked_multisegments(max_parts=4), st.integers(-40, 40))
+def test_an_invalid_translate_fails_as_the_search_does(case, d):
+    # a translate is valid at the rank of its shape; at a lower rank the
+    # longest part is not, and the memo neither answers nor keeps it
+    ms, rank = case
+    low = max(p.length for p in ms) - 2
+    assume(low >= 0)
+    for search, form in MEMOIZED:
+        moved = form(shifted(ms, d))
+        with patch.dict(search.memo, clear=True):
+            search(form(ms), rank)
+            with pytest.raises(InvalidSegment) as got:
+                search(moved, low)
+            assert len(search.memo) == 1
+        with pytest.raises(InvalidSegment) as want:
+            search.__wrapped__(moved, low)
+        assert str(got.value) == str(want.value)
 
 
 @PROPERTY

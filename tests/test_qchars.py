@@ -4,6 +4,8 @@ import json
 import math
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 from contextlib import redirect_stdout
 from unittest.mock import patch
@@ -644,13 +646,88 @@ class TestLazyKeys:
 
     def test_products_pack_each_factor_from_its_walk_on_ints(self):
         heads, spy = self.spied_tails()
-        with spy:
+        with spy, patch.dict(_dominant.memo, clear=True):  # no shape kept by an earlier test
             q = weyl_qchar(M((0, 2), (1, 3), (5, 5)), 3)
             d = _dominant(M((0, 2), (1, 3)), 3)
             assert heads == [0, 0, 0, 0]
             str(q), str(d), json_qchar_terms(q)
             assert heads == [0, 0, 0, 0] and q._keymap is None and d._keymap is None
         assert q == QChar(path_product(M((0, 2), (1, 3)), 3))
+
+
+class TestTranslatedMemo:
+    """_dominant and _weight_keys answer a translate of a kept shape from the memo."""
+
+    def test_a_hit_builds_no_keys_until_read(self):
+        ms, moved = M((0, 2), (1, 3), (2, 4)), M((7, 9), (8, 10), (9, 11))
+        with patch.dict(_dominant.memo, clear=True):
+            first = _dominant(ms, 4)
+            assert first._keys  # the miss's caller reads its keys: the memo keeps none
+            q = _dominant(moved, 4)
+            assert len(_dominant.memo) == 1 and q is not first
+            text = (len(q), repr(q), str(q), json_qchar_terms(q))
+            assert q._keymap is None
+            again = _dominant(ms, 4)  # a hit at the kept place shares the table
+            assert again._factors is first._factors and again._keymap is None
+        want = _dominant.__wrapped__(moved, 4)
+        assert text == (len(want), repr(want), str(want), json_qchar_terms(want))
+        assert (q._factors, q._keys) == (want._factors, want._keys)
+
+    def test_a_hit_pickles_and_copies(self):
+        with patch.dict(_dominant.memo, clear=True), \
+                patch.dict(qchars._weight_keys.memo, clear=True):
+            _dominant(M((0, 2), (1, 3), (2, 4)), 4)
+            qchars._weight_keys(M((1, 3), (0, 2)), 2)
+            hits = [_dominant(M((-5, -3), (-4, -2), (-3, -1)), 4),
+                    qchars._weight_keys(M((4, 6), (3, 5)), 2)]
+        for q in hits:
+            before = pickle.dumps(q, 0)
+            clones = [pickle.loads(pickle.dumps(q, protocol))
+                      for protocol in range(0, pickle.HIGHEST_PROTOCOL + 1)]
+            for back in clones + [copy.copy(q), copy.deepcopy(q)]:
+                assert type(back) is QChar and back == q and str(back) == str(q)
+                assert (back._factors, back._keys) == (q._factors, q._keys)
+            assert pickle.dumps(q, 0) == before  # keys read since are not carried
+
+    def test_the_memo_keeps_its_bound_dropping_the_oldest(self):
+        shapes = [M((0, 1), (k, k + 1)) for k in range(2, qchars._SHAPES + 12)]
+        with patch.dict(_dominant.memo, clear=True):
+            for ms in shapes:
+                _dominant(ms, 1)
+                assert len(_dominant.memo) <= qchars._SHAPES
+            kept = list(_dominant.memo)
+        assert kept == [(tuple(map(tuple, ms)), 1) for ms in shapes[-qchars._SHAPES:]]
+
+    def test_threads_evicting_at_once_raise_nothing(self):
+        # four threads on two cores, switching every microsecond, each on its
+        # own translates of 50 shapes, through a two-shape memo: misses evict
+        # while hits read, and every answer is the search's
+        shapes = [M((d, d + 1), (d + k, d + k + 1)) for k in range(2, 52)
+                  for d in (0, 7, -3, 20)]
+        errors, sizes = [], []
+
+        def run(part):
+            try:
+                for ms in part:
+                    assert str(_dominant(ms, 1)) == str(_dominant.__wrapped__(ms, 1))
+                    sizes.append(len(_dominant.memo))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        threads = [threading.Thread(target=run, args=(shapes[k::4],)) for k in range(4)]
+        try:
+            sys.setswitchinterval(1e-6)
+            with patch.dict(_dominant.memo, clear=True), patch.object(qchars, "_SHAPES", 2):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # a check and its eviction may interleave: each thread adds one at most
+        assert errors == [] and len(sizes) == 200 and max(sizes) <= 2 + len(threads) - 1
 
 
 class TestWeylQChar:
