@@ -21,8 +21,8 @@ _weight_keys on each seed shifted by 1,000 once the seed's own shape is in
 the memo, a translated repeat that the memo answers. Each pair runs in
 turn, in process, and keeps the best of --repeat runs of each; both sides
 must give the same left tuples, the same bytes, or the same factor table
-and keys. The cases are four dense seven- and
-eight-part seeds, a 1,200-part doubly sorted chain (first table only), and
+and keys. The cases are four dense seven- and eight-part seeds, a
+1,200-part doubly sorted chain (first table only), and
 every seed that the ops of perfbench/corpus.py hand to the function timed
 (recorded while the op runs through cli.run), summed per workload: the
 enumerate and cli-mix ops for the engine, the decide and cli-mix ops for
