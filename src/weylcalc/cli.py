@@ -5,8 +5,9 @@ argv from the table itself and any other through a fresh argparse parser
 from `build_parser`, so argparse words every message. It then
 parses the positionals in order (`-` reads stdin, at most once, just before
 its parse), computes, and calls only the renderer that `--json` selects.
-Rows look library functions up on their modules at call time, so wrappers
-and patches there are seen, and a call loads only the modules its row reads.
+Rows, and `weyl` and `qchars` for their one lazily loaded helper each, read
+a function off its module at call time (`_lib.weyl.socle`), so wrappers and
+patches there are seen, and a call loads only the modules it reads.
 
 Exit codes: 0 on success, 2 on parse or precondition failures, 1 on
 internal errors. Output for a fixed input is byte-identical across

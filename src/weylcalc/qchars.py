@@ -10,6 +10,7 @@ corner at position r contributes the segment
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce, wraps
@@ -24,6 +25,7 @@ from .segments import Segment, check_valid, is_degenerate
 
 Path = tuple[int, ...]
 TermSource = Union[Mapping[LWeight, int], Iterable[tuple[LWeight, int]]]
+_lib = sys.modules[__package__]  # the package: _lib.closures loads closures on first use
 _SHAPES = 64  # the shapes each _translated memo keeps; a decide pass meets about 19
 
 
@@ -384,15 +386,6 @@ def _dominant(ms: Multisegment, rank: int) -> QChar:
     return _convolve(chars, dominant=True) if chars else QChar.one()
 
 
-def _bounds(ls, jp) -> dict[int, list]:
-    """closures._bounds, bound here in place of this on the first call, so
-    weyl_qchar and _dominant load no closures. A from-import inside
-    _weight_keys would run on every call, at about 2 us on Python 3.11."""
-    global _bounds
-    from .closures import _bounds
-    return _bounds(ls, jp)
-
-
 @_translated
 def _weight_keys(seed: Multisegment, rank: int) -> QChar:
     """The weights of closure(seed)'s members, each once, as a ranked QChar.
@@ -405,7 +398,7 @@ def _weight_keys(seed: Multisegment, rank: int) -> QChar:
     of a left v take c unused js in [v, v + rank + 1]. Keys sharing a set of
     used js get v's piece, the index of (v, j, m) per j taken m times, in
     front in bulk, so they come out ascending. (b) caps the lefts >= v that
-    the t largest js may hold, at each t of _bounds' table.
+    the t largest js may hold, at each t of closures._bounds' table.
     """
     for p in seed:
         check_valid(p, rank)
@@ -418,7 +411,7 @@ def _weight_keys(seed: Multisegment, rank: int) -> QChar:
         factors = sorted(factors + [(s, e) for s, _ in factors for e in
                                     range(2, min(ls.count(s[0]), js.count(s[1])) + 1)])
         at = {s: (r,) for r, (s, e) in enumerate(factors) if e == 1}
-    bounds = _bounds(*zip(*seed))
+    bounds = _lib.closures._bounds(*zip(*seed))
     caps = {v: [((1 << t) - 1 << n - t, k) for t, b in bounds.items()
                 if (k := t - bisect_left(b, v)) < min(t, n - bisect_left(ls, v))]
             for v in vs} if bounds else {}  # (mask of the t largest js, k) that bind

@@ -7,6 +7,7 @@ closure and q-character layers.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -18,25 +19,18 @@ from .lweights import LWeight
 from .multisegments import Multisegment, connected, normal_form, sort_plus, weight_of
 from .segments import check_valid
 
-
-def _weight_keys(seed: Multisegment, rank: int):
-    """qchars._weight_keys, bound here in place of this on the first call
-    (as qchars binds closures._bounds), so socle, hom and
-    subcategory_membership load no qchars."""
-    global _weight_keys
-    from .qchars import _weight_keys
-    return _weight_keys(seed, rank)
+_lib = sys.modules[__package__]  # the package: _lib.qchars loads qchars on first use
 
 
 def weyl_dominant_weights(ms: Multisegment, rank: int) -> set[LWeight]:
     """Dominant l-weight support of the standard module attached to ms.
 
     The weights of the closure of the plus-sorted tuple, so permuting ms
-    changes nothing. _weight_keys gives them as int keys into a factor
+    changes nothing. qchars._weight_keys gives them as int keys into a factor
     table, built from the matchings of lefts to js that pass tests (a) and
     (b), with no member built; one LWeight per key.
     """
-    return _weight_keys(sort_plus(ms), rank).support()
+    return _lib.qchars._weight_keys(sort_plus(ms), rank).support()
 
 
 def hom_dim(src: Multisegment, dst: Multisegment, rank: int) -> int:
@@ -100,8 +94,9 @@ class ExtCertificate(_Record):
 
 def _meet(plus: tuple[Multisegment, ...], rank: int) -> tuple[set, Callable]:
     """plus[0]'s weight keys that plus[1]'s closure shares, and their weights' builder."""
-    ours = _weight_keys(plus[0], rank)  # a support depends on the plus form alone
-    keys = ours._common(ours if plus[1] == plus[0] else _weight_keys(plus[1], rank))
+    weigh = _lib.qchars._weight_keys
+    ours = weigh(plus[0], rank)  # a support depends on the plus form alone
+    keys = ours._common(ours if plus[1] == plus[0] else weigh(plus[1], rank))
     return keys, lambda: ours._shared(keys)
 
 
@@ -111,7 +106,7 @@ def ext_vanishing(ms1: Multisegment, ms2: Multisegment, rank: int) -> ExtCertifi
     Each closure holds its seed, so each support holds its own tuple's
     weight: equal weights (the plus forms' non-degenerate parts agree) are
     INCONCLUSIVE with no closure built. Other pairs, and any pair with an
-    invalid part, go to _weight_keys, which checks every part, plus[0]'s
+    invalid part, go to qchars._weight_keys, which checks every part, plus[0]'s
     first; the verdict is whether their keys meet (QChar._common). The
     shared weights are built from those keys on first use.
     """

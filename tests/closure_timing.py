@@ -36,7 +36,7 @@ import argparse
 import io
 import sys
 import time
-from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
 from helpers import (
@@ -48,7 +48,7 @@ from helpers import (
     weigh_each,
 )
 
-from weylcalc import Multisegment, Segment, cli, closure, closures, qchars, sort_plus, span, weyl
+from weylcalc import Multisegment, Segment, cli, closure, closures, qchars, sort_plus, span
 
 
 def named_cases():
@@ -57,21 +57,19 @@ def named_cases():
         ("[3597,3598]...[0,1], 1,200 parts", chain, 3600)]
 
 
-def corpus_seeds(workload, seed, name, modules):
-    """(ms, rank) of every call of the function name that the workload's ops make.
+def corpus_seeds(workload, seed, name, module):
+    """(ms, rank) of every call of module's function name that the workload's ops make.
 
-    modules are those that bind name; each binding is wrapped while the
-    ops run.
+    Callers read the function off its module at call time, so wrapping
+    that one binding while the ops run sees every call.
     """
-    calls, timed = [], getattr(modules[0], name)
+    calls, timed = [], getattr(module, name)
 
     def record(ms, rank):
         calls.append((ms, rank))
         return timed(ms, rank)
 
-    with ExitStack() as stack:
-        for module in modules:
-            stack.enter_context(patch.object(module, name, record))
+    with patch.object(module, name, record):
         for op in perfbench_corpus().build(workload, seed):
             with patch.object(sys, "stdin", io.StringIO(op.stdin or "")), \
                     redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -148,12 +146,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     rows = [(name, rank, [(ms, rank)]) for name, ms, rank in named_cases()]
     rows += [(f"{w} seed {args.seed}", "-",
-              corpus_seeds(w, args.seed, "closure", [closures]))
+              corpus_seeds(w, args.seed, "closure", closures))
              for w in ("enumerate", "cli-mix")]
     table("case\trank\tcalls\tmembers\tengine ms\tsearch ms\tsearch / engine",
           listed, searched, rows, args.repeat)
     seeds = [(ms, rank) for s in (args.seed, args.seed + 1)
-             for ms, rank in corpus_seeds("enumerate", s, "closure", [closures])]
+             for ms, rank in corpus_seeds("enumerate", s, "closure", closures)]
     sizes = {case: len(listed_closure(*case)[1]) for case in seeds}
     rows = [(f"enumerate seeds {args.seed}-{args.seed + 1}, {name} members", "-",
              [case for case in seeds if (sizes[case] <= 120) == small])
@@ -172,7 +170,7 @@ def main(argv=None) -> int:
     rows = [(name, rank, [(sort_plus(ms), rank)])
             for name, ms, rank in named_cases()[:-1]]
     rows += [(f"{w} seed {args.seed}", "-",
-              corpus_seeds(w, args.seed, "_weight_keys", [qchars, weyl]))
+              corpus_seeds(w, args.seed, "_weight_keys", qchars))
              for w in ("decide", "cli-mix")]
     print()
     table("case\trank\tcalls\tkeys\tweigher ms\teach ms\teach / weigher\ttranslate ms",

@@ -114,12 +114,16 @@ def test_the_ranked_format_has_one_owner():
 
 def test_modules_import_only_lower_layers():
     # closures weighs nothing, qchars weighs closures, weyl decides on both
-    # and cli fronts them all; no module imports one above it
+    # and cli fronts them all; no module imports one above it, at the top or
+    # late, by reading it off the package (_lib.<module>) at call time
     above = {"closures": {"qchars", "weyl", "cli"}, "qchars": {"weyl", "cli"},
              "weyl": {"cli"}}
     for path in sorted(Path(weylcalc.__file__).parent.glob("*.py")):
-        imported = {node.module for node in ast.walk(ast.parse(path.read_text()))
-                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+        imported = {node.module if isinstance(node, ast.ImportFrom) else node.attr
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    or isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "_lib"}
         assert not imported & above.get(path.stem, set()), path.name
 
 

@@ -2,6 +2,7 @@ import io
 import random
 from collections import Counter
 from contextlib import redirect_stdout
+from unittest.mock import patch
 
 import pytest
 
@@ -9,6 +10,7 @@ from helpers import counted_lweights, random_doubly_sorted, random_multisegment
 
 from weylcalc import (
     cli,
+    closures,
     qchars,
     weyl,
     ExtVerdict,
@@ -69,6 +71,31 @@ class TestDominantWeights:
             top = weight_of(ms, rank)
             for t in closure(sort_plus(ms), rank).members:
                 assert dominance_leq(weight_of(t, rank), top, rank)
+
+    def test_patches_on_the_owners_are_seen_while_they_last(self):
+        # weyl reads qchars._weight_keys and qchars reads closures._bounds off
+        # their modules at each call, so after the first calls a patch on the
+        # owner is seen while it is active and leaves nothing bound behind
+        weyl_dominant_weights(M((0, 2), (1, 3)), 2)
+        ext_vanishing(M((0, 2), (1, 3)), M((0, 3), (1, 2)), 2)
+        calls = Counter()
+
+        def counted(name, f):
+            return lambda *a: calls.update([name]) or f(*a)
+
+        weigh = counted("weigh", qchars._weight_keys)
+        bounds = counted("bounds", closures._bounds)
+        with patch.dict(qchars._weight_keys.memo, clear=True):  # every shape misses
+            with patch.object(qchars, "_weight_keys", weigh), \
+                    patch.object(closures, "_bounds", bounds):
+                weyl_dominant_weights(M((0, 3), (1, 4), (2, 5)), 3)
+            assert calls["weigh"] >= 1 and calls["bounds"] >= 1
+            for module in (weyl, qchars):
+                assert weigh not in vars(module).values()
+                assert bounds not in vars(module).values()
+            seen = dict(calls)
+            weyl_dominant_weights(M((0, 2), (2, 4), (1, 5)), 3)
+        assert calls == seen
 
 
 class TestHom:
@@ -173,13 +200,10 @@ class TestExt:
     ])
     def test_equal_weights_build_no_closure_and_no_weight(self, monkeypatch, rank, texts):
         # a tuple against a rearrangement of it: the verdict needs neither
-        # a closure nor an LWeight, and text mode prints only it. Every key
-        # build of ext_vanishing calls weyl's _weight_keys, so that is where
-        # they are counted; it wraps qchars' own, which weyl's first call
-        # binds in place of a loader.
+        # a closure nor an LWeight, and text mode prints only it
         searched = []
         weigh = qchars._weight_keys
-        monkeypatch.setattr(weyl, "_weight_keys",
+        monkeypatch.setattr(qchars, "_weight_keys",
                             lambda *a: searched.append(a) or weigh(*a))
         out = io.StringIO()
         with counted_lweights() as built, redirect_stdout(out):
