@@ -5,8 +5,8 @@ abelian group on segment generators, ordered multisegments and their
 crossing calculus, closure sets, snake-path q-characters, and the
 module-theoretic decision procedures built on top of them.
 
-Importing the package loads no submodule: a public name, or a submodule
-by name, loads on first access (PEP 562).
+Importing the package loads no submodule. A public name is read off its
+submodule, loaded on first need, at every access; none is copied (PEP 562).
 """
 
 # The one list of public names, by defining submodule, pinned by
@@ -37,9 +37,8 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _HOME:
-        globals()[name] = value = getattr(__getattr__(_HOME[name]), name)
-        return value
+    if name in _HOME:  # read off its home each time: nothing is copied here
+        return getattr(globals().get(_HOME[name]) or __getattr__(_HOME[name]), name)
     if name in _HOME.values():  # a submodule: importing it binds it here
         __import__(f"{__name__}.{name}")  # seen by -X importtime, unlike import_module
         return globals()[name]

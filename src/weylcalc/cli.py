@@ -111,8 +111,10 @@ _W = "l-weight literal like w[0,2]^1 * w[1,2]^-1, or 1"
 _ONE_MS = (("multisegment", "ms", _MS),)
 _SIGN = {"plus": 1, "minus": -1}
 _OPTIONS = {
+    "--rank": {"type": int, "required": True, "metavar": "N",
+               "help": "ambient rank, N >= 1"},
     "--side": {"choices": ["right", "left"], "required": True},
-    "--sign": {"choices": ["plus", "minus"], "required": True},
+    "--sign": {"choices": list(_SIGN), "required": True},
     "--at": {"type": int, "required": True, "metavar": "P",
              "help": "1-based window index"},
 }
@@ -215,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact multisegment combinatorics for standard modules.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--rank", type=int, required=True, metavar="N", help="ambient rank, N >= 1"
-    )
+    common.add_argument("--rank", **_OPTIONS["--rank"])
     common.add_argument(
         "--json", action="store_true", help="emit a JSON object instead of text"
     )
@@ -246,7 +246,7 @@ def _read(argv) -> Optional[SimpleNamespace]:
     cmd = _BY_NAME.get(argv[0]) if argv else None
     if cmd is None:
         return None
-    valued = {"--rank": {"type": int}, **{o: _OPTIONS[o] for o in cmd.options}}
+    valued = {o: _OPTIONS[o] for o in ("--rank", *cmd.options)}
     out = {"command": cmd.name, "json": False, "spec": cmd}
     rest = list(argv[1:])
     while rest and rest[0].startswith("--"):

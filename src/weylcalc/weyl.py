@@ -96,7 +96,7 @@ def _meet(plus: tuple[Multisegment, ...], rank: int) -> tuple[set, Callable]:
     """plus[0]'s weight keys that plus[1]'s closure shares, and their weights' builder."""
     weigh = _lib.qchars._weight_keys
     ours = weigh(plus[0], rank)  # a support depends on the plus form alone
-    keys = ours._common(ours if plus[1] == plus[0] else weigh(plus[1], rank))
+    keys = ours._common(weigh(plus[1], rank))
     return keys, lambda: ours._shared(keys)
 
 

@@ -7,13 +7,14 @@ import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import weylcalc
 from weylcalc import (
-    ClosureSet, ExtCertificate, ExtVerdict, Multisegment, closure, cli,
-    ext_vanishing,
+    ClosureSet, ExtCertificate, ExtVerdict, Multisegment, closure, closures,
+    cli, ext_vanishing,
 )
 
 EXPORTS = [
@@ -54,6 +55,20 @@ def test_package_exports_are_frozen_and_resolve():
         "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
         "__name__", "__package__", "__path__", "__spec__",
     }
+
+
+def test_the_package_copies_no_public_name():
+    # each read goes to the home module, so a patch there is seen while it
+    # lasts and gone after, whichever read came first
+    spy = object()
+    with patch.object(closures, "closure", spy):
+        assert weylcalc.closure is spy
+    assert weylcalc.closure is closures.closure
+    assert "closure" not in vars(weylcalc)
+    exec("from weylcalc import *", {})
+    for name in EXPORTS:
+        getattr(weylcalc, name)
+    assert not vars(weylcalc).keys() & set(EXPORTS)
 
 
 def test_cli_entry_points_exist():
