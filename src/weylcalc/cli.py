@@ -39,48 +39,54 @@ if TYPE_CHECKING:
 
 _lib = sys.modules[__package__]  # the package: _lib.qchars loads qchars on first use
 
-_SEG_RE = re.compile(r"\[(-?\d+),(-?\d+)\]")
-_WFACTOR_RE = re.compile(r"w\[(-?\d+),(-?\d+)\]\^(-?\d+)")
-_SPACE_RE = re.compile(r"\s*")
+# Tokens tile the text: whitespace, then a part or factor, or one other character.
+_MS_TOKEN = re.compile(r"\s*(?:\[(-?\d+),(-?\d+)\]|(\S))")
+_W_TOKEN = re.compile(r"\s*(?:w\[(-?\d+),(-?\d+)\]\^(-?\d+)|(\S))")
 
 
-def _scan(text: str, factor_re: re.Pattern, sep: str, what: str) -> list[re.Match]:
-    """The factor matches of text: sep between factors, whitespace skipped."""
-    out, pos = [], 0
-    while True:
-        pos = _SPACE_RE.match(text, pos).end()
-        if pos == len(text):
-            return out
-        if out and sep:
-            if text[pos] != sep:
-                raise ParseError(f"expected '{sep}' at byte {pos}", pos)
-            pos = _SPACE_RE.match(text, pos + 1).end()
-        m = factor_re.match(text, pos)
-        if not m:
-            raise ParseError(f"bad {what} at byte {pos}", pos)
-        i, j = int(m[1]), int(m[2])
-        if j < i:
-            raise RangeError(f"segment [{i},{j}] at byte {pos} has j < i")
-        out.append(m)
-        pos = m.end()
+def _reject(token: re.Pattern, text: str, sep: str, what: str, empty: str):
+    """Raise a rejected literal's first error; offsets count UTF-8 bytes."""
+    for k, m in enumerate(token.finditer(text)):
+        tok = m[0].lstrip()
+        at = len(text[:m.end() - len(tok)].encode())
+        if sep and k % 2:  # factors and sep alternate
+            if tok != sep:
+                raise ParseError(f"expected '{sep}' at byte {at}", at)
+        elif not m[1]:
+            raise ParseError(f"bad {what} at byte {at}", at)
+        elif (i := int(m[1])) > (j := int(m[2])):
+            raise RangeError(f"segment [{i},{j}] at byte {at} has j < i")
+    if not token.match(text):  # else every token fit and the text ends in sep
+        raise ParseError(empty, 0)
+    raise ParseError(f"bad {what} at byte {len(text.encode())}", len(text.encode()))
 
 
 def parse_multisegment(text: str) -> Multisegment:
     """Parse a [i,j][i,j]... literal; whitespace between blocks is allowed."""
-    found = _scan(text, _SEG_RE, "", "multisegment syntax")
-    if not found:
-        raise ParseError("empty multisegment", 0)
-    return Multisegment(Segment(int(m[1]), int(m[2])) for m in found)
+    found = _MS_TOKEN.findall(text)
+    try:  # a character's empty groups fail int(); a reversed part is dropped
+        parts = [tuple.__new__(Segment, (a, b)) for i, j, _ in found
+                 if (a := int(i)) <= (b := int(j))]
+    except ValueError:
+        parts = ()
+    if parts and len(parts) == len(found):
+        return tuple.__new__(Multisegment, parts)
+    _reject(_MS_TOKEN, text, "", "multisegment syntax", "empty multisegment")
 
 
 def parse_lweight(text: str) -> LWeight:
     """Parse `1` or a `w[i,j]^e * w[i,j]^e * ...` product."""
     if text.strip() == "1":
         return LWeight.identity()
-    found = _scan(text, _WFACTOR_RE, "*", "l-weight factor")
-    if not found:
-        raise ParseError("empty l-weight", 0)
-    return LWeight((Segment(int(m[1]), int(m[2])), int(m[3])) for m in found)
+    found = _W_TOKEN.findall(text)
+    try:  # factors at even tokens: another character there fails int(); LWeight int()s e
+        pairs = [(tuple.__new__(Segment, (a, b)), e) for i, j, e, _ in found[::2]
+                 if (a := int(i)) <= (b := int(j))]
+    except ValueError:
+        pairs = ()
+    if pairs and found[1::2] == [("", "", "", "*")] * (len(pairs) - 1):
+        return LWeight(pairs)
+    _reject(_W_TOKEN, text, "*", "l-weight factor", "empty l-weight")
 
 
 def _json_factor(f: tuple) -> dict:
@@ -169,8 +175,7 @@ COMMANDS = (
     Command("dominant-weights", "dominant l-weight support of a standard module",
             _ONE_MS, lambda a, ms: _lib.qchars._weight_keys(
                 _lib.multisegments.sort_plus(ms), a.rank),
-            (lambda q: "\n".join([fs or "1" for fs, _ in
-                                  q._rows(LWeight._factor.__mod__, " * ".join)]),
+            (lambda q: q._lines(LWeight._factor, " * "),
              lambda q: {"weights": [fs for fs, _ in q._rows(_json_factor)]})),
     Command("qchar", "full q-character multiset", _ONE_MS,
             lambda a, ms: _lib.qchars.weyl_qchar(ms, a.rank), _QCHAR),

@@ -142,6 +142,11 @@ class QChar:
         get, keys = items.__getitem__, self._keys
         return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
+    def _lines(self, fmt: str, sep: str) -> str:
+        """A line a term by sort_key: its factors by fmt, joined by sep, or 1."""
+        get = [fmt % (i, j, e) for (i, j), e in self._factors].__getitem__
+        return "\n".join([sep.join(map(get, k)) or "1" for k in sorted(self._keys)])
+
     def _pieces(self, items: list, join: Callable) -> Iterable[tuple]:
         """A product's rows in order, each a tuple of pieces, one per column:
         join of the items (items[r] for factor r) of a distinct chunk, built once."""

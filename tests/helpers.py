@@ -11,6 +11,7 @@ import itertools
 import operator
 import pickle
 import random
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -43,6 +44,7 @@ from weylcalc import (
     weyl_dominant_weights,
 )
 from weylcalc.closures import _bounds
+from weylcalc.errors import ParseError, RangeError
 from weylcalc.qchars import _fold, fundamental_qchar
 from weylcalc.segments import check_valid, is_degenerate
 
@@ -531,6 +533,92 @@ def weigh_each(seed, rank):
     keys = (Counter(map(dict.get, cols, a)).items() for a in order)
     return factors, {tuple(sorted(r + c - 1 for r, c in k if r is not None)): 1
                      for k in keys}
+
+
+_SEG_RE = re.compile(r"\[(-?\d+),(-?\d+)\]")
+_WFACTOR_RE = re.compile(r"w\[(-?\d+),(-?\d+)\]\^(-?\d+)")
+_SPACE_RE = re.compile(r"\s*")
+
+
+def _scan(text, factor_re, sep, what):
+    """The factor matches of text: sep between factors, whitespace skipped."""
+    out, pos = [], 0
+    while True:
+        pos = _SPACE_RE.match(text, pos).end()
+        if pos == len(text):
+            return out
+        if out and sep:
+            if text[pos] != sep:
+                raise ParseError(f"expected '{sep}' at byte {pos}", pos)
+            pos = _SPACE_RE.match(text, pos + 1).end()
+        m = factor_re.match(text, pos)
+        if not m:
+            raise ParseError(f"bad {what} at byte {pos}", pos)
+        i, j = int(m[1]), int(m[2])
+        if j < i:
+            raise RangeError(f"segment [{i},{j}] at byte {pos} has j < i")
+        out.append(m)
+        pos = m.end()
+
+
+def scan_multisegment(text):
+    """cli.parse_multisegment as a loop of two regex calls a part, as first
+    written; its offsets count code points. The reference for the token parser."""
+    found = _scan(text, _SEG_RE, "", "multisegment syntax")
+    if not found:
+        raise ParseError("empty multisegment", 0)
+    return Multisegment(Segment(int(m[1]), int(m[2])) for m in found)
+
+
+def scan_lweight(text):
+    """cli.parse_lweight as first written, on _scan (code-point offsets)."""
+    if text.strip() == "1":
+        return LWeight.identity()
+    found = _scan(text, _WFACTOR_RE, "*", "l-weight factor")
+    if not found:
+        raise ParseError("empty l-weight", 0)
+    return LWeight((Segment(int(m[1]), int(m[2])), int(m[3])) for m in found)
+
+
+def parse_outcome(parse, text, in_bytes=False):
+    """What parse does with text, as a comparable tuple: the value with the
+    type of each part, or the exception's type, message and offset. With
+    in_bytes, a code-point offset and the message's `at byte N` become
+    UTF-8 byte counts."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        msg, at = str(exc), getattr(exc, "offset", None)
+        if in_bytes and (m := re.search(r"at byte (\d+)", msg)):
+            n = len(text[:int(m[1])].encode())
+            msg = f"{msg[:m.start(1)]}{n}{msg[m.end(1):]}"
+            at = None if at is None else n
+        return type(exc), msg, at
+    parts = value if isinstance(value, tuple) else value._exp
+    return type(value), value, [type(p) for p in parts]
+
+
+def mangled_literal(rng, kind):
+    """A multisegment (kind "ms") or l-weight ("w") literal, mostly valid, with
+    odd digits and spaces, then up to three random edits."""
+    def num():
+        digits = rng.choice(["0", "7", "12", "007", "\u0663", "1\u06630",
+                             str(2 ** 64 + rng.randrange(9))])
+        return rng.choice(["", "", "-"]) + digits
+    space = lambda: rng.choice(["", "", "", " ", "\t", "\n", "\xa0", "  "])
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randint(-3, 5)
+        a, b = (str(i), str(i + rng.randint(-1, 4))) if rng.random() < 0.7 else (num(), num())
+        parts.append(f"[{a},{b}]" if kind == "ms" else f"w[{a},{b}]^{num()}")
+    text = space() + (space() if kind == "ms" else f"{space()}*{space()}").join(parts) + space()
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        k = rng.randrange(len(text) + 1)
+        noise = rng.choice(["*", "^", "+", "[", "]", ",", "-", "w", "1", "0", " ", "\t",
+                            "\n", "\xa0", "\u0663", "x", "\ud800", "* ", ""])
+        text = rng.choice([text[:k] + noise + text[k:], text[:k] + noise + text[k + 1:],
+                           text[:k], text + noise])
+    return text
 
 
 def perfbench_corpus():

@@ -1,10 +1,17 @@
 import io
 import json
 import random
+import re
 
 import pytest
 
-from helpers import random_multisegment
+from helpers import (
+    mangled_literal,
+    parse_outcome,
+    random_multisegment,
+    scan_lweight,
+    scan_multisegment,
+)
 
 from weylcalc import LWeight, Multisegment, ParseError, RangeError, Segment, alpha
 from weylcalc import cli, closures
@@ -62,6 +69,51 @@ class TestParseLWeight:
         for bad in ["", "2", "w[0,1]", "w[0,1]^1 x", "w[0,1]^1 *", "1 * w[0,1]^1"]:
             with pytest.raises(ParseError):
                 parse_lweight(bad)
+
+
+class TestTokenParsers:
+    @pytest.mark.parametrize("kind, parse, reference", [
+        ("ms", parse_multisegment, scan_multisegment),
+        ("w", parse_lweight, scan_lweight)])
+    def test_agree_with_the_scanning_reference(self, kind, parse, reference):
+        # value and part types, or exception type, message and offset; the
+        # reference counts code points, so its offsets are turned into bytes
+        rng = random.Random(40)
+        outcomes, texts = set(), []
+        for _ in range(20_000):
+            texts.append(text := mangled_literal(rng, kind))
+            got = parse_outcome(parse, text)
+            assert got == parse_outcome(reference, text, in_bytes=True), repr(text)
+            outcomes.add(got[0])
+        seen = "".join(texts)
+        assert all(c in seen for c in ["*", "^", "+", "\t", "\n", "\xa0", "\u0663", "007",
+                                       str(2 ** 64)])
+        assert any(t.rstrip().endswith("*") for t in texts)
+        assert any(t.isspace() for t in texts)
+        # every outcome is met: accepted, a syntax error and a reversed part
+        assert outcomes == {ParseError, RangeError, Multisegment if kind == "ms" else LWeight}
+
+    @pytest.mark.parametrize("parse, text, error, message", [
+        (parse_lweight, "w[0,1]^1 w[1,2]^1", ParseError, "expected '*' at byte 9"),
+        (parse_lweight, " \t\n", ParseError, "empty l-weight"),
+        (parse_lweight, "w[0,1]^1 * ", ParseError, "bad l-weight factor at byte 11"),
+        (parse_multisegment, "[0,1] [3,1]", RangeError, "segment [3,1] at byte 6 has j < i"),
+        (parse_multisegment, "[3,1]x", RangeError, "segment [3,1] at byte 0 has j < i"),
+    ])
+    def test_first_error_from_the_left(self, parse, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse(text)
+
+    def test_offsets_count_utf8_bytes(self):
+        # '٣' (ARABIC-INDIC DIGIT THREE) is a digit of two bytes
+        assert parse_multisegment("[\u0663,4]") == M((3, 4))
+        for text, at in [("[\u0663,4]x", 6), ("\xa0[3,1]", 2), ("[0,1]\xa0x", 7)]:
+            with pytest.raises((ParseError, RangeError), match=f"at byte {at}\\b"):
+                parse_multisegment(text)
+        with pytest.raises(ParseError) as e:
+            parse_lweight("w[\u0663,4]^1 x")
+        assert (str(e.value), e.value.offset) == ("expected '*' at byte 10", 10)
+        assert parse_lweight(" 1 ").is_identity
 
 
 class TestRun:
@@ -233,6 +285,10 @@ class TestErrors:
     def test_range_error(self, capsys):
         assert run(["closure", "--rank", "2", "[3,1]"]) == 2
         assert capsys.readouterr().err == "error: segment [3,1] at byte 0 has j < i\n"
+
+    def test_degenerate_dominant_weights_print_the_identity(self, capsys):
+        assert run(["dominant-weights", "--rank", "1", "[0,2]"]) == 0
+        assert capsys.readouterr() == ("1\n", "")
 
     def test_rank_must_be_positive(self, capsys):
         assert run(["closure", "--rank", "0", "[0,1]"]) == 2
