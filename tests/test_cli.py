@@ -202,6 +202,10 @@ class TestRun:
             "w[0,1]^1\n" "w[0,1]^1 * w[1,2]^1 * w[2,3]^1\n" "w[2,3]^1\n"
         )
 
+    def test_degenerate_dominant_weights_print_the_empty_weight(self, capsys):
+        assert run(["dominant-weights", "--rank", "1", "[0,2]"]) == 0
+        assert capsys.readouterr() == ("1\n", "")
+
     def test_alpha_decompose(self, capsys):
         assert run(["alpha-decompose", "--rank", "2", str(alpha(0, 2, 2))]) == 0
         assert capsys.readouterr().out == "a[0,2]^1\n"
@@ -285,10 +289,6 @@ class TestErrors:
     def test_range_error(self, capsys):
         assert run(["closure", "--rank", "2", "[3,1]"]) == 2
         assert capsys.readouterr().err == "error: segment [3,1] at byte 0 has j < i\n"
-
-    def test_degenerate_dominant_weights_print_the_identity(self, capsys):
-        assert run(["dominant-weights", "--rank", "1", "[0,2]"]) == 0
-        assert capsys.readouterr() == ("1\n", "")
 
     def test_rank_must_be_positive(self, capsys):
         assert run(["closure", "--rank", "0", "[0,1]"]) == 2
