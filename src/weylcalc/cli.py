@@ -4,14 +4,18 @@ Each subcommand is one `Command` row of `COMMANDS`. `run` reads canonical
 argv from the table itself and any other through a fresh argparse parser
 from `build_parser`, so argparse words every message. It then
 parses the positionals in order (`-` reads stdin, at most once, just before
-its parse), computes, and calls only the renderer that `--json` selects.
+its parse), computes, and calls only the renderer that `--json` selects;
+either returns text, the JSON one json.dumps's bytes built from the same
+pieces as the text (each result's `_json`), with no object tree or `json`.
 Rows, and `weyl` and `qchars` for their one lazily loaded helper each, read
 a function off its module at call time (`_lib.weyl.socle`), so wrappers and
 patches there are seen, and a call loads only the modules it reads.
 
 Exit codes: 0 on success, 2 on parse or precondition failures, 1 on
-internal errors. Output for a fixed input is byte-identical across
-runs; every list is emitted in a canonical sort order.
+internal errors. `run` lifts Python's int/str digit limit (process-wide)
+while it runs, so integers of any length read and print exactly. Output
+for a fixed input is byte-identical across runs; every list is emitted in
+a canonical sort order.
 """
 
 from __future__ import annotations
@@ -28,14 +32,12 @@ from .errors import (
     RangeError,
     WeylcalcError,
 )
-from .lweights import LWeight
+from .lweights import _RECORD, LWeight
 from .multisegments import Multisegment
 from .segments import Segment
 
 if TYPE_CHECKING:
     import argparse
-
-    from .qchars import QChar
 
 _lib = sys.modules[__package__]  # the package: _lib.qchars loads qchars on first use
 
@@ -89,26 +91,12 @@ def parse_lweight(text: str) -> LWeight:
     _reject(_W_TOKEN, text, "*", "l-weight factor", "empty l-weight")
 
 
-def _json_factor(f: tuple) -> dict:
-    return {"segment": [f[0], f[1]], "exp": f[2]}
-
-
-def json_lweight(w) -> list[dict]:
-    """Sorted factors of an LWeight or a RootVector as segment/exp records."""
-    return list(map(_json_factor, w.sort_key()))
-
-
-def json_qchar_terms(q: QChar) -> list[dict]:
-    """Terms of a QChar by sort_key, one record per distinct factor."""
-    return [{"weight": fs, "mult": m} for fs, m in q._rows(_json_factor)]
-
-
 class Command(NamedTuple):
     name: str
     help: str
     positionals: tuple  # (dest, "ms" | "w", help) in argument order
     compute: Callable  # (args, *parsed positionals) -> result
-    render: tuple  # (text, json): result -> str, result -> JSON object
+    render: tuple  # (text, json) renderers, result -> str, picked by args.json
     options: tuple = ()  # keys of _OPTIONS
 
 
@@ -127,17 +115,8 @@ _OPTIONS = {
 
 
 def _truth(key: str) -> tuple:
-    return (lambda r: "true" if r else "false", lambda r: {key: r})
-
-
-def _closure_json(cs) -> dict:
-    return {
-        "rank": cs.rank,
-        "seed": cs.seed,
-        "members": cs.members,
-        "closed": cs.closed_members,
-        "orbit_reps": cs.orbit_representatives,
-    }
+    return (lambda r: "true" if r else "false",
+            lambda r: '{"%s": %s}' % (key, "true" if r else "false"))
 
 
 def _decompose_or_none(args, w):
@@ -153,39 +132,39 @@ def _weighed_normal_form(args, ms):
     return out, m.weight_of(out, args.rank)
 
 
-_QCHAR = (str, lambda q: {"terms": json_qchar_terms(q)})
-_RESULT = (str, lambda ms: {"result": ms})
+_OWN = (str, lambda r: r._json())  # a ClosureSet or a QChar renders its own JSON
+_RESULT = (str, lambda ms: '{"result": %s}' % ms._json())
 
 COMMANDS = (
     Command("closure", "saturate a tuple; members one per line", _ONE_MS,
-            lambda a, ms: _lib.closures.closure(ms, a.rank), (str, _closure_json)),
+            lambda a, ms: _lib.closures.closure(ms, a.rank), _OWN),
     Command("closed", "whether a tuple admits no crossing move", _ONE_MS,
             lambda a, ms: _lib.closures.is_closed(ms, a.rank), _truth("closed")),
     Command("socle", "socle summand weights with orbit representatives", _ONE_MS,
             lambda a, ms: _lib.weyl.socle(ms, a.rank),
             (lambda ss: "\n".join([f"{s.weight}\t{s.representative}" for s in ss]),
-             lambda ss: {"summands": [{"weight": json_lweight(s.weight),
-                                       "rep": s.representative}
-                                      for s in ss]})),
+             lambda ss: '{"summands": [%s]}' % ", ".join(['{"weight": %s, "rep": %s}' % (
+                 s.weight._json(), s.representative._json()) for s in ss]))),
     Command("hom", "dim Hom between two standard modules",
             (("source", "ms", "multisegment of the source module"),
              ("target", "ms", "multisegment of the target module")),
             lambda a, src, dst: _lib.weyl.hom_dim(src, dst, a.rank),
-            (str, lambda d: {"hom_dim": d})),
+            (str, lambda d: '{"hom_dim": %s}' % d)),
     Command("dominant-weights", "dominant l-weight support of a standard module",
             _ONE_MS, lambda a, ms: _lib.qchars._weight_keys(
                 _lib.multisegments.sort_plus(ms), a.rank),
             (lambda q: q._lines(LWeight._factor, " * "),
-             lambda q: {"weights": [fs for fs, _ in q._rows(_json_factor)]})),
+             lambda q: '{"weights": [%s]}' % (
+                 "[%s]" % q._lines(_RECORD, ", ", "", "], [") if len(q) else ""))),
     Command("qchar", "full q-character multiset", _ONE_MS,
-            lambda a, ms: _lib.qchars.weyl_qchar(ms, a.rank), _QCHAR),
+            lambda a, ms: _lib.qchars.weyl_qchar(ms, a.rank), _OWN),
     Command("dominant", "dominant part of the q-character", _ONE_MS,
-            lambda a, ms: _lib.qchars._dominant(ms, a.rank), _QCHAR),
+            lambda a, ms: _lib.qchars._dominant(ms, a.rank), _OWN),
     Command("alpha-decompose", "write an l-weight in the root generators",
             (("lweight", "w", _W),), _decompose_or_none,
             (lambda rv: "not-in-root-lattice" if rv is None else str(rv),
-             lambda rv: {"in_root_lattice": rv is not None,
-                         "coefficients": None if rv is None else json_lweight(rv)})),
+             lambda rv: '{"in_root_lattice": false, "coefficients": null}' if rv is None
+             else '{"in_root_lattice": true, "coefficients": %s}' % rv._json())),
     Command("leq", "dominance order test w1 <= w2",
             (("lweight1", "w", "left l-weight"), ("lweight2", "w", "right l-weight")),
             lambda a, w1, w2: _lib.lweights.dominance_leq(w1, w2, a.rank), _truth("leq")),
@@ -197,17 +176,15 @@ COMMANDS = (
             _RESULT, ("--sign", "--at")),
     Command("normalform", "full ordering pass", _ONE_MS, _weighed_normal_form,
             (lambda r: str(r[0]),
-             lambda r: {"result": r[0],
-                        "weight": json_lweight(r[1])}),
+             lambda r: '{"result": %s, "weight": %s}' % (r[0]._json(), r[1]._json())),
             ("--sign",)),
     Command("ext-check", "Ext vanishing certificate",
             (("multisegment1", "ms", "first multisegment"),
              ("multisegment2", "ms", "second multisegment")),
             lambda a, ms1, ms2: _lib.weyl.ext_vanishing(ms1, ms2, a.rank),
             (lambda c: c.verdict.value,
-             lambda c: {"verdict": c.verdict.value,
-                        "shared_weights": [json_lweight(w)
-                                           for w in c.shared_weights]})),
+             lambda c: '{"verdict": "%s", "shared_weights": [%s]}' % (
+                 c.verdict.value, ", ".join([w._json() for w in c.shared_weights])))),
     Command("subcat", "tensor subcategory membership",
             (("base", "ms", "base multisegment"), ("lweight", "w", _W)),
             lambda a, base, w: _lib.weyl.subcategory_membership(base, w, a.rank),
@@ -275,10 +252,12 @@ def _read(argv) -> Optional[SimpleNamespace]:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    args = (_read(sys.argv[1:] if argv is None else argv)
-            or build_parser().parse_args(argv))
-    cmd = args.spec
+    held = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # integers of any length read and print exactly
     try:
+        args = (_read(sys.argv[1:] if argv is None else argv)
+                or build_parser().parse_args(argv))
+        cmd = args.spec
         if args.rank < 1:
             raise PreconditionViolated(f"rank must be >= 1, got {args.rank}")
         parsed, stdin_used = [], False
@@ -292,17 +271,15 @@ def run(argv: Optional[list[str]] = None) -> int:
             parsed.append(
                 parse_multisegment(text) if kind == "ms" else parse_lweight(text)
             )
-        result = cmd.compute(args, *parsed)
-        text_of, json_of = cmd.render
-        if args.json:
-            import json
-        out = json.dumps(json_of(result)) if args.json else text_of(result)
+        out = cmd.render[args.json](cmd.compute(args, *parsed))
     except WeylcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant failures
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(held)
     print(out)
     return 0
 

@@ -125,6 +125,21 @@ class ClosureSet(_Record):
             return _left_closure(self.seed, self.rank, *_TEXT)[1:]
         return "\n".join(["".join(map("[{},{}]".format, a, self.js)) for a in self.lefts])
 
+    def _json(self) -> str:
+        """json.dumps of closure --json's record: members as str builds them, on JSON
+        texts; the rest off closed_lefts, each row a % template of the js and lefts."""
+        def rows(js, lefts):
+            row = "[%s]" % ", ".join([f"[%s, {j}]" for j in js])
+            return ", ".join(map(row.__mod__, lefts))
+        members = _left_closure(self.seed, self.rank, *_JSON).replace("\n", ", [")[2:] \
+            if all(map(ge, self.js, self.js[1:])) else rows(self.js, self.lefts)
+        reps = {tuple([i for _, i in sorted(zip(self.js, a), reverse=True)])
+                for a in self.closed_lefts}  # each closed member's sort_plus
+        return ('{"rank": %s, "seed": %s, "members": [%s], "closed": [%s], '
+                '"orbit_reps": [%s]}' % (self.rank, rows(self.js, [next(zip(*self.seed))]),
+                                         members, rows(self.js, self.closed_lefts),
+                                         rows(sorted(self.js)[::-1], sorted(reps))))
+
 
 def is_closed(ms: Multisegment, rank: int) -> bool:
     """No pair of parts is connected; such tuples admit no crossing move."""
@@ -180,10 +195,10 @@ def _passes(cand, seed) -> bool:
     return True
 
 
-# _left_closure's outputs, as (piece, one, join): left tuples, their number
-# and str's text, a newline leading each row. one(v, j) is the rows of left v
-# alone at j; join(kids, get) maps each (pool, es) of kids to the rows of get(k)
-# after piece, for each (piece, k) of es whose pool k has rows (none are falsy).
+# _left_closure's outputs, as (piece, one, join): left tuples, their number,
+# str's and --json's texts, a newline leading each row. one(v, j) is the rows
+# of left v alone at j; join(kids, get) maps each (pool, es) of kids to the rows
+# of get(k) after piece, for each (piece, k) of es whose pool k has rows (none falsy).
 _TUPLES = (lambda v, j: (v,), lambda v, j: [(v,)],
            lambda kids, get: {m: [p + r for p, k in es if (c := get(k)) for r in c]
                               for m, es in kids})
@@ -192,6 +207,7 @@ _COUNT = (lambda v, j: None, lambda v, j: 1,
 _TEXT = ("\n[{},{}]".format, "\n[{},{}]".format,
          lambda kids, get: {m: "".join([c.replace("\n", p) for p, k in es if (c := get(k))])
                             for m, es in kids})
+_JSON = ("\n[{}, {}], ".format, "\n[{}, {}]]".format, _TEXT[2])
 
 
 def _left_closure(seed: Multisegment, rank: int, piece, one, join):

@@ -14,6 +14,7 @@ from .errors import InvalidRoot, NotInRootLattice
 from .segments import Segment, check_valid, is_degenerate
 
 ExponentSource = Union[Mapping[Segment, int], Iterable[tuple[Segment, int]]]
+_RECORD = '{"segment": [%s, %s], "exp": %s}'  # a factor (i, j, e) as json.dumps prints it
 
 
 def _accumulate(source: ExponentSource) -> dict[Segment, int]:
@@ -61,6 +62,10 @@ class _SparseVector:
     def _format(cls, key: tuple) -> str:
         """The rendering of an instance whose sort_key is key."""
         return " * ".join([cls._factor % f for f in key]) or "1"
+
+    def _json(self) -> str:
+        """json.dumps of the sorted factors' segment/exp records."""
+        return "[%s]" % ", ".join([_RECORD % f for f in self.sort_key()])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

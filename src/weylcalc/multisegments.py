@@ -31,6 +31,10 @@ class Multisegment(tuple):
     def __repr__(self) -> str:
         return f"Multisegment({self})"
 
+    def _json(self) -> str:
+        """json.dumps of the parts, [[i, j], ...], off the text."""
+        return "[%s]" % str(self).replace(",", ", ").replace("][", "], [")
+
 
 def weight_of(ms: Multisegment, rank: int) -> LWeight:
     """Product of the part generators, degenerate parts dropping out."""

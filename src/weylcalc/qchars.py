@@ -19,7 +19,7 @@ from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidSegment, PreconditionViolated
-from .lweights import LWeight
+from .lweights import _RECORD, LWeight
 from .multisegments import Multisegment, connected, is_doubly_sorted, weight_of
 from .segments import Segment, check_valid, is_degenerate
 
@@ -142,10 +142,10 @@ class QChar:
         get, keys = items.__getitem__, self._keys
         return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
-    def _lines(self, fmt: str, sep: str) -> str:
-        """A line a term by sort_key: its factors by fmt, joined by sep, or 1."""
+    def _lines(self, fmt: str, sep: str, one: str = "1", end: str = "\n") -> str:
+        """A line a term by sort_key, joined by end: factors by fmt joined by sep, or one."""
         get = [fmt % (i, j, e) for (i, j), e in self._factors].__getitem__
-        return "\n".join([sep.join(map(get, k)) or "1" for k in sorted(self._keys)])
+        return end.join([sep.join(map(get, k)) or one for k in sorted(self._keys)])
 
     def _pieces(self, items: list, join: Callable) -> Iterable[tuple]:
         """A product's rows in order, each a tuple of pieces, one per column:
@@ -163,6 +163,19 @@ class QChar:
         rows = zip(map("".join, self._pieces(texts, "".join)), self._cols[1]) \
             if self._cols else self._rows(fmt.__mod__, "".join)  # a product: one join a row
         return "\n".join([f"{m}{fs or ' * 1'}" for fs, m in rows])
+
+    def _json(self) -> str:
+        """json.dumps of {"terms": [{"weight": records, "mult": m}, ...]}: str's rows
+        on the factors' records, each after ", ", which a row drops in front."""
+        recs = [", " + _RECORD % (i, j, e) for (i, j), e in self._factors]
+        if self._shape:  # every mult is 1: the separator ends a row and starts the next
+            rows = [r[2:] for r in _tails(*self._shape, recs, "", "")]
+            return '{"terms": [{"weight": [%s], "mult": 1}]}' % (
+                '], "mult": 1}, {"weight": ['.join(rows))
+        rows = zip(map("".join, self._pieces(recs, "".join)), self._cols[1]) \
+            if self._cols else self._rows(lambda f: ", " + _RECORD % f, "".join)
+        return '{"terms": [%s]}' % ", ".join(
+            ['{"weight": [%s], "mult": %s}' % (fs[2:], m) for fs, m in rows])
 
     def __repr__(self) -> str:
         return f"QChar({len(self)} terms, mass {self.total_mass()})"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import json
 import operator
 import pickle
 import random
@@ -619,6 +620,65 @@ def mangled_literal(rng, kind):
         text = rng.choice([text[:k] + noise + text[k:], text[:k] + noise + text[k + 1:],
                            text[:k], text + noise])
     return text
+
+
+def json_factor(f):
+    return {"segment": [f[0], f[1]], "exp": f[2]}
+
+
+def json_lweight(w):
+    """Sorted factors of an LWeight or a RootVector as segment/exp records."""
+    return list(map(json_factor, w.sort_key()))
+
+
+def json_qchar_terms(q):
+    """Terms of a QChar by sort_key, one record per distinct factor."""
+    return [{"weight": fs, "mult": m} for fs, m in q._rows(json_factor)]
+
+
+def closure_json(cs):
+    return {
+        "rank": cs.rank,
+        "seed": cs.seed,
+        "members": cs.members,
+        "closed": cs.closed_members,
+        "orbit_reps": cs.orbit_representatives,
+    }
+
+
+# The object trees that `--json` once handed to json.dumps, by subcommand:
+# the reference for the renderers that print the JSON text directly.
+JSON_REFERENCE = {
+    "closure": closure_json,
+    "closed": lambda r: {"closed": r},
+    "socle": lambda ss: {"summands": [{"weight": json_lweight(s.weight),
+                                       "rep": s.representative} for s in ss]},
+    "hom": lambda d: {"hom_dim": d},
+    "dominant-weights": lambda q: {"weights": [fs for fs, _ in q._rows(json_factor)]},
+    "qchar": lambda q: {"terms": json_qchar_terms(q)},
+    "dominant": lambda q: {"terms": json_qchar_terms(q)},
+    "alpha-decompose": lambda rv: {"in_root_lattice": rv is not None,
+                                   "coefficients": None if rv is None else json_lweight(rv)},
+    "leq": lambda r: {"leq": r},
+    "dual": lambda ms: {"result": ms},
+    "iota": lambda ms: {"result": ms},
+    "normalform": lambda r: {"result": r[0], "weight": json_lweight(r[1])},
+    "ext-check": lambda c: {"verdict": c.verdict.value,
+                            "shared_weights": [json_lweight(w) for w in c.shared_weights]},
+    "subcat": lambda r: {"member": r},
+}
+
+
+@contextmanager
+def reference_json():
+    """Within the block, cli.run prints --json as json.dumps of JSON_REFERENCE's trees."""
+    from weylcalc import cli
+
+    rows = tuple(c._replace(render=(c.render[0], lambda r, f=JSON_REFERENCE[c.name]:
+                                    json.dumps(f(r)))) for c in cli.COMMANDS)
+    with patch.object(cli, "COMMANDS", rows), \
+            patch.object(cli, "_BY_NAME", {c.name: c for c in rows}):
+        yield
 
 
 def perfbench_corpus():

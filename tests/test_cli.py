@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -261,6 +262,10 @@ class TestRun:
         assert run(["subcat", "--rank", "1", "[2,3][1,2][0,1]", "w[1,3]^1"]) == 0
         assert capsys.readouterr().out == "true\n"
 
+    def test_subcat_takes_a_factor_of_length_0(self, capsys):
+        assert run(["subcat", "--rank", "2", "[0,0][0,2]", "w[0,0]^1"]) == 0
+        assert capsys.readouterr() == ("true\n", "")
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[0,6][2,7][1,8]\n"))
         assert run(["closure", "--rank", "6", "-"]) == 0
@@ -310,6 +315,59 @@ class TestErrors:
         monkeypatch.setattr(closures, "closure", boom)
         assert run(["closure", "--rank", "2", "[0,1]"]) == 1
         assert capsys.readouterr() == ("", "internal error: boom\n")
+
+
+ONES, NINES = "1" * 5000, "9" * 4301  # past int()'s default 4,300-digit limit
+
+
+class TestHugeIntegers:
+    """Integers of any length are read and printed exactly: exit 0 or 2."""
+
+    def test_a_huge_endpoint_is_an_invalid_segment(self, capsys):
+        assert run(["closure", "--rank", "2", f"[0,{ONES}]"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: segment [0,{ONES}] has length {ONES}, not valid at rank 2\n")
+
+    def test_a_huge_rank_is_read(self, capsys):
+        assert run(["closure", "--rank", ONES, "[0,1]"]) == 0
+        assert capsys.readouterr() == ("[0,1]\n", "")
+        assert run(["closure", "--rank", ONES, "--json", "[0,1]"]) == 0
+        assert capsys.readouterr().out.startswith('{"rank": %s, "seed": [[0, 1]], ' % ONES)
+
+    def test_a_huge_window_index_is_out_of_range(self, capsys):
+        assert run(["iota", "--rank", "2", "--sign", "plus", "--at", NINES, "[0,1]"]) == 2
+        assert capsys.readouterr() == ("", f"error: window index {NINES} outside 1..0\n")
+
+    @pytest.mark.parametrize("flags, out", [
+        ([], "not-in-root-lattice\n"),
+        (["--json"], '{"in_root_lattice": false, "coefficients": null}\n'),
+    ])
+    def test_exponents_that_sum_past_the_limit(self, capsys, flags, out):
+        # each exponent has 4,300 digits and their sum 4,301; the miss's
+        # message renders the weight
+        w = " * ".join(["w[0,1]^" + "9" * 4300] * 11)
+        assert run(["alpha-decompose", "--rank", "1", *flags, w]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_a_huge_coefficient_prints_the_same_in_text_and_json(self, capsys):
+        assert str(alpha(0, 2, 2)) == "w[0,2]^1 * w[1,2]^-1 * w[1,3]^1"
+        root = f"w[0,2]^{NINES} * w[1,2]^-{NINES} * w[1,3]^{NINES}"  # a[0,2]^NINES
+        assert run(["alpha-decompose", "--rank", "2", root]) == 0
+        assert capsys.readouterr().out == f"a[0,2]^{NINES}\n"
+        assert run(["alpha-decompose", "--rank", "2", "--json", root]) == 0
+        assert capsys.readouterr().out == ('{"in_root_lattice": true, "coefficients": '
+                                           '[{"segment": [0, 2], "exp": %s}]}\n' % NINES)
+
+    def test_the_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        for argv in (["closure", "--rank", ONES, "[0,1]"], ["closure", "--rank", "2", "[0,5]"]):
+            run(argv)
+            assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(SystemExit):
+            run(["closure", "[0,1]"])
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):
+            int(ONES)
 
 
 class TestParserOnlyOnFallback:

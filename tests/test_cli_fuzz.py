@@ -4,10 +4,14 @@ Every call goes through `cli.run` with a fixed seed: all subcommands,
 ranks -1..4, text and JSON, valid literals and literals with a stray or
 truncated token, `-` with empty or filled stdin. argparse rejecting the
 arguments counts as exit 2; `run` returning 2 must print `error: ...`.
+A second run puts integers past Python's 4,300-digit int/str limit into
+those calls.
 """
 
 import io
 import random
+import re
+import sys
 
 from weylcalc import cli
 
@@ -96,3 +100,76 @@ def test_fuzzed_invocations_exit_0_or_2(capsys, monkeypatch):
         codes[code] += 1
     # the mix reaches both outcomes often
     assert min(codes.values()) > 500, codes
+
+
+# Subcommands whose work does not grow with the rank; qchar and dominant
+# walk C(rank + 1, length) paths and leq and alpha-decompose sweep rows of
+# rank + 2 entries, so a huge rank is no input for them.
+RANK_FREE = {"closure", "closed", "socle", "hom", "dominant-weights", "ext-check",
+             "subcat", "dual", "iota", "normalform"}
+LIMIT = "9" * 4300  # the largest integer int() reads by default
+
+
+def _huge(rng):
+    """An integer of 4,000 to 5,000 digits, as text."""
+    n = rng.randint(4000, 5000)
+    return str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=n - 1))
+
+
+def _shifted(text, d):
+    """text with every integer after '[' or ',' moved by d: a translate."""
+    return re.sub(r"(?<=[\[,])-?\d+", lambda m: str(int(m[0]) + d), text)
+
+
+def _huge_argv(rng):
+    """_argv's call with 4,000-5,000-digit integers put in its integer slots:
+    the rank, --at, a whole literal moved by a huge shift, one endpoint,
+    exponents, and eleven copies of a factor whose exponents sum past the
+    limit."""
+    argv, stdin = _argv(rng)
+    cmd = argv[0]
+    for k, token in enumerate(argv):
+        prev = argv[k - 1]
+        if prev == "--rank" and cmd in RANK_FREE and rng.random() < 0.3:
+            argv[k] = _huge(rng)
+        elif prev == "--at" and rng.random() < 0.5:
+            argv[k] = rng.choice(["", "-"]) + _huge(rng)
+        elif k > 2 and token.startswith(("[", "w[")) and rng.random() < 0.6:
+            how = rng.randrange(4)
+            if how == 0:  # every endpoint
+                argv[k] = _shifted(token, int(rng.choice(["", "-"]) + _huge(rng)))
+            elif how == 1 and (found := list(re.finditer(r"-?\d+", token))):  # one integer
+                m = rng.choice(found)
+                argv[k] = token[:m.start()] + _huge(rng) + token[m.end():]
+            elif how == 2 and token.startswith("w["):  # the exponents
+                argv[k] = re.sub(r"(?<=\^)-?\d+", lambda m: rng.choice(["", "-"]) + _huge(rng),
+                                 token)
+            elif token.startswith("w["):  # a sum past the limit
+                argv[k] = " * ".join([f"w[0,{rng.randint(1, 2)}]^{LIMIT}"] * 11)
+    return argv, stdin
+
+
+def test_fuzzed_huge_integers_exit_0_or_2(capsys, monkeypatch):
+    rng = random.Random(20261022)
+    digits = sys.get_int_max_str_digits()
+    codes = {0: 0, 2: 0}
+    for _ in range(600):
+        sys.set_int_max_str_digits(0)  # _shifted adds to huge integers
+        try:
+            argv, stdin = _huge_argv(rng)
+        finally:
+            sys.set_int_max_str_digits(digits)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            codes[2] += 1
+            capsys.readouterr()
+            continue
+        err = capsys.readouterr().err
+        assert code in (0, 2), (argv, stdin, err[:300])
+        assert err.startswith("error: ") if code == 2 else err == "", (argv, err[:300])
+        assert sys.get_int_max_str_digits() == digits
+        codes[code] += 1
+    assert min(codes.values()) > 100, codes

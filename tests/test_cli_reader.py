@@ -131,8 +131,9 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("argv, imported", [
     (["closed", "--rank", "2", "[0,1]"], []),
-    (["closed", "--rank", "2", "--json", "[0,1]"], ["json"]),
+    (["closed", "--rank", "2", "--json", "[0,1]"], []),  # JSON is rendered as text
     (["closed", "--rank=2", "[0,1]"], ["argparse"]),
+    (["closure", "--rank", "6", "--json", "[0,6][2,7][1,8]"], []),
 ])
 def test_a_call_imports_argparse_and_json_only_when_it_needs_them(argv, imported):
     probe = (

@@ -36,13 +36,15 @@ from weylcalc import (  # noqa: E402
     weyl_qchar,
 )
 from weylcalc import cli, qchars  # noqa: E402
-from weylcalc.cli import (  # noqa: E402
+from weylcalc.cli import parse_lweight, parse_multisegment  # noqa: E402
+from helpers import (  # noqa: E402
     json_lweight,
     json_qchar_terms,
-    parse_lweight,
-    parse_multisegment,
+    keyed_product,
+    keyed_qchar,
+    move_saturate,
+    passes_bounds,
 )
-from helpers import keyed_product, keyed_qchar, move_saturate, passes_bounds  # noqa: E402
 from weylcalc.qchars import _convolve, _dominant  # noqa: E402
 
 PROPERTY = settings(

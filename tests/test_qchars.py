@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     counted_lweights,
     criterion2_instances,
+    json_qchar_terms,
     keyed_product,
     keyed_qchar,
     path_product,
@@ -25,7 +26,6 @@ from helpers import (
 )
 
 from weylcalc import cli
-from weylcalc.cli import json_qchar_terms
 from weylcalc import (
     InvalidSegment,
     LWeight,
@@ -866,6 +866,12 @@ class TestPairSimple:
             pair_simple_qchar(M((0, 1), (1, 2)), 2)  # wrong order
         with pytest.raises(PreconditionViolated):
             pair_simple_qchar(M((0, 7), (2, 6)), 8)  # nested, not connected
+
+    def test_equal_right_endpoints_are_weakly_decreasing_but_not_connected(self):
+        # equal j passes the order test and fails at the connection test
+        with pytest.raises(PreconditionViolated,
+                           match="^pair_simple_qchar needs a connected pair$"):
+            pair_simple_qchar(M((0, 2), (1, 2)), 3)
 
 
 class TestSocleHomWeight:
