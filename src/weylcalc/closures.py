@@ -136,7 +136,7 @@ class ClosureSet(_Record):
         reps = {tuple([i for _, i in sorted(zip(self.js, a), reverse=True)])
                 for a in self.closed_lefts}  # each closed member's sort_plus
         return ('{"rank": %s, "seed": %s, "members": [%s], "closed": [%s], '
-                '"orbit_reps": [%s]}' % (self.rank, rows(self.js, [next(zip(*self.seed))]),
+                '"orbit_reps": [%s]}' % (self.rank, self.seed._json(),
                                          members, rows(self.js, self.closed_lefts),
                                          rows(sorted(self.js)[::-1], sorted(reps))))
 

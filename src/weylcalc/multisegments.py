@@ -32,8 +32,8 @@ class Multisegment(tuple):
         return f"Multisegment({self})"
 
     def _json(self) -> str:
-        """json.dumps of the parts, [[i, j], ...], off the text."""
-        return "[%s]" % str(self).replace(",", ", ").replace("][", "], [")
+        """json.dumps of the parts: [[i, j], ...]."""
+        return "[%s]" % ", ".join(["[%s, %s]" % p for p in self])
 
 
 def weight_of(ms: Multisegment, rank: int) -> LWeight:
