@@ -127,7 +127,7 @@ class ClosureSet(_Record):
 
     def _json(self) -> str:
         """json.dumps of closure --json's record: members as str builds them, on JSON
-        texts; the rest off closed_lefts, each row a % template of the js and lefts."""
+        texts; closed members and orbit representatives off closed_lefts by % rows."""
         def rows(js, lefts):
             row = "[%s]" % ", ".join([f"[%s, {j}]" for j in js])
             return ", ".join(map(row.__mod__, lefts))
