@@ -133,13 +133,9 @@ class QChar:
         get = self._factors.__getitem__
         return tuple([LWeight._wrap(dict(map(get, k))) for k in sorted(keys)])
 
-    def _rows(self, render: Callable, join: Callable = list) -> list[tuple]:
+    def _rows(self, render: Callable, join: Callable) -> list[tuple]:
         """(join of the rendered factors, multiplicity) per term, by sort_key."""
-        items = [render((i, j, e)) for (i, j), e in self._factors]
-        if self._cols:  # a row adds its pieces' lists (_pieces); join=list would copy it
-            rows = map(reduce, repeat(add), self._pieces(items, list))
-            return list(zip(rows if join is list else map(join, rows), self._cols[1]))
-        get, keys = items.__getitem__, self._keys
+        get, keys = [render((i, j, e)) for (i, j), e in self._factors].__getitem__, self._keys
         return [(join(map(get, k)), keys[k]) for k in sorted(keys)]
 
     def _lines(self, fmt: str, sep: str, one: str = "1", end: str = "\n") -> str:

@@ -6,6 +6,7 @@ own seed and stays reproducible in isolation; a fixed corpus seeds its own.
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import itertools
 import json
@@ -631,9 +632,21 @@ def json_lweight(w):
     return list(map(json_factor, w.sort_key()))
 
 
+def json_rows(q):
+    """(factor records, multiplicity) per term of a QChar, by sort_key.
+
+    It reads the sorted keys of a copy, so that q builds none, and renders
+    each key's factors itself, not through the pieces that `str` and
+    `--json` join.
+    """
+    q = copy.copy(q)
+    get = [json_factor((i, j, e)) for (i, j), e in q._factors].__getitem__
+    return [(list(map(get, k)), m) for k, m in sorted(q._keys.items())]
+
+
 def json_qchar_terms(q):
     """Terms of a QChar by sort_key, one record per distinct factor."""
-    return [{"weight": fs, "mult": m} for fs, m in q._rows(json_factor)]
+    return [{"weight": fs, "mult": m} for fs, m in json_rows(q)]
 
 
 def closure_json(cs):
@@ -654,7 +667,7 @@ JSON_REFERENCE = {
     "socle": lambda ss: {"summands": [{"weight": json_lweight(s.weight),
                                        "rep": s.representative} for s in ss]},
     "hom": lambda d: {"hom_dim": d},
-    "dominant-weights": lambda q: {"weights": [fs for fs, _ in q._rows(json_factor)]},
+    "dominant-weights": lambda q: {"weights": [fs for fs, _ in json_rows(q)]},
     "qchar": lambda q: {"terms": json_qchar_terms(q)},
     "dominant": lambda q: {"terms": json_qchar_terms(q)},
     "alpha-decompose": lambda rv: {"in_root_lattice": rv is not None,

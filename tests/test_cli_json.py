@@ -103,6 +103,7 @@ WEIGHT = factors(st.integers(-3, 3).filter(bool) | BIG).map(
        WEIGHT)
 @example("closure", 2, [(1, 0), (-1, 2)], [(0, 1)], "1", "1")  # not in plus order
 @example("dominant-weights", 1, [(0, 2)], [(0, 1)], "1", "1")  # one empty row
+@example("closure", 12, [(16 - k, 7) for k in range(7)], [(0, 1)], "1", "1")  # 5,040 members
 @example("alpha-decompose", 2, [(0, 1)], [(0, 1)],
          f"w[0,1]^{2**64} * w[0,2]^{-2**64} * w[1,2]^{2**64}", "1")
 def test_every_subcommand_renders_as_the_reference(name, rank, a, b, w1, w2):

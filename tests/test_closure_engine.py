@@ -446,7 +446,7 @@ def test_weight_keys_render_as_the_sorted_member_weights():
         q = _weight_keys(sort_plus(ms), rank)
         keys = q._keys
         assert set(keys.values()) == {1}
-        rows = q._rows(LWeight._factor.__mod__)
+        rows = q._rows(LWeight._factor.__mod__, list)
         text = "\n".join([" * ".join(fs) or "1" for fs, _ in rows])
         weights = by_sort_key(member_weights(ms, rank))
         assert text == "\n".join(map(str, weights)), (ms, rank)

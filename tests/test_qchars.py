@@ -475,9 +475,6 @@ class TestTailText:
             # character built from terms joins each term's rendered factors
             assert rows == ([] if q._cols else [q]) and text == per_term_text(q)
         assert [q._cols is None for q in chars] == [False, True, False, False]
-        with patch.object(QChar, "_rows", side_effect=AssertionError("rows")):
-            with pytest.raises(AssertionError):
-                json_qchar_terms(f)  # the JSON renderer keeps its rows
 
 
 class TestPickleAndCopy:
@@ -544,11 +541,10 @@ class TestPackedRows:
         # a separator join must meet every factor pair of a row, also where
         # the row's pieces come from different columns
         q = weyl_qchar(M((25, 27), (20, 23), (24, 25)), 5)
-        unpacked, fmt = QChar(q.terms()), LWeight._factor.__mod__
-        assert len(q._cols[0]) > 1
-        for join in (list, tuple, " * ".join, "".join):
-            assert q._rows(fmt, join) == unpacked._rows(fmt, join), join
-        assert q._rows(fmt, " * ".join)[0] == ("w[20,23]^1 * w[24,25]^1 * w[25,27]^1", 1)
+        unpacked = QChar(q.terms())
+        assert len(q._cols[0]) > 1 and unpacked._cols is None
+        assert str(q) == str(unpacked) and q._json() == unpacked._json()
+        assert str(q).split("\n", 1)[0] == "1 * w[20,23]^1 * w[24,25]^1 * w[25,27]^1"
 
     def test_random_interacting_tuples(self):
         for ms, rank in interacting_tuples(random.Random(68), 300):
